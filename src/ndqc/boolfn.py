@@ -378,14 +378,6 @@ def restrict(f: TruthTable, a: PartialAssignment) -> TruthTable:
     return TruthTable(len(free), bits)
 
 
-def is_symmetric(f: TruthTable) -> bool:
-    try:
-        symmetric_profile(f)
-        return True
-    except NotSymmetric:
-        return False
-
-
 def symmetric_profile(f: TruthTable) -> SymmetricProfile:
     """Weight profile of a symmetric function; NotSymmetric otherwise."""
     values = [None] * (f.n + 1)

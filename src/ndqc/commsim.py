@@ -18,9 +18,9 @@ import numpy as np
 
 from .boolfn import CapExceeded
 from .linalg import int_rank
-from .polys import MultilinearPoly
-from .statevec import ExactState, ScaledMatrix, apply_matrix_float, \
-    apply_scaled_matrix
+from .polys import MultilinearPoly, _resample
+from .statevec import ExactState, ScaledMatrix, apply_label_map, \
+    apply_matrix_float, apply_scaled_matrix, register_values
 
 PAIR_CAP = 10
 FULL_RANK_CAP = 8
@@ -42,6 +42,10 @@ class ZeroRow(ValueError):
 
 class HypothesisViolated(ValueError):
     """The vector families do not satisfy the sum-zero-iff-f-zero premise."""
+
+
+class RankBoundViolation(ValueError):
+    """A collapsed matrix has rank above its family count."""
 
 
 class PatternMismatch(ValueError):
@@ -379,18 +383,8 @@ def _op_qubits(op):
     raise ValueError(f"unknown op {kind!r}")
 
 
-def _label_perm_apply(state, nq, perm, mode):
-    if mode == "exact":
-        re = [state.re[perm[i]] for i in range(len(state.re))]
-        im = None if state.im is None else \
-            [state.im[perm[i]] for i in range(len(state.im))]
-        return ExactState(re, im, state.scale2)
-    return state[perm]
-
-
 def _apply_protocol_op(state, nq, op, mode):
     kind = op[0]
-    size = 1 << nq
     if kind == "matrix":
         _, qubits, mat = op
         if mode == "exact":
@@ -406,59 +400,34 @@ def _apply_protocol_op(state, nq, op, mode):
         if np.max(np.abs(gram - np.eye(arr.shape[0]))) > 1e-9:
             raise ValueError("non-unitary protocol round")
         return apply_matrix_float(state, nq, qubits, arr)
+    # the rest only move or negate labels; each perm is its own inverse
+    labels = np.arange(1 << nq)
     if kind == "prep_basis":
+        # swap register value 0 with value, the other qubits unchanged
         _, qubits, value = op
-        perm = list(range(size))
-        if value:
-            tgt = 0
-            for j, q in enumerate(qubits):
-                if (value >> j) & 1:
-                    tgt |= 1 << q
-            for label in range(size):
-                if not any((label >> q) & 1 for q in qubits):
-                    perm[label], perm[label | tgt] = label | tgt, label
-        return _label_perm_apply(state, nq, perm, mode)
+        if not 0 <= value < 1 << len(qubits):
+            raise ValueError("basis value out of register range")
+        reg = register_values(nq, qubits)
+        tgt = int(np.flatnonzero(reg == value)[0])  # value's own bit pattern
+        hit = (reg == 0) | (reg == value)
+        return apply_label_map(state, labels ^ np.where(hit, tgt, 0))
     if kind == "swap":
         _, q1, q2 = op
-        perm = []
-        for label in range(size):
-            b1, b2 = (label >> q1) & 1, (label >> q2) & 1
-            if b1 != b2:
-                label ^= (1 << q1) | (1 << q2)
-            perm.append(label)
-        return _label_perm_apply(state, nq, perm, mode)
+        reg = register_values(nq, (q1, q2))
+        hit = (reg == 1) | (reg == 2)
+        return apply_label_map(
+            state, labels ^ np.where(hit, (1 << q1) | (1 << q2), 0))
     if kind == "phase_diag":
         _, qubits, signs = op
-        if mode == "exact":
-            for label in range(size):
-                v = _register_value(label, qubits)
-                if signs[v] < 0:
-                    state.re[label] = -state.re[label]
-                    if state.im is not None:
-                        state.im[label] = -state.im[label]
-            return state
-        out = state.copy()
-        for label in range(size):
-            if signs[_register_value(label, qubits)] < 0:
-                out[label] = -out[label]
-        return out
+        neg = (np.asarray(signs) < 0)[register_values(nq, qubits)]
+        return apply_label_map(state, neg=neg)
     if kind == "flip_eq":
         _, target, qubits, value = op
-        tbit = 1 << target
-        perm = list(range(size))
-        for label in range(size):
-            if not label & tbit and _register_value(label, qubits) == value:
-                perm[label], perm[label | tbit] = label | tbit, label
-        return _label_perm_apply(state, nq, perm, mode)
+        if target in qubits:
+            raise ValueError("flip_eq target inside its compared register")
+        hit = register_values(nq, qubits) == value
+        return apply_label_map(state, labels ^ np.where(hit, 1 << target, 0))
     raise ValueError(f"unknown op {kind!r}")
-
-
-def _register_value(label, qubits):
-    v = 0
-    for j, q in enumerate(qubits):
-        if (label >> q) & 1:
-            v |= 1 << j
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +581,7 @@ def final_state_families(spec: ProtocolSpec, n: int):
     for w in range(1 << chan):
         a_entry = {}
         for x in range(size):
-            st = ExactState.zero_state(spec.num_qubits) if spec.exact else \
-                _float_zero(spec.num_qubits)
+            st = _basis_state(spec, 0)
             for op in alice_round.ops(x):
                 st = _apply_protocol_op(st, spec.num_qubits, op,
                                         "exact" if spec.exact else "float")
@@ -632,12 +600,6 @@ def final_state_families(spec: ProtocolSpec, n: int):
         a_fams.append({x: (a_entry[x],) for x in a_entry})
         b_fams.append(b_entry)
     return a_fams, b_fams
-
-
-def _float_zero(nq):
-    v = np.zeros(1 << nq, dtype=complex)
-    v[0] = 1.0
-    return v
 
 
 def _basis_state(spec, w):
@@ -892,7 +854,8 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
                     f"tensor sum zero-pattern breaks at ({x},{y})")
     rng = random.Random(seed)
     bound = 1 << (2 * f.n + 1)
-    while True:
+
+    def attempt():
         alpha = [rng.randint(1, bound) for _ in range(d_a)]
         beta = [rng.randint(1, bound) for _ in range(d_b)]
         a_num = [[sum(alpha[j] * a_vecs[x][i][j] for j in range(d_a))
@@ -903,10 +866,12 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
                     for y in range(size)] for x in range(size)]
         ok = all((entries[x][y] != 0) == (f.value(x, y) == 1)
                  for x in range(size) for y in range(size))
-        if ok:
-            mat = exact_matrix(f.n, entries, f)
-            assert mat.rank() <= m
-            return mat
+        return entries if ok else None
+
+    mat = exact_matrix(f.n, _resample(attempt, "family collapse")[0], f)
+    if mat.rank() > m:
+        raise RankBoundViolation(f"collapsed rank exceeds {m}")
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -925,8 +890,9 @@ def matrix_to_csv_lines(M: NondetMatrix) -> list:
 
 
 def matrix_from_csv_lines(lines) -> NondetMatrix:
-    head = lines[0].strip().split(",")
-    if head[0] != "n" or head[2] != "mode":
+    head = lines[0].strip().split(",") if lines else []
+    if len(head) != 4 or head[0] != "n" or head[2] != "mode" \
+            or head[3] not in ("exact", "float"):
         raise ValueError("bad matrix header")
     n, mode = int(head[1]), head[3]
     size = 1 << n
@@ -963,8 +929,13 @@ def protocol_to_lines(spec: ProtocolSpec) -> list:
 
 def protocol_summary_from_lines(lines) -> dict:
     import json
-    head = json.loads(lines[0])
-    head["rounds"] = [json.loads(line) for line in lines[1:] if line.strip()]
-    if sum(r["message_qubits"] for r in head["rounds"]) != head["cost"]:
-        raise ValueError("cost does not match round messages")
+    try:
+        head = json.loads(lines[0])
+        head["rounds"] = [json.loads(line) for line in lines[1:]
+                          if line.strip()]
+        cost = sum(r["message_qubits"] for r in head["rounds"])
+        if cost != head["cost"]:
+            raise ValueError("cost does not match round messages")
+    except (IndexError, KeyError, TypeError) as e:
+        raise ValueError(f"malformed protocol file: {e!r}") from e
     return head

@@ -1,14 +1,11 @@
 """Exact integer linear algebra: fraction-free elimination, rank, nullspaces.
 
 All ground-truth computations here are over the integers/rationals with
-arbitrary precision.  A modular elimination is provided as a fast filter
-only; it is never used as the final answer.
+arbitrary precision.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-_FILTER_PRIME = 2_147_483_629  # large prime < 2**31; filter use only
 
 
 def rows_to_int(rows):
@@ -81,34 +78,6 @@ def int_rank(rows, ncols=None, max_rank=None):
     ints = rows_to_int(rows)
     _, pivots = _echelon_ff(ints, ncols, max_rank=max_rank)
     return len(pivots)
-
-
-def modular_rank(rows, ncols=None, p=_FILTER_PRIME):
-    """Rank over GF(p).  Lower-bounds the rational rank; filter use only."""
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    m = [[int(v) % p for v in r] for r in rows_to_int(rows)]
-    rank = 0
-    for pc in range(ncols):
-        sel = None
-        for r in range(rank, len(m)):
-            if m[r][pc]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        inv = pow(m[rank][pc], p - 2, p)
-        row = [v * inv % p for v in m[rank]]
-        m[rank] = row
-        for r in range(rank + 1, len(m)):
-            t = m[r][pc]
-            if t:
-                m[r] = [(a - t * b) % p for a, b in zip(m[r], row)]
-        rank += 1
-    return rank
 
 
 def nullspace(rows, ncols):

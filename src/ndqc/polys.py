@@ -41,6 +41,10 @@ class InvalidWitness(ValueError):
     """A polynomial failed its nonzero-pattern check against the function."""
 
 
+class RetryCapExceeded(CapExceeded):
+    """A randomized construction failed 64 attempts in a row."""
+
+
 @dataclass(frozen=True, eq=True)
 class MultilinearPoly:
     n: int
@@ -265,20 +269,34 @@ def _masks_by_degree(n, min_deg, max_deg):
     return masks
 
 
+def _resample(attempt, what):
+    """(result, failed attempts) for the first attempt() that is not None.
+
+    Callers' attempts each succeed with probability > 1/2, so 64 failures in
+    a row (odds below 2^-64) mean a fault, not bad luck.
+    """
+    for failed in range(64):
+        out = attempt()
+        if out is not None:
+            return out, failed
+    raise RetryCapExceeded(f"{what}: 64 random attempts in a row failed")
+
+
 def _sample_combination(rng, basis, eval_rows, coeff_bound):
     """Random integer combination of basis vectors, nonzero on every row.
 
     eval_rows[i] holds the basis evaluations at the i-th required point; the
     union bound makes each attempt succeed with probability > 1/2.
     """
-    resamples = 0
     nb = len(basis)
-    while True:
+
+    def attempt():
         lam = [rng.randint(1, coeff_bound) for _ in range(nb)]
         if all(sum(lam[k] * row[k] for k in range(nb)) != 0
                for row in eval_rows):
-            return lam, resamples
-        resamples += 1
+            return lam
+
+    return _resample(attempt, "witness combination")
 
 
 def ndeg_decide(f: TruthTable, d: int, seed: int = DEFAULT_SEED,

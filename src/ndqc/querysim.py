@@ -19,11 +19,11 @@ from math import lcm
 import numpy as np
 
 from .boolfn import CapExceeded, TruthTable
-from .polys import (MONOMIAL, InvalidWitness, MultilinearPoly,
+from .polys import (MONOMIAL, InvalidWitness, MultilinearPoly, _resample,
                     to_fourier, verify_ndet)
-from .statevec import (HADAMARD, ExactState, ScaledMatrix,
+from .statevec import (HADAMARD, ExactState, ScaledMatrix, apply_label_map,
                        apply_matrix_float, apply_scaled_matrix,
-                       subset_index_maps)
+                       register_values, subset_index_maps)
 
 DIM_CAP = 1 << 20
 SYMBOLIC_DIM_CAP = 1 << 14
@@ -42,6 +42,14 @@ class EmptyOneSet(ValueError):
 
 class VerifierClauseViolation(ValueError):
     """A verifier broke clause (1) or (2) of the certificate definition."""
+
+
+class NormNotPreserved(ValueError):
+    """A simulated state left unit norm."""
+
+
+class DegreeBoundViolation(ValueError):
+    """An amplitude or extracted polynomial has degree above the queries."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +92,7 @@ class BitOracle:
 class PhaseOracle:
     """|S> -> (-1)^{x . S} |S> on the subset register, with certified query
     cost equal to the degree bound; qubit j of the register is membership of
-    variable x_{j+1}.  Application asserts the state is supported on
+    variable x_{j+1}.  Application checks the state is supported on
     |S| <= degree_bound."""
 
     qubits: tuple
@@ -180,76 +188,55 @@ class QueryAlgorithm:
 # numeric simulation
 
 
-def _oracle_pairs(num_qubits, gate: BitOracle, n):
-    """(label_target0, variable_bit) pairs the oracle may swap."""
-    tbit = 1 << gate.target
-    out = []
-    for label in range(1 << num_qubits):
-        if label & tbit:
-            continue
-        i = 0
-        for j, q in enumerate(gate.index_qubits):
-            if (label >> q) & 1:
-                i |= 1 << j
-        out.append((label, 1 << i if i < n else 0))
-    return out
+def _label_map(gate, num_qubits, x, n):
+    """(perm, neg, over) of a permutation or phase gate on input x, as taken
+    by apply_label_map; over marks the labels a PhaseOracle requires to be
+    empty.  Every perm flips bits that its condition does not read, so it is
+    its own inverse."""
+    labels = np.arange(1 << num_qubits)
+    if isinstance(gate, FlipOnZero):
+        hit = register_values(num_qubits, gate.controls) == 0
+        return labels ^ np.where(hit, 1 << gate.target, 0), None, None
+    if isinstance(gate, BitOracle):
+        # x_{i+1} for each index value i; values >= n read 0 (identity), and
+        # a table lookup keeps x out of numpy shifts
+        table = np.zeros(1 << len(gate.index_qubits), dtype=labels.dtype)
+        table[:n] = [(x >> i) & 1 for i in range(min(n, len(table)))]
+        hit = table[register_values(num_qubits, gate.index_qubits)]
+        return labels ^ (hit << gate.target), None, None
+    s = register_values(num_qubits, gate.qubits)
+    xs = x & ((1 << len(gate.qubits)) - 1)  # register bit j holds x_{j+1}
+    neg = (np.bitwise_count(s & xs) & 1).astype(bool)
+    return None, neg, np.bitwise_count(s) > gate.degree_bound
 
 
-def _apply_gate_exact(state: ExactState, gate, x: int, n: int):
-    if isinstance(gate, Unitary):
-        apply_scaled_matrix(state, gate.qubits, gate.matrix)
-    elif isinstance(gate, InputGate):
-        mat = gate.matrices[x]
-        if not mat.is_unitary():
+def _apply_gate(state, algo, gate, x):
+    """Apply one gate on input x: an ExactState in place, or a float vector
+    into a new array; returns the state."""
+    exact = isinstance(state, ExactState)
+    if isinstance(gate, (Unitary, InputGate)):
+        mat = gate.matrix if isinstance(gate, Unitary) else gate.matrices[x]
+        if isinstance(gate, InputGate) and not mat.is_unitary():
             raise ValueError("non-unitary gate")
-        apply_scaled_matrix(state, gate.qubits, mat)
-    elif isinstance(gate, FlipOnZero):
-        cmask = 0
-        for q in gate.controls:
-            cmask |= 1 << q
-        tbit = 1 << gate.target
-        for label in range(state.dim):
-            if label & (cmask | tbit):
-                continue
-            _swap_amp(state, label, label | tbit)
-    elif isinstance(gate, BitOracle):
-        tbit = 1 << gate.target
-        for label, varbit in _oracle_pairs(_nq(state.dim), gate, n):
-            if varbit and (x & varbit):
-                _swap_amp(state, label, label | tbit)
-    elif isinstance(gate, PhaseOracle):
-        d = gate.degree_bound
-        for label in range(state.dim):
-            s = _subset_of(label, gate.qubits)
-            if s.bit_count() > d:
-                if state.re[label] or (state.im and state.im[label]):
-                    raise ValueError(
-                        "phase gate support above its degree bound")
-                continue
-            if (s & x).bit_count() & 1:
-                state.re[label] = -state.re[label]
-                if state.im is not None:
-                    state.im[label] = -state.im[label]
-    else:
+        if exact:
+            apply_scaled_matrix(state, gate.qubits, mat)
+            return state
+        return apply_matrix_float(state, algo.num_qubits, gate.qubits,
+                                  mat.to_ndarray())
+    if not isinstance(gate, (FlipOnZero, BitOracle, PhaseOracle)):
         raise TypeError(f"unknown gate {gate!r}")
-
-
-def _swap_amp(state, a, b):
-    state.re[a], state.re[b] = state.re[b], state.re[a]
-    if state.im is not None:
-        state.im[a], state.im[b] = state.im[b], state.im[a]
-
-
-def _subset_of(label, qubits):
-    s = 0
-    for j, q in enumerate(qubits):
-        if (label >> q) & 1:
-            s |= 1 << j
-    return s
-
-
-def _nq(dim):
-    return dim.bit_length() - 1
+    perm, neg, over = _label_map(gate, algo.num_qubits, x, algo.n)
+    if over is not None:
+        idx = np.flatnonzero(over)
+        if exact:
+            parts = [p for p in (state.re, state.im) if p is not None]
+            occupied = any(any(map(p.__getitem__, idx.tolist()))
+                           for p in parts)
+        else:
+            occupied = np.any(state[idx] != 0)
+        if occupied:
+            raise ValueError("phase gate support above its degree bound")
+    return apply_label_map(state, perm, neg)
 
 
 def simulate(algo: QueryAlgorithm, x: int, mode: str = "exact",
@@ -259,70 +246,34 @@ def simulate(algo: QueryAlgorithm, x: int, mode: str = "exact",
     Returns (final_state, acceptance_probability); exact mode yields an
     ExactState and a Fraction, float mode an ndarray and a float.
     check_norm: "gates" verifies unit norm after every gate, "final" only at
-    the end; default is per-gate up to 10-qubit states.
+    the end; default is per-gate up to 10-qubit states.  Float mode checks
+    the norm after every gate within FLOAT_NORM_TOL.
     """
     if not 0 <= x < (1 << algo.n):
         raise ValueError("input out of range")
+    if mode not in ("exact", "float"):
+        raise ValueError("mode must be 'exact' or 'float'")
     if check_norm is None:
         check_norm = "gates" if algo.num_qubits <= 10 else "final"
-    if mode == "exact":
-        state = algo.prep.to_exact()
-        for gate in algo.gates:
-            _apply_gate_exact(state, gate, x, algo.n)
-            if check_norm == "gates":
-                assert state.norm2() == 1, "norm must be preserved exactly"
-        assert state.norm2() == 1, "norm must be preserved exactly"
-        return state, state.probability(algo.accepting_labels())
-    if mode != "float":
-        raise ValueError("mode must be 'exact' or 'float'")
-    vec = algo.prep.to_exact().to_ndarray()
+    exact = mode == "exact"
+    state = algo.prep.to_exact()
+    if not exact:
+        state = state.to_ndarray()
     for gate in algo.gates:
-        vec = _apply_gate_float(vec, algo, gate, x)
-        drift = abs(np.vdot(vec, vec).real - 1.0)
-        if drift > FLOAT_NORM_TOL:
-            raise ValueError(f"norm drift {drift:.2e} in float mode")
+        state = _apply_gate(state, algo, gate, x)
+        if not exact:
+            drift = abs(np.vdot(state, state).real - 1.0)
+            if drift > FLOAT_NORM_TOL:
+                raise NormNotPreserved(f"norm drift {drift:.2e} in float mode")
+        elif check_norm == "gates" and state.norm2() != 1:
+            raise NormNotPreserved("norm must be preserved exactly")
+    if exact:
+        if state.norm2() != 1:
+            raise NormNotPreserved("norm must be preserved exactly")
+        return state, state.probability(algo.accepting_labels())
     labels = np.array(algo.accepting_labels())
-    acc = float(np.sum(np.abs(vec[labels]) ** 2)) if labels.size else 0.0
-    return vec, acc
-
-
-def _apply_gate_float(vec, algo, gate, x):
-    if isinstance(gate, Unitary):
-        return apply_matrix_float(vec, algo.num_qubits, gate.qubits,
-                                  gate.matrix.to_ndarray())
-    if isinstance(gate, InputGate):
-        return apply_matrix_float(vec, algo.num_qubits, gate.qubits,
-                                  gate.matrices[x].to_ndarray())
-    if isinstance(gate, FlipOnZero):
-        out = vec.copy()
-        cmask = 0
-        for q in gate.controls:
-            cmask |= 1 << q
-        tbit = 1 << gate.target
-        for label in range(len(vec)):
-            if not label & (cmask | tbit):
-                out[label], out[label | tbit] = vec[label | tbit], vec[label]
-        return out
-    if isinstance(gate, BitOracle):
-        out = vec.copy()
-        tbit = 1 << gate.target
-        for label, varbit in _oracle_pairs(algo.num_qubits, gate, algo.n):
-            if varbit and (x & varbit):
-                out[label], out[label | tbit] = vec[label | tbit], vec[label]
-        return out
-    if isinstance(gate, PhaseOracle):
-        out = vec.copy()
-        for label in range(len(vec)):
-            s = _subset_of(label, gate.qubits)
-            if s.bit_count() > gate.degree_bound:
-                if abs(out[label]) > 0:
-                    raise ValueError(
-                        "phase gate support above its degree bound")
-                continue
-            if (s & x).bit_count() & 1:
-                out[label] = -out[label]
-        return out
-    raise TypeError(f"unknown gate {gate!r}")
+    acc = float(np.sum(np.abs(state[labels]) ** 2)) if labels.size else 0.0
+    return state, acc
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +348,8 @@ def symbolic_simulate(algo: QueryAlgorithm) -> SymbolicState:
     """Propagate polynomial amplitudes through the circuit.
 
     Requires real rational gates; input-indexed gates have no polynomial
-    form and are rejected.  Amplitude degrees are asserted against the
-    running query count after every gate.
+    form and are rejected.  Amplitude degrees are checked against the
+    running query count after every gate (DegreeBoundViolation).
     """
     if (1 << algo.num_qubits) > SYMBOLIC_DIM_CAP:
         raise CapExceeded("symbolic state dimension above 2^14")
@@ -418,27 +369,19 @@ def symbolic_simulate(algo: QueryAlgorithm) -> SymbolicState:
             amps = _symbolic_unitary(amps, gate, algo.num_qubits, n)
             scale2 = scale2 * gate.matrix.scale2
         elif isinstance(gate, FlipOnZero):
-            cmask = 0
-            for q in gate.controls:
-                cmask |= 1 << q
-            tbit = 1 << gate.target
-            for label in range(1 << algo.num_qubits):
-                if not label & (cmask | tbit):
-                    a, b = amps.pop(label, None), amps.pop(label | tbit, None)
-                    if b is not None:
-                        amps[label] = b
-                    if a is not None:
-                        amps[label | tbit] = a
+            perm = _label_map(gate, algo.num_qubits, 0, n)[0].tolist()
+            amps = {perm[label]: poly for label, poly in amps.items()}
         elif isinstance(gate, BitOracle):
             amps = _symbolic_oracle(amps, gate, algo.num_qubits, n)
             queries += 1
         elif isinstance(gate, PhaseOracle):
-            amps = _symbolic_phase(amps, gate, n)
+            amps = _symbolic_phase(amps, gate, algo.num_qubits, n)
             queries += gate.degree_bound
         else:
             raise ValueError(f"gate {gate!r} has no symbolic form")
-        assert max((p.degree for p in amps.values()), default=-1) <= queries, \
-            "amplitude degree exceeded the query count"
+        if max((p.degree for p in amps.values()), default=-1) > queries:
+            raise DegreeBoundViolation(
+                "amplitude degree exceeded the query count")
     return SymbolicState(n, algo.num_qubits, amps, scale2, algo.output_qubit)
 
 
@@ -467,13 +410,12 @@ def _symbolic_oracle(amps, gate, num_qubits, n):
     zero = MultilinearPoly.make(n, MONOMIAL, {})
     out = {}
     tbit = 1 << gate.target
-    for label, varbit in _oracle_pairs(num_qubits, gate, n):
-        a0 = amps.get(label)
-        a1 = amps.get(label | tbit)
-        if a0 is None and a1 is None:
-            continue
-        a0 = a0 or zero
-        a1 = a1 or zero
+    index = register_values(num_qubits, gate.index_qubits)
+    for label in sorted({label & ~tbit for label in amps}):
+        i = int(index[label])
+        varbit = 1 << i if i < n else 0
+        a0 = amps.get(label, zero)
+        a1 = amps.get(label | tbit, zero)
         if not varbit:
             new0, new1 = a0, a1
         else:
@@ -488,7 +430,7 @@ def _symbolic_oracle(amps, gate, num_qubits, n):
     return out
 
 
-def _symbolic_phase(amps, gate, n):
+def _symbolic_phase(amps, gate, num_qubits, n):
     chi_cache = {}
 
     def chi(s):
@@ -502,9 +444,10 @@ def _symbolic_phase(amps, gate, n):
             chi_cache[s] = p
         return chi_cache[s]
 
+    subsets = register_values(num_qubits, gate.qubits)
     out = {}
     for label, poly in amps.items():
-        s = _subset_of(label, gate.qubits)
+        s = int(subsets[label])
         if s.bit_count() > gate.degree_bound:
             raise ValueError("phase gate support above its degree bound")
         out[label] = poly * chi(s) if s else poly
@@ -538,15 +481,16 @@ def extract_ndet_poly_stats(algo: QueryAlgorithm, f: TruthTable, seed: int):
              if lbl & bit and not p.is_zero()]
     rng = random.Random(seed)
     bound = 1 << (f.n + 1)
-    retries = 0
-    while True:
+
+    def attempt():
         p = MultilinearPoly.make(f.n, MONOMIAL, {})
         for part in parts:
             p = p + part.scale(rng.randint(1, bound))
-        if verify_ndet(p, f):
-            break
-        retries += 1
-    assert p.degree <= algo.query_cost
+        return p if verify_ndet(p, f) else None
+
+    p, retries = _resample(attempt, "extraction")
+    if p.degree > algo.query_cost:
+        raise DegreeBoundViolation("extracted degree exceeds the query cost")
     return p, retries
 
 
@@ -688,36 +632,40 @@ def circuit_to_lines(algo: QueryAlgorithm) -> list:
 
 
 def circuit_from_lines(lines) -> QueryAlgorithm:
-    records = [json.loads(line) for line in lines if line.strip()]
-    if not records or records[0]["gate"] != "PREP":
-        raise ValueError("circuit file must start with a PREP record")
-    head = records[0]["data"]
-    prep = StatePrep(tuple(_frac(v) for v in head["re"]),
-                     tuple(_frac(v) for v in head["im"])
-                     if head["im"] is not None else None,
-                     _frac(head["scale2"]))
-    gates = []
-    for rec in records[1:]:
-        kind, data = rec["gate"], rec["data"]
-        if kind == "UNITARY" and "flip_on_zero" in data:
-            fz = data["flip_on_zero"]
-            gates.append(FlipOnZero(tuple(fz["controls"]), fz["target"]))
-        elif kind == "UNITARY":
-            mat = ScaledMatrix(
-                tuple(tuple(_frac(v) for v in row) for row in data["re"]),
-                tuple(tuple(_frac(v) for v in row) for row in data["im"])
-                if data["im"] is not None else None,
-                _frac(data["scale2"]))
-            gates.append(Unitary(tuple(rec["qubits"]), mat))
-        elif kind == "ORACLE":
-            gates.append(BitOracle(tuple(data["index_qubits"]),
-                                   data["target"]))
-        elif kind == "PHASE_F":
-            gates.append(PhaseOracle(tuple(rec["qubits"]),
-                                     data["degree_bound"]))
-        else:
-            raise ValueError(f"unknown record {kind!r}")
-    num_qubits = len(records[0]["qubits"])
-    return QueryAlgorithm(n=head["n"], num_qubits=num_qubits, prep=prep,
-                          gates=tuple(gates), query_cost=head["query_cost"],
-                          output_qubit=head["output_qubit"])
+    try:
+        records = [json.loads(line) for line in lines if line.strip()]
+        if not records or records[0]["gate"] != "PREP":
+            raise ValueError("circuit file must start with a PREP record")
+        head = records[0]["data"]
+        prep = StatePrep(tuple(_frac(v) for v in head["re"]),
+                         tuple(_frac(v) for v in head["im"])
+                         if head["im"] is not None else None,
+                         _frac(head["scale2"]))
+        gates = []
+        for rec in records[1:]:
+            kind, data = rec["gate"], rec["data"]
+            if kind == "UNITARY" and "flip_on_zero" in data:
+                fz = data["flip_on_zero"]
+                gates.append(FlipOnZero(tuple(fz["controls"]), fz["target"]))
+            elif kind == "UNITARY":
+                mat = ScaledMatrix(
+                    tuple(tuple(_frac(v) for v in row) for row in data["re"]),
+                    tuple(tuple(_frac(v) for v in row) for row in data["im"])
+                    if data["im"] is not None else None,
+                    _frac(data["scale2"]))
+                gates.append(Unitary(tuple(rec["qubits"]), mat))
+            elif kind == "ORACLE":
+                gates.append(BitOracle(tuple(data["index_qubits"]),
+                                       data["target"]))
+            elif kind == "PHASE_F":
+                gates.append(PhaseOracle(tuple(rec["qubits"]),
+                                         data["degree_bound"]))
+            else:
+                raise ValueError(f"unknown record {kind!r}")
+        num_qubits = len(records[0]["qubits"])
+        return QueryAlgorithm(n=head["n"], num_qubits=num_qubits, prep=prep,
+                              gates=tuple(gates),
+                              query_cost=head["query_cost"],
+                              output_qubit=head["output_qubit"])
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed circuit record: {e!r}") from e

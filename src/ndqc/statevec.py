@@ -8,6 +8,15 @@ rational state preparations stay exactly representable and every probability
 is an exact Fraction.  Complex entries are carried as separate real and
 imaginary parts; the imaginary part is None for real states, which keeps the
 common all-real circuits on a fast integer path.
+
+Gates that only move or negate amplitudes (oracles, flag flips, basis
+preparation, swaps, sign diagonals) share one label-map kernel:
+`register_values` reads the value of a qubit register off every basis label
+in one vectorised pass, a gate built from it is a label permutation (new
+amplitude i = old amplitude perm[i]), a sign mask, or both, and
+`apply_label_map` applies that to an ExactState by list gather or to a float
+vector by fancy indexing.  Only the labels go through numpy; exact
+amplitudes stay Python ints or Fractions.
 """
 
 from __future__ import annotations
@@ -73,7 +82,6 @@ def scaled_real(rows, scale2=1) -> ScaledMatrix:
 
 
 HADAMARD = scaled_real(((1, 1), (1, -1)), 2)
-PAULI_X = scaled_real(((0, 1), (1, 0)))
 
 
 def rational_rotation(a, b) -> ScaledMatrix:
@@ -99,9 +107,6 @@ class ExactState:
         re = [0] * (1 << num_qubits)
         re[0] = 1
         return cls(re, None, 1)
-
-    def copy(self) -> "ExactState":
-        return ExactState(self.re, self.im, self.scale2)
 
     @property
     def dim(self) -> int:
@@ -132,26 +137,50 @@ class ExactState:
         return v / np.sqrt(float(self.scale2))
 
 
+def register_values(num_qubits: int, qubits) -> np.ndarray:
+    """Value of the register on the given qubits (tuple order =
+    significance) at every basis label 0..2^num_qubits - 1."""
+    labels = np.arange(1 << num_qubits)
+    vals = np.zeros_like(labels)
+    for j, q in enumerate(qubits):
+        vals |= ((labels >> q) & 1) << j
+    return vals
+
+
+def apply_label_map(state, perm=None, neg=None):
+    """New amplitude i = old amplitude perm[i], negated where neg[i] is set.
+
+    perm (integer array) and neg (boolean array) may each be None.  An
+    ExactState is updated in place and returned; a float vector is returned
+    as a new array.
+    """
+    if isinstance(state, ExactState):
+        for part in ("re", "im"):
+            amps = getattr(state, part)
+            if amps is None:
+                continue
+            if perm is not None:
+                amps = list(map(amps.__getitem__, perm.tolist()))
+            if neg is not None:
+                amps = [-a if f else a for a, f in zip(amps, neg.tolist())]
+            setattr(state, part, amps)
+        return state
+    if perm is not None:
+        state = state[perm]
+    if neg is not None:
+        state = np.where(neg, -state, state)
+    return state
+
+
 def subset_index_maps(num_qubits: int, qubits) -> tuple:
     """(bases, offsets): labels with the given qubits zeroed, and the label
     offset of each local pattern on those qubits."""
-    qubits = tuple(qubits)
-    rest = [q for q in range(num_qubits) if q not in qubits]
-    bases = []
-    for m in range(1 << len(rest)):
-        b = 0
-        for j, q in enumerate(rest):
-            if (m >> j) & 1:
-                b |= 1 << q
-        bases.append(b)
-    offs = []
-    for pat in range(1 << len(qubits)):
-        o = 0
-        for j, q in enumerate(qubits):
-            if (pat >> j) & 1:
-                o |= 1 << q
-        offs.append(o)
-    return bases, offs
+    labels = np.arange(1 << num_qubits)
+    mask = sum(1 << q for q in qubits)
+    local = np.flatnonzero((labels & ~mask) == 0)
+    offs = np.empty_like(local)
+    offs[register_values(num_qubits, qubits)[local]] = local
+    return np.flatnonzero((labels & mask) == 0).tolist(), offs.tolist()
 
 
 def apply_scaled_matrix(state: ExactState, qubits, gate: ScaledMatrix) -> None:

@@ -2,12 +2,15 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ndqc import commsim
 from ndqc.boolfn import make_named
-from ndqc.polys import MultilinearPoly, MONOMIAL, weight_offset_poly
+from ndqc.polys import (MONOMIAL, MultilinearPoly, RetryCapExceeded,
+                        weight_offset_poly)
 from ndqc.commsim import (HypothesisViolated, NondetMatrix, PairTable,
                           PatternMismatch, ProtocolSpec, Rectangle, Round,
                           ZeroRow, closed_one_rectangles, cover_number,
@@ -177,15 +180,28 @@ class TestFullRank:
 class TestSvdProtocol:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_identity_exact(self, n):
-        m = identity_matrix(n)
-        spec = svd_protocol(m)
-        assert spec.cost == n + 1
-        for x in range(1 << n):
-            for y in range(1 << n):
-                acc, tr = run_protocol(spec, x, y)
-                assert acc == (F(1) if x == y else F(0))
-                assert tr.cost == n + 1
-                assert tr.rounds == (("A", n), ("B", 1))
+        # diagonal 1, -2, 3, -4, ... adds a phase_diag op to Bob's round
+        size = 1 << n
+        signed = exact_matrix(n, [[(-1) ** x * (x + 1) if x == y else 0
+                                   for y in range(size)]
+                                  for x in range(size)],
+                              make_pair_function("EQ", n))
+        for m in (identity_matrix(n), signed):
+            spec = svd_protocol(m)
+            assert spec.cost == n + 1
+            assert any(op[0] == "phase_diag"
+                       for op in spec.rounds[1].ops(0)) == (m is signed)
+            for x in range(size):
+                for y in range(size):
+                    acc, tr = run_protocol(spec, x, y)
+                    assert acc == (F(1) if x == y else F(0))
+                    assert tr.cost == n + 1
+                    assert tr.rounds == (("A", n), ("B", 1))
+                    facc, _ = run_protocol(spec, x, y, mode="float")
+                    assert abs(facc - acc) < 1e-12
+        # Bob's accepting amplitude on message w = y carries w's sign
+        _, b_f = final_state_families(svd_protocol(signed), n)
+        assert all(b_f[w][w][w] == (-1) ** w for w in range(size))
 
     def test_identity_sweep_exact(self):
         m = identity_matrix(3)
@@ -473,6 +489,18 @@ class TestVectorFamilies:
         m = matrix_from_vector_families(a, b, f, seed=5)
         assert m.rank() == 1
 
+    def test_retry_cap(self, monkeypatch):
+        # with every functional coefficient 1, alpha . (1, -1) = 0 makes
+        # every collapsed entry 0 although f is all ones
+        stub = SimpleNamespace(randint=lambda lo, hi: lo)
+        monkeypatch.setattr(commsim, "random",
+                            SimpleNamespace(Random=lambda seed: stub))
+        f = PairTable(1, (3, 3))
+        a = [{0: (F(1), F(-1)), 1: (F(1), F(-1))}]
+        b = [{0: (F(1),), 1: (F(1),)}]
+        with pytest.raises(RetryCapExceeded):
+            matrix_from_vector_families(a, b, f, seed=5)
+
     def test_hypothesis_violated(self):
         f = PairTable(1, (3, 3))
         a = [{0: (F(1),), 1: (F(1),)}]
@@ -529,6 +557,18 @@ class TestMatrixFiles:
         assert all(m2.entries[x][y] == m.entries[x][y]
                    for x in range(4) for y in range(4))
 
+    @pytest.mark.parametrize("lines", [
+        [],
+        ["n,1"],
+        ["n,1,mode"],
+        ["n,1,mode,bogus", "1,0", "0,1"],
+        ["n,x,mode,exact", "1,0", "0,1"],
+        ["n,1,mode,exact", "1,0"],
+    ])
+    def test_malformed_input_raises_value_error(self, lines):
+        with pytest.raises(ValueError):
+            matrix_from_csv_lines(lines)
+
     def test_rational_entries_preserved(self):
         f = PairTable(1, (3, 3))
         m = exact_matrix(1, [[F(1, 3), F(-2, 7)], [F(5), F(1)]], f)
@@ -544,6 +584,16 @@ class TestProtocolFiles:
         assert summary["rounds"] == [
             {"party": "A", "message_qubits": 2},
             {"party": "B", "message_qubits": 1}]
+
+    @pytest.mark.parametrize("lines", [
+        [],
+        ["{}"],
+        ["[]"],
+        ['{"cost":1}', '{"party":"A"}'],
+    ])
+    def test_malformed_input_raises_value_error(self, lines):
+        with pytest.raises(ValueError):
+            protocol_summary_from_lines(lines)
 
     def test_cost_mismatch_rejected(self):
         lines = ['{"alice_qubits":0,"channel_qubits":1,"bob_qubits":0,'

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndqc.linalg import dot, int_rank, modular_rank, nullspace, rows_to_int
+from ndqc.linalg import dot, int_rank, nullspace, rows_to_int
 
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -28,13 +28,6 @@ def test_nullspace_vectors_annihilate(rows):
 def test_rank_nullity(rows):
     ncols = len(rows[0])
     assert int_rank(rows, ncols) + len(nullspace(rows, ncols)) == ncols
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=small_matrix)
-def test_modular_filter_never_exceeds_exact(rows):
-    ncols = len(rows[0])
-    assert modular_rank(rows, ncols) <= int_rank(rows, ncols)
 
 
 def test_staircase_support():

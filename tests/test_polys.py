@@ -10,12 +10,13 @@ from ndqc.boolfn import SymmetricProfile, TruthTable, make_named, \
     random_table, symmetric_profile
 from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
                         IdenticallyZero, InvalidWitness, MultilinearPoly,
+                        RetryCapExceeded,
                         exact_poly, from_fourier, ndeg, ndeg_decide,
                         nisan_smolensky_procedure, parse_poly, format_poly,
                         schwartz_stats, symmetric_ndeg, symmetric_ndet_poly,
                         to_fourier, verify_ndet, weight_offset_poly,
                         _ndeg_decide_dual, _ndeg_decide_primal,
-                        _masks_by_degree)
+                        _masks_by_degree, _sample_combination)
 
 F = Fraction
 
@@ -219,6 +220,11 @@ class TestNdeg:
                 runs += 1
         # union bound: expected resamples < 2 per run
         assert total_resamples < 2 * runs
+
+    def test_retry_cap(self):
+        # no combination is nonzero at a point where every basis vector is 0
+        with pytest.raises(RetryCapExceeded):
+            _sample_combination(random.Random(1), [[1]], [[0]], 4)
 
     def test_ndeg_le_c1_and_permutation_invariant(self):
         from ndqc.boolfn import c_one

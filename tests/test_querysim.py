@@ -1,13 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ndqc
+from ndqc import querysim
 from ndqc.boolfn import TruthTable, make_named, random_table
-from ndqc.polys import (MONOMIAL, InvalidWitness, MultilinearPoly, ndeg,
-                        to_fourier, verify_ndet, weight_offset_poly)
+from ndqc.polys import (MONOMIAL, InvalidWitness, MultilinearPoly,
+                        RetryCapExceeded, ndeg, to_fourier, verify_ndet,
+                        weight_offset_poly)
 from ndqc.querysim import (BitOracle, EmptyOneSet, FlipOnZero, InputGate,
-                           NotNondeterministic, PhaseOracle, QueryAlgorithm,
+                           NormNotPreserved, NotNondeterministic,
+                           PhaseOracle, QueryAlgorithm,
                            Unitary, VerifierClauseViolation, VerifierSpec,
                            basis_prep, circuit_from_lines, circuit_to_lines,
                            compile_from_ndet_poly, extract_ndet_poly,
@@ -55,6 +64,18 @@ class TestSimulate:
         _, acc0 = simulate(algo, 0)
         _, acc1 = simulate(algo, 1)
         assert acc0 == 0 and acc1 == 1
+        # index qubits (2, 0): value v = bit 2 + 2 * bit 0 reads x_{v+1},
+        # and v = 3 >= n acts as the identity
+        for v in range(4):
+            label = ((v & 1) << 2) | (v >> 1)
+            algo = QueryAlgorithm(n=3, num_qubits=3,
+                                  prep=basis_prep(3, label),
+                                  gates=(BitOracle((2, 0), 1),),
+                                  query_cost=1, output_qubit=1)
+            for x in range(8):
+                want = (x >> v) & 1 if v < 3 else 0
+                assert simulate(algo, x)[1] == want
+                assert simulate(algo, x, mode="float")[1] == want
 
     def test_complex_rational_gate_exact(self):
         # i*X then H: acceptance 1/2, norm preserved with imaginary parts
@@ -181,7 +202,8 @@ class TestSymbolic:
         assert sym.acceptance_polynomial() == (p * p).scale(c2 / 4)
 
     def test_amplitude_degree_le_queries_random_circuits(self):
-        # 200 seeded circuits, n <= 5, T <= 4: deg(amp) <= T, deg(P) <= 2T
+        # 200 seeded circuits, n <= 5, T <= 4: deg(amp) <= T, deg(P) <= 2T;
+        # symbolic, exact and float simulation agree on every input
         rng = random.Random(2024)
         rotations = [(F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)),
                      (F(8, 17), F(15, 17))]
@@ -193,12 +215,21 @@ class TestSymbolic:
             t = 0
             for _ in range(rng.randint(1, 6)):
                 kind = rng.random()
-                if kind < 0.45 and t < 4:
+                if kind < 0.35 and t < 4:
                     idx = tuple(rng.sample(range(nq), idx_width))
                     tgt = rng.choice([q for q in range(nq) if q not in idx])
                     gates.append(BitOracle(idx, tgt))
                     t += 1
-                elif kind < 0.75:
+                elif kind < 0.45 and t < 4:
+                    width = rng.randint(1, min(n, nq, 4 - t))
+                    gates.append(PhaseOracle(
+                        tuple(rng.sample(range(nq), width)), width))
+                    t += width
+                elif kind < 0.55:
+                    ctl = tuple(rng.sample(range(nq), rng.randrange(nq)))
+                    tgt = rng.choice([q for q in range(nq) if q not in ctl])
+                    gates.append(FlipOnZero(ctl, tgt))
+                elif kind < 0.8:
                     a, b = rotations[rng.randrange(3)]
                     if rng.random() < 0.5:
                         b = -b
@@ -212,10 +243,10 @@ class TestSymbolic:
             sym = symbolic_simulate(algo)
             assert sym.max_degree() <= t
             assert sym.acceptance_polynomial().degree <= 2 * t
-            # symbolic/numeric agreement on every input
             for x in range(1 << n):
                 _, _, acc = sym.evaluate(x)
                 assert acc == simulate(algo, x, check_norm="final")[1]
+                assert abs(simulate(algo, x, mode="float")[1] - acc) < 1e-12
 
     def test_norm_at_every_input(self):
         f = make_named("NOT_ONE", 3)
@@ -254,6 +285,13 @@ class TestExtraction:
         assert verify_ndet(q, f) and q.degree <= 1
         assert ndeg(f)[0] == 1
         assert retries <= 5
+
+    def test_retry_cap(self, monkeypatch):
+        f = make_named("OR", 3)
+        algo = compile_from_ndet_poly(weight_offset_poly(3), f)
+        monkeypatch.setattr(querysim, "verify_ndet", lambda p, g: False)
+        with pytest.raises(RetryCapExceeded):
+            extract_ndet_poly_stats(algo, f, seed=7)
 
     def test_not_nondeterministic(self):
         f = make_named("OR", 2)
@@ -312,6 +350,42 @@ class TestVerifierTransform:
             verifier_to_ndet(bad, make_named("OR", 2))
 
 
+def _duplicate_label_0(real):
+    # every label reads label 0's amplitude: the norm grows to the dimension
+    return lambda st, perm=None, neg=None: real(st, np.zeros_like(perm), neg)
+
+
+def _flip_algo():
+    return QueryAlgorithm(n=1, num_qubits=2, prep=basis_prep(2),
+                          gates=(FlipOnZero((0,), 1),), query_cost=0,
+                          output_qubit=1)
+
+
+_FAULT_UNDER_O = """
+from ndqc import querysim
+from test_querysim import _duplicate_label_0, _flip_algo
+querysim.apply_label_map = _duplicate_label_0(querysim.apply_label_map)
+try:
+    querysim.simulate(_flip_algo(), 0)
+except querysim.NormNotPreserved:
+    print("caught")
+"""
+
+
+def test_norm_check_catches_duplicated_label(monkeypatch):
+    monkeypatch.setattr(querysim, "apply_label_map",
+                        _duplicate_label_0(querysim.apply_label_map))
+    with pytest.raises(NormNotPreserved):
+        simulate(_flip_algo(), 0)
+    # the same fault under python -O, which strips assert statements
+    path = os.pathsep.join([str(Path(ndqc.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    proc = subprocess.run([sys.executable, "-O", "-c", _FAULT_UNDER_O],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout == "caught\n", proc.stderr
+
+
 class TestCircuitFile:
     def test_round_trip_compiled(self):
         f = make_named("NOT_ONE", 2)
@@ -329,6 +403,19 @@ class TestCircuitFile:
         assert algo2.query_cost == 1
         for x in range(4):
             assert simulate(algo, x)[1] == simulate(algo2, x)[1]
+
+    @pytest.mark.parametrize("lines", [
+        [],
+        ['{"gate":"PREP"}'],
+        ['{"gate":"PREP","data":{}}'],
+        ['[1]'],
+        ['{"gate":"PREP","qubits":[0],"data":{"n":1,"query_cost":0,'
+         '"output_qubit":0,"re":["1","0"],"im":null,"scale2":"1"}}',
+         '{"gate":"ORACLE","qubits":[0]}'],
+    ])
+    def test_malformed_input_raises_value_error(self, lines):
+        with pytest.raises(ValueError):
+            circuit_from_lines(lines)
 
     def test_input_gate_not_serializable(self):
         algo = verifier_to_ndet(or2_verifier(), make_named("OR", 2))
