@@ -6,7 +6,7 @@ from .boolfn import (PartialAssignment, SymmetricProfile, TruthTable,
                      certificate_complexity, decision_tree_depth, make_named,
                      n_query, parse_table, restrict, symmetric_profile)
 from .polys import (FOURIER, MONOMIAL, MultilinearPoly, NdegCertificate,
-                    evaluate, exact_poly, from_fourier, ndeg, ndeg_decide,
+                    exact_poly, from_fourier, ndeg, ndeg_decide,
                     nisan_smolensky_procedure, schwartz_stats, symmetric_ndeg,
                     symmetric_ndet_poly, to_fourier, verify_ndet)
 from .querysim import (QueryAlgorithm, SymbolicState, VerifierSpec,

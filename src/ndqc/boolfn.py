@@ -133,13 +133,9 @@ class SymmetricProfile:
     def to_table(self) -> TruthTable:
         bits = 0
         for x in range(1 << self.n):
-            if self.values[_popcount(x)]:
+            if self.values[x.bit_count()]:
                 bits |= 1 << x
         return TruthTable(self.n, bits)
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def random_table(n: int, rng) -> TruthTable:
@@ -157,9 +153,9 @@ def make_named(family: str, n: int) -> TruthTable:
     elif family == "AND":
         bits = 1 << (size - 1)
     elif family == "PARITY":
-        bits = sum(1 << x for x in range(size) if _popcount(x) % 2)
+        bits = sum(1 << x for x in range(size) if x.bit_count() % 2)
     elif family == "NOT_ONE":
-        bits = sum(1 << x for x in range(size) if _popcount(x) != 1)
+        bits = sum(1 << x for x in range(size) if x.bit_count() != 1)
     elif family == "CONST0":
         bits = 0
     elif family == "CONST1":
@@ -197,26 +193,26 @@ class _CubeClassifier:
             c1 = self.const(smask | low, vals | low)
             if c0 == c1:
                 res = c0
-        else:
-            # still recurse for memo completeness? no: one mixed half decides
-            res = None
         self.memo[key] = res
         return res
 
 
-def certificate_complexity(f: TruthTable, x: int, cap: int = CERT_INPUT_CAP,
-                           _cc: _CubeClassifier | None = None) -> int:
+def certificate_complexity(f: TruthTable, x: int) -> int:
     """Minimum size of an f(x)-certificate consistent with x.
 
     Subsets are scanned by increasing size then lexicographically, so the
     returned size (and the first witnessing subset) is deterministic.
     """
-    if f.n > cap:
-        raise CapExceeded(f"certificate search capped at n<={cap}")
-    cc = _cc or _CubeClassifier(f)
-    target = f.value(x)
-    idx = list(range(f.n))
-    for k in range(f.n + 1):
+    if f.n > CERT_INPUT_CAP:
+        raise CapExceeded(f"certificate search capped at n<={CERT_INPUT_CAP}")
+    return _certificate_size(_CubeClassifier(f), x)
+
+
+def _certificate_size(cc: _CubeClassifier, x: int) -> int:
+    """certificate_complexity(cc.f, x), sharing cc's memo across inputs."""
+    target = cc.f.value(x)
+    idx = list(range(cc.f.n))
+    for k in range(cc.f.n + 1):
         for combo in itertools.combinations(idx, k):
             smask = 0
             for i in combo:
@@ -226,30 +222,30 @@ def certificate_complexity(f: TruthTable, x: int, cap: int = CERT_INPUT_CAP,
     raise AssertionError("full assignment always certifies")
 
 
-def _cert_max(f: TruthTable, b: int, cap: int) -> int:
-    if f.n > cap:
-        raise CapExceeded(f"certificate maxima capped at n<={cap}")
+def _cert_max(f: TruthTable, b: int) -> int:
+    if f.n > CERT_MAX_CAP:
+        raise CapExceeded(f"certificate maxima capped at n<={CERT_MAX_CAP}")
     cc = _CubeClassifier(f)
     best = 0
     for x in range(f.size):
         if f.value(x) == b:
-            best = max(best, certificate_complexity(f, x, cap=cap, _cc=cc))
+            best = max(best, _certificate_size(cc, x))
     return best
 
 
-def c_one(f: TruthTable, cap: int = CERT_MAX_CAP) -> int:
+def c_one(f: TruthTable) -> int:
     """C^(1)(f): max certificate complexity over 1-inputs (0 if none)."""
-    return _cert_max(f, 1, cap)
+    return _cert_max(f, 1)
 
 
-def c_zero(f: TruthTable, cap: int = CERT_MAX_CAP) -> int:
+def c_zero(f: TruthTable) -> int:
     """C^(0)(f): max certificate complexity over 0-inputs (0 if none)."""
-    return _cert_max(f, 0, cap)
+    return _cert_max(f, 0)
 
 
-def n_query(f: TruthTable, cap: int = CERT_MAX_CAP) -> int:
+def n_query(f: TruthTable) -> int:
     """Nondeterministic classical query complexity N(f) = C^(1)(f)."""
-    return c_one(f, cap)
+    return c_one(f)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def minimal_sensitive_blocks(f: TruthTable, x: int):
         if f.value(x ^ block) != fx:
             sens.add(block)
     minimal = []
-    for block in sorted(sens, key=lambda b: (_popcount(b), b)):
+    for block in sorted(sens, key=lambda b: (b.bit_count(), b)):
         sub = (block - 1) & block
         found = False
         while sub:
@@ -277,10 +273,10 @@ def minimal_sensitive_blocks(f: TruthTable, x: int):
     return minimal
 
 
-def block_sensitivity(f: TruthTable, x: int, cap: int = BS_CAP) -> int:
+def block_sensitivity(f: TruthTable, x: int) -> int:
     """bs_x(f): maximum number of disjoint minimal sensitive blocks at x."""
-    if f.n > cap:
-        raise CapExceeded(f"block sensitivity capped at n<={cap}")
+    if f.n > BS_CAP:
+        raise CapExceeded(f"block sensitivity capped at n<={BS_CAP}")
     blocks = minimal_sensitive_blocks(f, x)
     if not blocks:
         return 0
@@ -309,22 +305,22 @@ def block_sensitivity(f: TruthTable, x: int, cap: int = BS_CAP) -> int:
     return pack(full)
 
 
-def _bs_max(f: TruthTable, b: int, cap: int) -> int:
-    if f.n > cap:
-        raise CapExceeded(f"block sensitivity maxima capped at n<={cap}")
+def _bs_max(f: TruthTable, b: int) -> int:
+    if f.n > BS_CAP:
+        raise CapExceeded(f"block sensitivity maxima capped at n<={BS_CAP}")
     best = 0
     for x in range(f.size):
         if f.value(x) == b:
-            best = max(best, block_sensitivity(f, x, cap=cap))
+            best = max(best, block_sensitivity(f, x))
     return best
 
 
-def bs_zero(f: TruthTable, cap: int = BS_CAP) -> int:
-    return _bs_max(f, 0, cap)
+def bs_zero(f: TruthTable) -> int:
+    return _bs_max(f, 0)
 
 
-def bs_one(f: TruthTable, cap: int = BS_CAP) -> int:
-    return _bs_max(f, 1, cap)
+def bs_one(f: TruthTable) -> int:
+    return _bs_max(f, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +342,10 @@ def _depth(n: int, bits: int) -> int:
     return best
 
 
-def decision_tree_depth(f: TruthTable, cap: int = DEPTH_CAP) -> int:
+def decision_tree_depth(f: TruthTable) -> int:
     """Exact D(f) by memoized minimax over variable restrictions."""
-    if f.n > cap:
-        raise CapExceeded(f"decision tree depth capped at n<={cap}")
+    if f.n > DEPTH_CAP:
+        raise CapExceeded(f"decision tree depth capped at n<={DEPTH_CAP}")
     return _depth(f.n, f.bits)
 
 
@@ -382,7 +378,7 @@ def symmetric_profile(f: TruthTable) -> SymmetricProfile:
     """Weight profile of a symmetric function; NotSymmetric otherwise."""
     values = [None] * (f.n + 1)
     for x in range(f.size):
-        w = _popcount(x)
+        w = x.bit_count()
         v = f.value(x)
         if values[w] is None:
             values[w] = v

@@ -178,17 +178,18 @@ def _separation_query(args):
     values["query_cost"] = algo.query_cost
     _check(checks, "compiled_cost_1", algo.query_cost == 1, "")
     c2 = Fraction(1, 1) / (Fraction(n * n, 4) - Fraction(3 * n, 4) + 1)
-    ok = True
-    for x in range(f.size):
-        if args.mode == "float":
+    expect = [c2 * v ** 2 / f.size for v in p.values()]
+    if args.mode == "float":
+        ok = True
+        for x in range(f.size):
             _, acc = querysim.simulate(algo, x, mode="float")
-            expect = float(c2 * p.evaluate(x) ** 2 / f.size)
-            ok = ok and abs(acc - expect) < 1e-9 \
+            ok = ok and abs(acc - float(expect[x])) < 1e-9 \
                 and (acc > 1e-12) == (f.value(x) == 1)
-        else:
-            _, acc = querysim.simulate(algo, x)
-            ok = ok and acc == c2 * p.evaluate(x) ** 2 / f.size \
-                and (acc > 0) == (f.value(x) == 1)
+    else:
+        sym = querysim.symbolic_simulate(algo)
+        accs = sym.acceptance_polynomial().values()
+        ok = accs == expect and all(
+            (acc > 0) == (f.value(x) == 1) for x, acc in enumerate(accs))
     _check(checks, "compiled_acceptance_c2p2", ok,
            "acceptance = c^2 p(x)^2 / 2^n on every input, positive iff f=1")
     nq = boolfn.n_query(f)

@@ -180,11 +180,6 @@ def exact_matrix(n, entries, target) -> NondetMatrix:
                                  for row in entries), target)
 
 
-def float_matrix(n, entries, target) -> NondetMatrix:
-    return NondetMatrix(n, tuple(tuple(float(v) for v in row)
-                                 for row in entries), target, is_float=True)
-
-
 def matrix_from_poly(p: MultilinearPoly, f: PairTable) -> NondetMatrix:
     """M(x, y) = p(x & y); p must be nondeterministic for the induced
     single-argument function, i.e. the pattern check must pass."""
@@ -208,15 +203,15 @@ class FullRankEvidence:
     nrank: int | None          # 2^n when a certificate applies
 
 
-def full_rank_check(f: PairTable, cap: int = FULL_RANK_CAP) -> FullRankEvidence:
+def full_rank_check(f: PairTable) -> FullRankEvidence:
     """Structural proof that every nondeterministic matrix for f has full
     rank: DIAGONAL if the pattern is the identity, TRIANGULAR if some
     row/column ordering puts the pattern in triangular form with a nonzero
     diagonal (plain column reversal is tried first, then a greedy peeling
     that is complete for this property); NONE otherwise.
     """
-    if f.n > cap:
-        raise CapExceeded(f"full rank check capped at n<={cap}")
+    if f.n > FULL_RANK_CAP:
+        raise CapExceeded(f"full rank check capped at n<={FULL_RANK_CAP}")
     size = 1 << f.n
     if all(f.rows[x] == (1 << x) for x in range(size)):
         order = tuple(range(size))
@@ -441,16 +436,32 @@ def svd_protocol(M: NondetMatrix) -> ProtocolSpec:
     Rational diagonal matrices get an exact protocol; anything else runs in
     float mode with the 1e-9 rank tolerance.
     """
+    setup = _svd_setup(M)
+    if setup is None:
+        return _svd_protocol_exact_diag(M)
+    return _svd_protocol_float(M, *setup)
+
+
+def _svd_setup(M: NondetMatrix):
+    """Shared set-up of the SVD protocol and its sweep: raises ZeroRow on an
+    all-zero row; returns None for a rational diagonal M (the exact
+    protocol), else (u, s, phi) from M^T = U Sigma V with column x of phi
+    the normalized Sigma V |x>."""
     size = 1 << M.n
     for x in range(size):
         if all(not v for v in M.entries[x]):
             raise ZeroRow(f"row {x} is zero; c_x undefined")
-    diagonal = not M.is_float and all(
-        not M.entries[x][y] for x in range(size) for y in range(size)
-        if x != y)
-    if diagonal:
-        return _svd_protocol_exact_diag(M)
-    return _svd_protocol_float(M)
+    if not M.is_float and all(
+            not M.entries[x][y] for x in range(size) for y in range(size)
+            if x != y):
+        return None
+    arr = np.array([[float(v) for v in row] for row in M.entries])
+    u, s, vh = np.linalg.svd(arr.T)
+    phi = s[:, None] * vh
+    norms = np.linalg.norm(phi, axis=0)
+    if np.any(norms == 0):
+        raise ZeroRow("zero row; c_x undefined")
+    return u, s, phi / norms
 
 
 def _svd_protocol_exact_diag(M: NondetMatrix) -> ProtocolSpec:
@@ -480,11 +491,8 @@ def _svd_protocol_exact_diag(M: NondetMatrix) -> ProtocolSpec:
                         cost=msg + 1, exact=True)
 
 
-def _svd_protocol_float(M: NondetMatrix) -> ProtocolSpec:
+def _svd_protocol_float(M: NondetMatrix, u, s, phi) -> ProtocolSpec:
     n = M.n
-    size = 1 << n
-    arr = np.array([[float(v) for v in row] for row in M.entries])
-    u, s, vh = np.linalg.svd(arr.T)
     if M.is_float:
         r = int(np.sum(s > FLOAT_RANK_TOL * s[0]))
     else:
@@ -493,8 +501,6 @@ def _svd_protocol_float(M: NondetMatrix) -> ProtocolSpec:
     chan = max(msg, 1)
     if chan > n:
         raise AssertionError("message register exceeds Bob's space")
-    phi = (s[:, None] * vh)  # column x = Sigma V |x>
-    phi = phi / np.linalg.norm(phi, axis=0, keepdims=True)
     chan_qubits = tuple(range(chan))
     bob_qubits = tuple(range(chan, chan + n))
 
@@ -531,24 +537,14 @@ def svd_acceptance_sweep(M: NondetMatrix):
 
     Exact Fractions for rational diagonal M; floats otherwise.
     """
-    size = 1 << M.n
-    for x in range(size):
-        if all(not v for v in M.entries[x]):
-            raise ZeroRow(f"row {x} is zero; c_x undefined")
-    diagonal = not M.is_float and all(
-        not M.entries[x][y] for x in range(size) for y in range(size)
-        if x != y)
-    if diagonal:
+    setup = _svd_setup(M)
+    if setup is None:
+        size = 1 << M.n
         one = Fraction(1)
         return [[one if x == y else Fraction(0) for y in range(size)]
                 for x in range(size)]
-    arr = np.array([[float(v) for v in row] for row in M.entries])
-    u, s, vh = np.linalg.svd(arr.T)
-    phi = s[:, None] * vh
-    norms = np.linalg.norm(phi, axis=0)
-    if np.any(norms == 0):
-        raise ZeroRow("zero row; c_x undefined")
-    psi = u @ (phi / norms)      # column x = U |phi_x>
+    u, _, phi = setup
+    psi = u @ phi                # column x = U |phi_x>
     return (np.abs(psi) ** 2).T   # [x][y] = |<y|U|phi_x>|^2
 
 
@@ -690,11 +686,11 @@ def ne_matrix(n: int) -> NondetMatrix:
 # rectangle covers and fooling sets
 
 
-def closed_one_rectangles(f: PairTable, cap: int = COVER_CAP) -> list:
+def closed_one_rectangles(f: PairTable) -> list:
     """All Galois-closed 1-rectangles; every 1-rectangle extends to one, so
     minimum covers over this list equal minimum covers overall."""
-    if f.n > cap:
-        raise CapExceeded(f"rectangle enumeration capped at n<={cap}")
+    if f.n > COVER_CAP:
+        raise CapExceeded(f"rectangle enumeration capped at n<={COVER_CAP}")
     size = 1 << f.n
     full_cols = (1 << size) - 1
     out = {}
@@ -715,16 +711,16 @@ def closed_one_rectangles(f: PairTable, cap: int = COVER_CAP) -> list:
     return list(out.values())
 
 
-def cover_number(f: PairTable, b: int, cap: int = COVER_CAP) -> int:
+def cover_number(f: PairTable, b: int) -> int:
     """Minimum number of b-rectangles covering all b-inputs (0 if none).
 
     Enumerates closed rectangles through the Galois connection and solves
     the set cover exactly by branch and bound.
     """
-    if f.n > cap:
-        raise CapExceeded(f"cover search capped at n<={cap}")
+    if f.n > COVER_CAP:
+        raise CapExceeded(f"cover search capped at n<={COVER_CAP}")
     if b == 0:
-        return cover_number(f.complement(), 1, cap)
+        return cover_number(f.complement(), 1)
     if b != 1:
         raise ValueError("b must be 0 or 1")
     size = 1 << f.n
@@ -733,7 +729,7 @@ def cover_number(f: PairTable, b: int, cap: int = COVER_CAP) -> int:
         cells |= f.rows[x] << (x * size)
     if not cells:
         return 0
-    rect_cells = {r.cell_mask(size) for r in closed_one_rectangles(f, cap)}
+    rect_cells = {r.cell_mask(size) for r in closed_one_rectangles(f)}
     rects = sorted(rect_cells, key=lambda c: -c.bit_count())
     return _min_cover(cells, rects)
 

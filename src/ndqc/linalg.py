@@ -24,7 +24,7 @@ def rows_to_int(rows):
     return out
 
 
-def _echelon_ff(rows, ncols, max_rank=None):
+def _echelon_ff(rows, ncols):
     """Fraction-free (Bareiss) row echelon with left-to-right column pivoting.
 
     Returns (echelon_rows, pivots) where pivots is a list of (row, col) with
@@ -36,7 +36,7 @@ def _echelon_ff(rows, ncols, max_rank=None):
     prev = 1
     pr = 0
     for pc in range(ncols):
-        if pr >= nrows or (max_rank is not None and len(pivots) >= max_rank):
+        if pr >= nrows:
             break
         # locate a pivot in column pc at or below row pr
         sel = None
@@ -69,14 +69,14 @@ def _echelon_ff(rows, ncols, max_rank=None):
     return m, pivots
 
 
-def int_rank(rows, ncols=None, max_rank=None):
+def int_rank(rows, ncols=None):
     """Exact rank of an integer (or rational) matrix."""
     if not rows:
         return 0
     if ncols is None:
         ncols = len(rows[0])
     ints = rows_to_int(rows)
-    _, pivots = _echelon_ff(ints, ncols, max_rank=max_rank)
+    _, pivots = _echelon_ff(ints, ncols)
     return len(pivots)
 
 

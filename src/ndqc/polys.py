@@ -45,6 +45,18 @@ class RetryCapExceeded(CapExceeded):
     """A randomized construction failed 64 attempts in a row."""
 
 
+class InterpolationMismatch(ValueError):
+    """An interpolated polynomial disagrees with its truth table."""
+
+
+class NonzeroBoundViolation(ValueError):
+    """A polynomial is nonzero on fewer than 2^-deg of the Boolean points."""
+
+
+class RoundInvariantViolation(ValueError):
+    """The Nisan-Smolensky procedure broke one of its round invariants."""
+
+
 @dataclass(frozen=True, eq=True)
 class MultilinearPoly:
     n: int
@@ -186,16 +198,17 @@ def _wht_inplace(arr, n):
                 arr[x | bit] = a - b
 
 
-def exact_poly(f: TruthTable, cap: int = POLY_TABLE_CAP) -> MultilinearPoly:
+def exact_poly(f: TruthTable) -> MultilinearPoly:
     """The unique multilinear polynomial agreeing with f on {0,1}^n."""
-    if f.n > cap:
-        raise CapExceeded(f"interpolation capped at n<={cap}")
+    if f.n > POLY_TABLE_CAP:
+        raise CapExceeded(f"interpolation capped at n<={POLY_TABLE_CAP}")
     arr = [Fraction(f.value(x)) for x in range(f.size)]
     _mobius_inplace(arr, f.n)
     p = MultilinearPoly.make(f.n, MONOMIAL,
                              {m: c for m, c in enumerate(arr) if c})
     vals = p.values()
-    assert all(vals[x] == f.value(x) for x in range(f.size))
+    if any(vals[x] != f.value(x) for x in range(f.size)):
+        raise InterpolationMismatch("interpolant disagrees with the table")
     return p
 
 
@@ -218,10 +231,6 @@ def from_fourier(p: MultilinearPoly) -> MultilinearPoly:
     _mobius_inplace(vals, p.n)
     return MultilinearPoly.make(p.n, MONOMIAL,
                                 {m: v for m, v in enumerate(vals) if v})
-
-
-def evaluate(p: MultilinearPoly, x: int) -> Fraction:
-    return p.evaluate(x)
 
 
 def verify_ndet(p: MultilinearPoly, f: TruthTable) -> bool:
@@ -300,8 +309,7 @@ def _sample_combination(rng, basis, eval_rows, coeff_bound):
 
 
 def ndeg_decide(f: TruthTable, d: int, seed: int = DEFAULT_SEED,
-                cap: int = NDEG_CAP, rng: random.Random | None = None
-                ) -> NdegCertificate:
+                rng: random.Random | None = None) -> NdegCertificate:
     """Decide whether f admits a nondeterministic polynomial of degree <= d.
 
     Feasibility criterion: with V_d the space of degree-<=d multilinear
@@ -313,8 +321,8 @@ def ndeg_decide(f: TruthTable, d: int, seed: int = DEFAULT_SEED,
     is smaller.  Witnesses are random integer combinations drawn from
     {1..2^(n+1)}, verified exactly and resampled on failure.
     """
-    if f.n > cap:
-        raise CapExceeded(f"ndeg capped at n<={cap}")
+    if f.n > NDEG_CAP:
+        raise CapExceeded(f"ndeg capped at n<={NDEG_CAP}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     ones = f.ones()
@@ -360,7 +368,7 @@ def _ndeg_decide_primal(f, d, cols, zeros, ones, rng):
                 coeffs[cols[pos]] = coeffs.get(cols[pos], 0) + lam[k] * v
     witness = MultilinearPoly.make(f.n, MONOMIAL, coeffs)
     if not verify_ndet(witness, f):
-        raise AssertionError("sampled witness failed exact verification")
+        raise InvalidWitness("sampled witness failed exact verification")
     return NdegCertificate(d, witness, None, resamples)
 
 
@@ -391,18 +399,18 @@ def _ndeg_decide_dual(f, d, high_masks, ones, rng):
     witness = MultilinearPoly.make(f.n, MONOMIAL,
                                    {m: c for m, c in enumerate(arr) if c})
     if witness.degree > d or not verify_ndet(witness, f):
-        raise AssertionError("sampled witness failed exact verification")
+        raise InvalidWitness("sampled witness failed exact verification")
     return NdegCertificate(d, witness, None, resamples)
 
 
-def ndeg(f: TruthTable, seed: int = DEFAULT_SEED, cap: int = NDEG_CAP):
+def ndeg(f: TruthTable, seed: int = DEFAULT_SEED):
     """Smallest degree admitting a nondeterministic polynomial, with certificate.
 
     Scans d = 0, 1, ... upward; raises IdenticallyZero for f == 0.
     """
     rng = random.Random(seed)
     for d in range(f.n + 1):
-        cert = ndeg_decide(f, d, cap=cap, rng=rng)
+        cert = ndeg_decide(f, d, rng=rng)
         if cert.feasible:
             return d, cert
     raise AssertionError("degree n is always feasible for f != 0")
@@ -458,16 +466,19 @@ def _level_dmin(n, zeros, w):
 # ---------------------------------------------------------------------------
 
 
-def schwartz_stats(p: MultilinearPoly, cap: int = POLY_TABLE_CAP):
-    """(Pr[p != 0 on a random Boolean point], 2^-deg(p)); asserts pr >= bound."""
+def schwartz_stats(p: MultilinearPoly):
+    """(Pr[p != 0 on a random Boolean point], 2^-deg(p)); raises
+    NonzeroBoundViolation unless pr >= bound."""
     if p.degree <= 0:
         raise ConstantPolynomial("nonzero-probability bound needs deg >= 1")
-    if p.n > cap:
-        raise CapExceeded(f"exhaustive evaluation capped at n<={cap}")
+    if p.n > POLY_TABLE_CAP:
+        raise CapExceeded(
+            f"exhaustive evaluation capped at n<={POLY_TABLE_CAP}")
     vals = p.values()
     pr = Fraction(sum(1 for v in vals if v), len(vals))
     bound = Fraction(1, 1 << p.degree)
-    assert pr >= bound, "nonzero-probability bound violated"
+    if pr < bound:
+        raise NonzeroBoundViolation("nonzero-probability bound violated")
     return pr, bound
 
 
@@ -499,7 +510,8 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
     round strictly reduces deg(p), so the worst case is at most
     C^(0)(f) * deg(p) queries.  Returns (value_oracle, worst_case_queries),
     the oracle mapping an input to (value, queries_used); the worst case is
-    taken over all 2^n inputs, asserting correctness on each.
+    taken over all 2^n inputs, checking correctness on each.  A broken round
+    invariant raises RoundInvariantViolation.
     """
     if p.basis != MONOMIAL:
         p = from_fourier(p)
@@ -535,7 +547,8 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
             if forced is not None:
                 return forced, queries
             smask = min_zero_certificate(amask, avals)
-            assert smask is not None, "nonconstant restriction has a 0-input"
+            if smask is None:
+                raise RoundInvariantViolation("no 0-certificate found")
             queries += smask.bit_count()
             amask |= smask
             avals |= x & smask
@@ -545,12 +558,14 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
                 coeffs = _restrict_coeffs(coeffs, low, bool(x & low))
                 bit ^= low
             new_deg = max((m.bit_count() for m in coeffs), default=-1)
-            assert new_deg < deg, "restriction round must reduce the degree"
+            if new_deg >= deg:
+                raise RoundInvariantViolation("round kept the degree")
 
     worst = 0
     for x in range(full + 1):
         value, used = oracle(x)
-        assert value == f.value(x), "procedure disagrees with the table"
+        if value != f.value(x):
+            raise RoundInvariantViolation(f"wrong value at input {x}")
         worst = max(worst, used)
     return oracle, worst
 

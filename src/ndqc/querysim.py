@@ -170,6 +170,8 @@ class QueryAlgorithm:
             if len(set(qubits)) != len(qubits) or \
                     any(not 0 <= q < self.num_qubits for q in qubits):
                 raise ValueError(f"bad qubit set on gate {g!r}")
+            if isinstance(g, PhaseOracle) and len(g.qubits) > self.n:
+                raise ValueError("phase oracle register wider than n")
             if isinstance(g, Unitary):
                 if len(g.qubits) > 12:
                     raise CapExceeded("dense gate wider than 12 qubits")
@@ -239,22 +241,19 @@ def _apply_gate(state, algo, gate, x):
     return apply_label_map(state, perm, neg)
 
 
-def simulate(algo: QueryAlgorithm, x: int, mode: str = "exact",
-             check_norm: str | None = None):
+def simulate(algo: QueryAlgorithm, x: int, mode: str = "exact"):
     """Run the algorithm on input x.
 
     Returns (final_state, acceptance_probability); exact mode yields an
-    ExactState and a Fraction, float mode an ndarray and a float.
-    check_norm: "gates" verifies unit norm after every gate, "final" only at
-    the end; default is per-gate up to 10-qubit states.  Float mode checks
-    the norm after every gate within FLOAT_NORM_TOL.
+    ExactState and a Fraction, float mode an ndarray and a float.  Exact
+    mode checks unit norm after every gate up to 10-qubit states, else at
+    the end; float mode after every gate within FLOAT_NORM_TOL.  For exact
+    acceptance on all inputs use symbolic_simulate's acceptance polynomial.
     """
     if not 0 <= x < (1 << algo.n):
         raise ValueError("input out of range")
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    if check_norm is None:
-        check_norm = "gates" if algo.num_qubits <= 10 else "final"
     exact = mode == "exact"
     state = algo.prep.to_exact()
     if not exact:
@@ -265,7 +264,7 @@ def simulate(algo: QueryAlgorithm, x: int, mode: str = "exact",
             drift = abs(np.vdot(state, state).real - 1.0)
             if drift > FLOAT_NORM_TOL:
                 raise NormNotPreserved(f"norm drift {drift:.2e} in float mode")
-        elif check_norm == "gates" and state.norm2() != 1:
+        elif algo.num_qubits <= 10 and state.norm2() != 1:
             raise NormNotPreserved("norm must be preserved exactly")
     if exact:
         if state.norm2() != 1:
@@ -334,14 +333,6 @@ class SymbolicState:
             if label & bit:
                 acc = acc + poly * poly
         return acc.scale(Fraction(1, 1) / self.scale2)
-
-    def evaluate(self, x: int):
-        """(amplitude numerators at x, scale2, acceptance probability)."""
-        vals = {lbl: p.evaluate(x) for lbl, p in self.amplitudes.items()}
-        bit = 1 << self.output_qubit
-        acc = sum((v * v for lbl, v in vals.items() if lbl & bit),
-                  Fraction(0)) / self.scale2
-        return vals, self.scale2, acc
 
 
 def symbolic_simulate(algo: QueryAlgorithm) -> SymbolicState:
@@ -470,12 +461,11 @@ def extract_ndet_poly(algo: QueryAlgorithm, f: TruthTable,
 def extract_ndet_poly_stats(algo: QueryAlgorithm, f: TruthTable, seed: int):
     if algo.n != f.n:
         raise ValueError("algorithm arity does not match the function")
-    for x in range(f.size):
-        _, acc = simulate(algo, x)
+    sym = symbolic_simulate(algo)
+    for x, acc in enumerate(sym.acceptance_polynomial().values()):
         if bool(acc) != bool(f.value(x)):
             raise NotNondeterministic(
                 f"acceptance pattern breaks at input {x}")
-    sym = symbolic_simulate(algo)
     bit = 1 << algo.output_qubit
     parts = [p for lbl, p in sorted(sym.amplitudes.items())
              if lbl & bit and not p.is_zero()]

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ndqc import cli, report
+import ndqc
+from ndqc import cli, querysim, report
 from ndqc.boolfn import make_named
-from ndqc.polys import parse_poly, verify_ndet
+from ndqc.polys import parse_poly, verify_ndet, weight_offset_poly
 
 
 def run_cli(args, capsys):
@@ -124,6 +127,22 @@ class TestSeparation:
                              "--n", "3"], capsys)
         assert code == 0 and json.loads(out)["all_pass"]
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_query_acceptance_check_can_fail(self, mode, monkeypatch,
+                                             capsys):
+        # compile |x| (a witness for OR) in place of |x| - 1: the cost
+        # stays 1, the acceptance no longer equals c^2 p(x)^2 / 2^n
+        real = querysim.compile_from_ndet_poly
+        monkeypatch.setattr(
+            querysim, "compile_from_ndet_poly",
+            lambda p, f: real(weight_offset_poly(f.n, 0),
+                              make_named("OR", f.n)))
+        code, out = run_cli(["--mode", mode, "separation", "query",
+                             "--n", "3"], capsys)
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["compiled_cost_1"]
+        assert checks["compiled_acceptance_c2p2"] is False
+
 
 class TestExport:
     def test_json_round_trip_bit_exact(self, tmp_path, capsys):
@@ -206,3 +225,18 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["measures"]["ndeg"] == 1
     assert "seed=" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["separation", "query", "--n", "3", "--seed", "1"],
+    ["analyze", "--family", "OR", "--n", "4"],
+])
+def test_python_O_same_report(argv, capsys):
+    # python -O strips assert statements; the report must not change
+    code, out = run_cli(argv, capsys)
+    src = str(Path(ndqc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-m", "ndqc.cli"] + argv,
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert code == proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.encode()

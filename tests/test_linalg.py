@@ -59,4 +59,4 @@ def test_rational_rows_scaled():
 def test_large_identity_early_stop():
     n = 40
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    assert int_rank(rows, n, max_rank=5) == 5
+    assert int_rank(rows, n) == n

@@ -1,11 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ndqc
+from ndqc import polys
 from ndqc.boolfn import SymmetricProfile, TruthTable, make_named, \
     random_table, symmetric_profile
 from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
@@ -221,6 +227,17 @@ class TestNdeg:
         # union bound: expected resamples < 2 per run
         assert total_resamples < 2 * runs
 
+    def test_unverified_witness_raises_invalid_witness(self, monkeypatch):
+        # both engine paths re-verify their sampled witness
+        monkeypatch.setattr(polys, "verify_ndet", lambda p, f: False)
+        f = make_named("OR", 3)
+        with pytest.raises(InvalidWitness):
+            _ndeg_decide_primal(f, 1, _masks_by_degree(3, 0, 1), f.zeros(),
+                                f.ones(), random.Random(1))
+        with pytest.raises(InvalidWitness):
+            _ndeg_decide_dual(f, 1, _masks_by_degree(3, 2, 3), f.ones(),
+                              random.Random(1))
+
     def test_retry_cap(self):
         # no combination is nonzero at a point where every basis vector is 0
         with pytest.raises(RetryCapExceeded):
@@ -391,3 +408,51 @@ class TestPolyFormat:
     def test_rational_coefficients(self):
         p = MultilinearPoly.make(2, MONOMIAL, {0: F(-3, 7), 3: F(22, 5)})
         assert parse_poly(format_poly(p), 2) == p
+
+
+# verification faults: (owner, attribute, fault, call) per typed error
+_FAULTS = {
+    "InterpolationMismatch": (
+        polys, "_mobius_inplace", lambda arr, n: None,
+        lambda: exact_poly(make_named("OR", 2))),
+    "NonzeroBoundViolation": (
+        MultilinearPoly, "values", lambda self: [F(0)] * (1 << self.n),
+        lambda: schwartz_stats(weight_offset_poly(2, 1))),
+    "RoundInvariantViolation": (
+        polys, "_restrict_coeffs", lambda coeffs, bit, value: coeffs,
+        lambda: nisan_smolensky_procedure(make_named("OR", 3),
+                                          weight_offset_poly(3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULTS))
+def test_fault_raises_typed_error(name, monkeypatch):
+    owner, attr, fault, call = _FAULTS[name]
+    monkeypatch.setattr(owner, attr, fault)
+    with pytest.raises(getattr(polys, name)):
+        call()
+
+
+_FAULTS_UNDER_O = """
+from ndqc import polys
+from test_polys import _FAULTS
+for name, (owner, attr, fault, call) in sorted(_FAULTS.items()):
+    real = getattr(owner, attr)
+    setattr(owner, attr, fault)
+    try:
+        call()
+    except getattr(polys, name):
+        print(name)
+    finally:
+        setattr(owner, attr, real)
+"""
+
+
+def test_faults_caught_under_python_O():
+    # python -O strips assert statements; the typed errors must remain
+    path = os.pathsep.join([str(Path(ndqc.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    proc = subprocess.run([sys.executable, "-O", "-c", _FAULTS_UNDER_O],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.split() == sorted(_FAULTS), proc.stderr

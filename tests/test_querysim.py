@@ -91,6 +91,14 @@ class TestSimulate:
         _, accf = simulate(algo, 0, mode="float")
         assert abs(accf - 0.5) < 1e-9
 
+    def test_wide_phase_oracle_rejected(self):
+        # register qubit j reads x_{j+1}, so a register wider than n is
+        # malformed rather than reading the missing variables as 0
+        with pytest.raises(ValueError, match="wider than n"):
+            QueryAlgorithm(n=2, num_qubits=4, prep=basis_prep(4),
+                           gates=(PhaseOracle((0, 1, 2), 3),),
+                           query_cost=3, output_qubit=3)
+
     def test_input_gate_float_mode(self):
         algo = verifier_to_ndet(or2_verifier(), make_named("OR", 2))
         for x in range(4):
@@ -188,9 +196,8 @@ class TestSymbolic:
         assert sym.amplitude(0b10) == mk({1: 1})          # x_1
         assert sym.amplitude(0b01) == mk({0: 1, 2: -1})   # (1 - x_2)
         assert sym.amplitude(0b11) == mk({2: 1})          # x_2
-        for x in range(4):
-            _, _, acc = sym.evaluate(x)
-            assert acc == simulate(algo, x)[1]
+        accs = sym.acceptance_polynomial().values()
+        assert accs == [simulate(algo, x)[1] for x in range(4)]
 
     def test_compiled_or2_acceptance_polynomial(self):
         f = make_named("OR", 2)
@@ -243,18 +250,20 @@ class TestSymbolic:
             sym = symbolic_simulate(algo)
             assert sym.max_degree() <= t
             assert sym.acceptance_polynomial().degree <= 2 * t
-            for x in range(1 << n):
-                _, _, acc = sym.evaluate(x)
-                assert acc == simulate(algo, x, check_norm="final")[1]
+            accs = sym.acceptance_polynomial().values()
+            for x, acc in enumerate(accs):
+                assert acc == simulate(algo, x)[1]
                 assert abs(simulate(algo, x, mode="float")[1] - acc) < 1e-12
 
     def test_norm_at_every_input(self):
+        # sum of squared amplitudes is the constant scale2 as a polynomial
         f = make_named("NOT_ONE", 3)
         algo = compile_from_ndet_poly(weight_offset_poly(3, 1), f)
         sym = symbolic_simulate(algo)
-        for x in range(8):
-            vals, s2, _ = sym.evaluate(x)
-            assert sum(v * v for v in vals.values()) == s2
+        norm2 = MultilinearPoly.make(3, MONOMIAL, {})
+        for poly in sym.amplitudes.values():
+            norm2 = norm2 + poly * poly
+        assert norm2 == MultilinearPoly.constant(3, sym.scale2)
 
     def test_acceptance_polynomial_is_itself_a_witness(self):
         # the acceptance probability of a nondeterministic algorithm is a
@@ -292,6 +301,12 @@ class TestExtraction:
         monkeypatch.setattr(querysim, "verify_ndet", lambda p, g: False)
         with pytest.raises(RetryCapExceeded):
             extract_ndet_poly_stats(algo, f, seed=7)
+
+    def test_input_gate_has_no_symbolic_form(self):
+        f = make_named("OR", 2)
+        algo = verifier_to_ndet(or2_verifier(), f)
+        with pytest.raises(ValueError, match="no symbolic form"):
+            extract_ndet_poly(algo, f, seed=3)
 
     def test_not_nondeterministic(self):
         f = make_named("OR", 2)
@@ -412,6 +427,10 @@ class TestCircuitFile:
         ['{"gate":"PREP","qubits":[0],"data":{"n":1,"query_cost":0,'
          '"output_qubit":0,"re":["1","0"],"im":null,"scale2":"1"}}',
          '{"gate":"ORACLE","qubits":[0]}'],
+        # a phase register of 2 qubits on n = 1 variable
+        ['{"gate":"PREP","qubits":[0,1],"data":{"n":1,"query_cost":2,'
+         '"output_qubit":1,"re":["1","0","0","0"],"im":null,"scale2":"1"}}',
+         '{"gate":"PHASE_F","qubits":[0,1],"data":{"degree_bound":2}}'],
     ])
     def test_malformed_input_raises_value_error(self, lines):
         with pytest.raises(ValueError):
