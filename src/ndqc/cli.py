@@ -188,7 +188,12 @@ def _separation_query(args):
     else:
         sym = querysim.symbolic_simulate(algo)
         accs = sym.acceptance_polynomial().values()
-        ok = accs == expect and all(
+        # the accepting amplitude alone misses wrong entries in rows of a
+        # dense gate that never reach it; the whole state's norm does not
+        amps = sym.amplitudes.values()
+        ok = all(sum(a.evaluate(x) ** 2 for a in amps) == sym.scale2
+                 for x in (0, 1, f.size - 1))
+        ok = ok and accs == expect and all(
             (acc > 0) == (f.value(x) == 1) for x, acc in enumerate(accs))
     _check(checks, "compiled_acceptance_c2p2", ok,
            "acceptance = c^2 p(x)^2 / 2^n on every input, positive iff f=1")

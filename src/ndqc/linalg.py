@@ -12,12 +12,13 @@ def rows_to_int(rows):
     """Scale each (possibly rational) row to a primitive integer row."""
     out = []
     for row in rows:
-        fr = [Fraction(v) for v in row]
-        den = lcm(*(f.denominator for f in fr)) if fr else 1
-        ints = [int(f * den) for f in fr]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        if all(type(v) is int for v in row):
+            ints = list(row)
+        else:
+            fr = [Fraction(v) for v in row]
+            den = lcm(*(f.denominator for f in fr))
+            ints = [int(f * den) for f in fr]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
@@ -29,9 +30,16 @@ def _echelon_ff(rows, ncols):
 
     Returns (echelon_rows, pivots) where pivots is a list of (row, col) with
     strictly increasing columns.  Input rows are consumed (copied first).
+    A row with a zero in the pivot column is only rescaled by piv/prev, and
+    those factors telescope, so the rescaling is deferred: row r's entries
+    are current for the pivot value scaled[r], and the row is brought up to
+    date by one exact multiply-divide when it is next used.  Rows still
+    stale at the end are zero, so the result equals plain Bareiss entry for
+    entry.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
+    scaled = [1] * nrows
     pivots = []
     prev = 1
     pr = 0
@@ -48,21 +56,22 @@ def _echelon_ff(rows, ncols):
             continue
         if sel != pr:
             m[pr], m[sel] = m[sel], m[pr]
-        piv = m[pr][pc]
+            scaled[pr], scaled[sel] = scaled[sel], scaled[pr]
+        mp = m[pr]
+        if scaled[pr] != prev:
+            mp[pc:] = [a * prev // scaled[pr] for a in mp[pc:]]
+        piv = mp[pc]
         for r in range(pr + 1, nrows):
             mr = m[r]
-            t = mr[pc]
-            if t == 0:
-                # Bareiss still rescales untouched rows; dividing by prev keeps
-                # entries at minor size
-                for c in range(pc + 1, ncols):
-                    if mr[c]:
-                        mr[c] = mr[c] * piv // prev
+            if mr[pc] == 0:
                 continue
-            mp = m[pr]
+            if scaled[r] != prev:
+                mr[pc:] = [a * prev // scaled[r] for a in mr[pc:]]
+            t = mr[pc]
             for c in range(pc + 1, ncols):
                 mr[c] = (mr[c] * piv - t * mp[c]) // prev
             mr[pc] = 0
+            scaled[r] = piv
         pivots.append((pr, pc))
         prev = piv
         pr += 1
@@ -86,39 +95,73 @@ def nullspace(rows, ncols):
     Columns are processed left to right, so the basis vector attached to a
     free column j is supported on pivot columns left of j plus j itself.
     The basis is returned as a list of (free_col, vector) pairs in ascending
-    free-column order; with columns pre-sorted by degree this gives the
-    degree staircase used by the nondeterministic-degree engine.
+    free-column order, each vector primitive with vector[j] > 0; with
+    columns pre-sorted by degree this gives the degree staircase used by the
+    nondeterministic-degree engine.  Back-substitution stays in the
+    integers: before solving for a pivot variable the partial vector is
+    scaled by just enough to make that entry integral.
     """
-    if not rows:
-        return [(j, tuple(1 if c == j else 0 for c in range(ncols)))
-                for j in range(ncols)]
-    ints = rows_to_int(rows)
-    ech, pivots = _echelon_ff(ints, ncols)
-    pivot_cols = [pc for _, pc in pivots]
-    pivot_set = set(pivot_cols)
+    ech, pivots = _echelon_ff(rows_to_int(rows), ncols)
+    pivot_set = {pc for _, pc in pivots}
     basis = []
     for j in range(ncols):
         if j in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        # back-substitute pivot variables, bottom pivot row first
-        for (pr, pc) in reversed(pivots):
+        vec = [0] * ncols
+        vec[j] = 1
+        # bottom pivot row first; vec is zero right of j, so sums stop at j
+        for pr, pc in reversed(pivots):
             if pc > j:
                 continue
             row = ech[pr]
-            s = sum((Fraction(row[c]) * vec[c] for c in range(pc + 1, ncols)
-                     if row[c] and vec[c]), Fraction(0))
-            vec[pc] = -s / row[pc]
-        den = lcm(*(v.denominator for v in vec))
-        ints_vec = [int(v * den) for v in vec]
-        g = 0
-        for v in ints_vec:
-            g = gcd(g, v)
+            s = dot(row[pc + 1:j + 1], vec[pc + 1:j + 1])
+            if not s:
+                continue
+            p = row[pc]
+            g = gcd(s, p)
+            k = abs(p) // g
+            if k > 1:
+                vec[pc + 1:j + 1] = [v * k for v in vec[pc + 1:j + 1]]
+            vec[pc] = -s // g if p > 0 else s // g
+        g = gcd(*vec)
         if g > 1:
-            ints_vec = [v // g for v in ints_vec]
-        basis.append((j, tuple(ints_vec)))
+            vec = [v // g for v in vec]
+        basis.append((j, tuple(vec)))
     return basis
+
+
+def staircase_column(rows, ncols, v):
+    """First free column j whose nullspace vector vec_j has dot(v, vec_j)
+    != 0, or None when v lies in the row space of rows.
+
+    Found without building the nullspace: reducing v against the echelon
+    rows leaves a residual r that is zero on every pivot column, and since
+    vec_j is supported on pivot columns left of j plus j itself,
+    dot(r, vec_j) = r[j] * vec_j[j].  So j is r's first nonzero column.
+    """
+    ech, pivots = _echelon_ff(rows_to_int(rows), ncols)
+    r = _residual(ech, pivots, v)
+    return next((c for c, a in enumerate(r) if a), None)
+
+
+def _residual(ech, pivots, v):
+    """Primitive integer multiple of v reduced against the echelon rows.
+
+    Each pivot entry is cleared by a fraction-free row step, and the row's
+    content is divided out after every step so entries stay small.
+    """
+    [r] = rows_to_int([v])
+    for pr, pc in pivots:
+        t = r[pc]
+        if not t:
+            continue
+        row = ech[pr]
+        p = row[pc]
+        r = [p * a - t * b for a, b in zip(r, row)]
+        g = gcd(*r)
+        if g > 1:
+            r = [a // g for a in r]
+    return r
 
 
 def dot(u, v):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 
 from .boolfn import CapExceeded, SymmetricProfile, TruthTable, _CubeClassifier
-from .linalg import dot, nullspace
+from .linalg import dot, nullspace, staircase_column
 
 MONOMIAL = "MONOMIAL"
 FOURIER = "FOURIER"
@@ -456,11 +456,11 @@ def _level_dmin(n, zeros, w):
     if not pts:
         return 0
     rows = [[comb(s, a) * comb(t, b) for a, b in cols] for s, t in pts]
-    for j, vec in nullspace(rows, len(cols)):
-        if dot(f_vec, vec):
-            a, b = cols[j]
-            return a + b
-    raise AssertionError("level is always feasible at degree n")
+    j = staircase_column(rows, len(cols), f_vec)
+    if j is None:
+        raise AssertionError("level is always feasible at degree n")
+    a, b = cols[j]
+    return a + b
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -139,6 +140,25 @@ class TestSeparation:
                               make_named("OR", f.n)))
         code, out = run_cli(["--mode", mode, "separation", "query",
                              "--n", "3"], capsys)
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["compiled_cost_1"]
+        assert checks["compiled_acceptance_c2p2"] is False
+
+    def test_query_acceptance_check_sees_whole_state(self, monkeypatch,
+                                                     capsys):
+        # negate H[1][1] of every dense gate: the accepting amplitude reads
+        # only row 0 of each gate, so only the whole state's norm moves
+        real = querysim._symbolic_unitary
+
+        def flipped(amps, gate, num_qubits, n):
+            re = [list(row) for row in gate.matrix.re]
+            re[1][1] = -re[1][1]
+            bad = SimpleNamespace(qubits=gate.qubits,
+                                  matrix=SimpleNamespace(re=re))
+            return real(amps, bad, num_qubits, n)
+
+        monkeypatch.setattr(querysim, "_symbolic_unitary", flipped)
+        code, out = run_cli(["separation", "query", "--n", "4"], capsys)
         checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
         assert code == 1 and checks["compiled_cost_1"]
         assert checks["compiled_acceptance_c2p2"] is False

@@ -1,16 +1,93 @@
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndqc.linalg import dot, int_rank, nullspace, rows_to_int
+from ndqc import linalg
+from ndqc.linalg import (_echelon_ff, _residual, dot, int_rank, nullspace,
+                         rows_to_int, staircase_column)
 
 
-small_matrix = st.integers(min_value=1, max_value=5).flatmap(
-    lambda cols: st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6),
-                 min_size=cols, max_size=cols),
-        min_size=1, max_size=5))
+def matrices(entries, max_rows=5, max_cols=5):
+    return st.integers(min_value=1, max_value=max_cols).flatmap(
+        lambda cols: st.lists(
+            st.lists(entries, min_size=cols, max_size=cols),
+            min_size=1, max_size=max_rows))
+
+
+small_matrix = matrices(st.integers(min_value=-6, max_value=6))
+int_matrix = matrices(st.integers(min_value=-40, max_value=40), 7, 9)
+zero_one_matrix = matrices(st.integers(min_value=0, max_value=1), 8, 10)
+rational_matrix = matrices(
+    st.fractions(min_value=-5, max_value=5, max_denominator=6), 6, 8)
+
+
+def reference_nullspace(rows, ncols):
+    """Nullspace by Fraction elimination and the Fraction back-substitution
+    that the integer-only version replaced: an independent oracle for its
+    exact output (each free column's vector is fixed by the row space, so
+    any elimination gives the same primitive vectors)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        for i in range(r + 1, len(m)):
+            k = m[i][c] / m[r][c]
+            m[i] = [a - k * b for a, b in zip(m[i], m[r])]
+        pivots.append((r, c))
+    pivot_set = {pc for _, pc in pivots}
+    basis = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
+        for pr, pc in reversed(pivots):
+            if pc > j:
+                continue
+            row = m[pr]
+            s = sum((row[c] * vec[c] for c in range(pc + 1, ncols)),
+                    Fraction(0))
+            vec[pc] = -s / row[pc]
+        den = lcm(*(v.denominator for v in vec))
+        ints_vec = [int(v * den) for v in vec]
+        g = gcd(*ints_vec)
+        basis.append((j, tuple(v // g for v in ints_vec)))
+    return basis
+
+
+def reference_bareiss(rows, ncols):
+    """Plain Bareiss: every row below the pivot is updated at every step."""
+    m = [list(r) for r in rows]
+    pivots, prev = [], 1
+    for pc in range(ncols):
+        pr = len(pivots)
+        sel = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+        if sel is None:
+            continue
+        m[pr], m[sel] = m[sel], m[pr]
+        piv = m[pr][pc]
+        for r in range(pr + 1, len(m)):
+            t = m[r][pc]
+            m[r] = [0] * (pc + 1) + [(a * piv - t * b) // prev for a, b in
+                                     zip(m[r][pc + 1:], m[pr][pc + 1:])]
+        pivots.append((pr, pc))
+        prev = piv
+    return m, pivots
+
+
+def assert_matches_reference(rows, ncols):
+    basis = nullspace(rows, ncols)
+    assert basis == reference_nullspace(rows, ncols)
+    for j, vec in basis:
+        assert vec[j] > 0 and gcd(*vec) == 1
+        assert all(dot(row, vec) == 0 for row in rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -60,3 +137,81 @@ def test_large_identity_early_stop():
     n = 40
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     assert int_rank(rows, n) == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.one_of(int_matrix, zero_one_matrix))
+def test_nullspace_matches_fraction_reference_integer(rows):
+    assert_matches_reference(rows, len(rows[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=rational_matrix)
+def test_nullspace_matches_fraction_reference_rational(rows):
+    assert_matches_reference(rows, len(rows[0]))
+
+
+def test_nullspace_matches_fraction_reference_wide_zero_one():
+    rng = random.Random(12)
+    rows = [[rng.randint(0, 1) for _ in range(24)] for _ in range(14)]
+    assert_matches_reference(rows, 24)
+    assert len(nullspace(rows, 24)) == 24 - int_rank(rows, 24)
+
+
+def test_integer_paths_make_no_fraction(monkeypatch):
+    rng = random.Random(3)
+    rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(6)]
+    expect_rows, expect_basis = rows_to_int(rows), nullspace(rows, 10)
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built on an integer input")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert rows_to_int(rows) == expect_rows
+    assert nullspace(rows, 10) == expect_basis
+
+
+def first_nonorthogonal_free_column(rows, ncols, v):
+    return next((j for j, vec in nullspace(rows, ncols) if dot(v, vec)),
+                None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.one_of(small_matrix, zero_one_matrix), data=st.data())
+def test_staircase_column_matches_nullspace(rows, data):
+    ncols = len(rows[0])
+    v = data.draw(st.lists(st.integers(min_value=-6, max_value=6),
+                           min_size=ncols, max_size=ncols))
+    assert staircase_column(rows, ncols, v) == \
+        first_nonorthogonal_free_column(rows, ncols, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.one_of(small_matrix, zero_one_matrix), data=st.data())
+def test_staircase_column_none_on_row_space(rows, data):
+    ncols = len(rows[0])
+    lam = data.draw(st.lists(st.integers(min_value=-4, max_value=4),
+                             min_size=len(rows), max_size=len(rows)))
+    v = [sum(k * row[c] for k, row in zip(lam, rows)) for c in range(ncols)]
+    assert staircase_column(rows, ncols, v) is None
+    assert first_nonorthogonal_free_column(rows, ncols, v) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.one_of(small_matrix, zero_one_matrix), data=st.data())
+def test_residual_primitive_and_clear_on_pivots(rows, data):
+    ncols = len(rows[0])
+    v = data.draw(st.lists(st.integers(min_value=-6, max_value=6),
+                           min_size=ncols, max_size=ncols))
+    ech, pivots = _echelon_ff(rows_to_int(rows), ncols)
+    r = _residual(ech, pivots, v)
+    assert all(r[pc] == 0 for _, pc in pivots)
+    assert gcd(*r) <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.one_of(int_matrix, zero_one_matrix))
+def test_echelon_matches_plain_bareiss(rows):
+    # deferred rescaling must leave every entry at plain Bareiss's value
+    ncols = len(rows[0])
+    assert _echelon_ff(rows, ncols) == reference_bareiss(rows, ncols)

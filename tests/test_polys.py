@@ -298,8 +298,8 @@ class TestSymmetric:
         with pytest.raises(IdenticallyZero):
             symmetric_ndeg(SymmetricProfile(2, (0, 0, 0)))
 
-    def test_fast_path_matches_generic_n_le_5(self):
-        for n in range(1, 6):
+    def test_fast_path_matches_generic_n_le_7(self):
+        for n in range(1, 8):
             for vals in itertools.product((0, 1), repeat=n + 1):
                 if not any(vals):
                     continue
