@@ -735,8 +735,26 @@ def cover_number(f: PairTable, b: int) -> int:
 
 
 def _min_cover(universe: int, sets: list) -> int:
+    """Least number of `sets` whose union is `universe`, by branch and bound.
+
+    Every node branches on its least-covered uncovered cell (lowest bit on
+    ties) and tries that cell's covering sets in the order of `sets`. How
+    many sets cover a cell does not depend on the node, so each cell's list
+    is built once and the cells are sorted by (list length, bit): the first
+    cell of that order still uncovered is the branching cell. Every cell of
+    `universe` lies in some set (each 1-cell lies in the closed rectangle
+    its row generates), so the scan always stops at a cell.
+    """
     best = [len(sets)]
     max_size = max(s.bit_count() for s in sets)
+    covering = {}
+    for s in sets:
+        m = s
+        while m:
+            bit = m & -m
+            covering.setdefault(bit, []).append(s)
+            m ^= bit
+    order = sorted(covering.items(), key=lambda kv: (len(kv[1]), kv[0]))
 
     def search(remaining: int, used: int):
         if not remaining:
@@ -744,23 +762,11 @@ def _min_cover(universe: int, sets: list) -> int:
             return
         if used + (remaining.bit_count() + max_size - 1) // max_size >= best[0]:
             return
-        # branch on the least-covered uncovered cell
-        cell_bit = None
-        cell_count = None
-        m = remaining
-        while m:
-            bit = m & -m
-            cnt = sum(1 for s in sets if s & bit)
-            if cell_count is None or cnt < cell_count:
-                cell_bit, cell_count = bit, cnt
-                if cnt <= 1:
-                    break
-            m &= m - 1
-        if not cell_count:
-            return  # uncoverable cell (cannot happen for b-cells)
-        for s in sets:
-            if s & cell_bit:
-                search(remaining & ~s, used + 1)
+        for bit, options in order:
+            if remaining & bit:
+                break
+        for s in options:
+            search(remaining & ~s, used + 1)
 
     search(universe, 0)
     return best[0]

@@ -121,7 +121,10 @@ class TestSeparation:
     def test_ne_n6(self, capsys):
         code, out = run_cli(["separation", "ne", "--n", "6"], capsys)
         assert code == 0
-        assert json.loads(out)["values"]["cost"] == 2
+        values = json.loads(out)["values"]
+        assert values["cost"] == 2
+        assert values["cov1_ne"] == {"1": 2, "2": 4, "3": 5}
+        assert values["ncc_ne"] == {"1": 2, "2": 3, "3": 4}
 
     def test_query_float_mode(self, capsys):
         code, out = run_cli(["--mode", "float", "separation", "query",

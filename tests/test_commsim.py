@@ -11,9 +11,9 @@ from ndqc import commsim
 from ndqc.boolfn import make_named
 from ndqc.polys import (MONOMIAL, MultilinearPoly, RetryCapExceeded,
                         weight_offset_poly)
-from ndqc.commsim import (HypothesisViolated, NondetMatrix, PairTable,
-                          PatternMismatch, ProtocolSpec, Rectangle, Round,
-                          ZeroRow, closed_one_rectangles, cover_number,
+from ndqc.commsim import (PAIR_FAMILIES, HypothesisViolated, NondetMatrix,
+                          PairTable, PatternMismatch, ProtocolSpec, Rectangle,
+                          Round, ZeroRow, closed_one_rectangles, cover_number,
                           exact_matrix, fooling_set_check, full_rank_check,
                           intersect_complement_fooling_set, final_state_families,
                           make_pair_function, matrix_from_csv_lines,
@@ -371,11 +371,21 @@ class TestRectangles:
             assert all(r.is_b_rectangle(f, 1) for r in rects)
 
     def test_closed_rectangles_cover_all_ones(self):
-        f = make_pair_function("DISJ", 2)
-        covered = set()
-        for r in closed_one_rectangles(f):
-            covered.update((x, y) for x in r.rows() for y in r.cols())
-        assert covered == set(f.ones())
+        # the cover search branches on a static cell order that assumes
+        # every 1-cell lies in some closed rectangle
+        tables = [make_pair_function(fam, n) for fam in PAIR_FAMILIES
+                  for n in (1, 2, 3)]
+        rng = random.Random(41)
+        for n in (1, 2, 3):
+            size = 1 << n
+            tables += [PairTable(n, tuple(rng.randrange(1 << size)
+                                          for _ in range(size)))
+                       for _ in range(40)]
+        for f in tables:
+            covered = set()
+            for r in closed_one_rectangles(f):
+                covered.update((x, y) for x in r.rows() for y in r.cols())
+            assert covered == set(f.ones()), (f.n, f.rows)
 
     def test_rectangle_accessors(self):
         r = Rectangle(0b011, 0b101)
@@ -405,6 +415,51 @@ def brute_force_cover(f, b):
     raise AssertionError
 
 
+def reference_min_cover(universe: int, sets: list) -> int:
+    """Reference cover search: recounts, at every node, how many sets cover
+    each uncovered cell and branches on the least-covered one."""
+    best = [len(sets)]
+    max_size = max(s.bit_count() for s in sets)
+
+    def search(remaining: int, used: int):
+        if not remaining:
+            best[0] = min(best[0], used)
+            return
+        if used + (remaining.bit_count() + max_size - 1) // max_size >= best[0]:
+            return
+        # branch on the least-covered uncovered cell
+        cell_bit = None
+        cell_count = None
+        m = remaining
+        while m:
+            bit = m & -m
+            cnt = sum(1 for s in sets if s & bit)
+            if cell_count is None or cnt < cell_count:
+                cell_bit, cell_count = bit, cnt
+                if cnt <= 1:
+                    break
+            m &= m - 1
+        if not cell_count:
+            return  # uncoverable cell (cannot happen for b-cells)
+        for s in sets:
+            if s & cell_bit:
+                search(remaining & ~s, used + 1)
+
+    search(universe, 0)
+    return best[0]
+
+
+def reference_cover_number(f):
+    size = 1 << f.n
+    cells = 0
+    for x in range(size):
+        cells |= f.rows[x] << (x * size)
+    if not cells:
+        return 0
+    return reference_min_cover(
+        cells, [r.cell_mask(size) for r in closed_one_rectangles(f)])
+
+
 class TestCovers:
     def test_constant_one(self):
         for n in (1, 2, 3):
@@ -430,6 +485,35 @@ class TestCovers:
         for rows in itertools.product(range(4), repeat=2):
             f = PairTable(1, rows)
             assert cover_number(f, 1) == brute_force_cover(f, 1), rows
+
+    def test_matches_reference(self):
+        rng = random.Random(43)
+        tables = [PairTable(2, tuple(rng.randrange(16) for _ in range(4)))
+                  for _ in range(300)]
+        tables += [PairTable(3, tuple(rng.randrange(256) & rng.randrange(256)
+                                      & rng.randrange(256)
+                                      for _ in range(8)))
+                   for _ in range(40)]
+        tables += [PairTable(3, tuple(rng.randrange(256) | rng.randrange(256)
+                                      for _ in range(8)))
+                   for _ in range(20)]
+        # NE at k = 3 is left to the Sperner test: the reference takes ~8 s
+        tables += [make_pair_function(fam, k) for fam in PAIR_FAMILIES
+                   for k in (1, 2, 3) if (fam, k) != ("NE", 3)]
+        for f in tables:
+            assert cover_number(f, 1) == reference_cover_number(f), \
+                (f.n, f.rows)
+
+    def test_ne_matches_sperner_bound(self):
+        # the maximal 1-rectangles of NE are S x S^c, so a 1-cover by m
+        # rectangles gives every x the set of rectangles whose S holds x,
+        # and these 2^k sets form an antichain in 2^[m] (Sperner)
+        for k, want in ((1, 2), (2, 4), (3, 5)):
+            m = 1
+            while math.comb(m, m // 2) < 1 << k:
+                m += 1
+            assert m == want
+            assert cover_number(make_pair_function("NE", k), 1) == m
 
     def test_ncc_formula(self):
         assert ncc_from_cover(1) == 1
