@@ -1,10 +1,10 @@
 """Exact workbench for nondeterministic quantum query and communication
 complexity of total Boolean functions."""
 
-from .boolfn import (PartialAssignment, SymmetricProfile, TruthTable,
+from .boolfn import (SubcubeTable, SymmetricProfile, TruthTable,
                      block_sensitivity, bs_one, bs_zero, c_one, c_zero,
                      certificate_complexity, decision_tree_depth, make_named,
-                     n_query, parse_table, restrict, symmetric_profile)
+                     n_query, parse_table, symmetric_profile)
 from .polys import (FOURIER, MONOMIAL, MultilinearPoly, NdegCertificate,
                     exact_poly, from_fourier, ndeg, ndeg_decide,
                     nisan_smolensky_procedure, schwartz_stats, symmetric_ndeg,

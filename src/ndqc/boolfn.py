@@ -3,21 +3,25 @@
 Encoding convention (fixed for all file formats): the table index of an input
 x is sum_i x_i * 2**(i-1), i.e. x_1 is the least significant bit.  A function
 on n variables is a 2**n-bit integer whose bit at an input's index is f(x).
+
+C and D come from one table over the 3^n subcubes Q (each variable 0, 1 or
+free): const(Q) from the halves of a free variable, U(Q) = least codimension
+of a constant superset of Q, C_x = U({x}), D(Q) = min_i 1 + max(halves on i).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 STORAGE_CAP = 24
-CERT_INPUT_CAP = 16   # per-input certificate search
-CERT_MAX_CAP = 12     # C0/C1 maxima
+CERT_MAX_CAP = 12     # certificates: the subcube table
 BS_CAP = 12           # block sensitivity maxima
 DEPTH_CAP = 5         # decision tree depth
 
 FAMILIES = ("OR", "AND", "PARITY", "NOT_ONE", "CONST0", "CONST1")
+_FIXED = np.array([1, 1, 0], np.int8)   # codimension per ternary digit
 
 
 class CapExceeded(ValueError):
@@ -78,38 +82,6 @@ class TruthTable:
 
 
 @dataclass(frozen=True)
-class PartialAssignment:
-    """Assignment of bits to distinct variable indices (1-based)."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        idxs = [i for i, _ in self.pairs]
-        if len(set(idxs)) != len(idxs):
-            raise ValueError("duplicate variable index")
-        for i, b in self.pairs:
-            if i < 1 or b not in (0, 1):
-                raise ValueError(f"bad assignment pair ({i}, {b})")
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def mask(self) -> int:
-        m = 0
-        for i, _ in self.pairs:
-            m |= 1 << (i - 1)
-        return m
-
-    def values(self) -> int:
-        v = 0
-        for i, b in self.pairs:
-            if b:
-                v |= 1 << (i - 1)
-        return v
-
-
-@dataclass(frozen=True)
 class SymmetricProfile:
     """Value of a symmetric function per Hamming weight 0..n."""
 
@@ -166,86 +138,108 @@ def make_named(family: str, n: int) -> TruthTable:
 
 
 # ---------------------------------------------------------------------------
-# subcube classifier: is f constant on {y : y & smask == vals}?
+# the subcube table: certificates and decision tree depth
 
 
-class _CubeClassifier:
-    """Memoized constant-on-subcube classification for one function."""
+class SubcubeTable:
+    """const(Q) and U(Q) over the 3^n subcubes Q of one function.
+
+    Subcube Q gives variable i the ternary digit d_i in {0, 1, 2 = free} and
+    has index sum_i d_i * 3**i.  Above CERT_MAX_CAP nothing is built and
+    every measure read raises CapExceeded.
+    """
 
     def __init__(self, f: TruthTable):
         self.f = f
-        self.full = (1 << f.n) - 1
-        self.memo = {}
+        if f.n > CERT_MAX_CAP:
+            return
+        n = f.n
+        raw = f.bits.to_bytes((f.size + 7) // 8, "little")
+        self.values = np.unpackbits(np.frombuffer(raw, np.uint8),
+                                    bitorder="little")[:f.size]
+        # cube code: 1 if f is 0 on Q, 2 if f is 1 on Q, 0 if not constant;
+        # a free digit's code is the AND of its two halves' codes
+        cube = self.values.view(np.int8) + np.int8(1)
+        codim = np.zeros(1, np.int8)
+        for i in range(n):
+            half = cube.reshape(-1, 2, 3 ** i)
+            cube = np.empty((half.shape[0], 3, 3 ** i), np.int8)
+            cube[:, :2] = half
+            np.bitwise_and(half[:, 0], half[:, 1], out=cube[:, 2])
+            cube = cube.reshape(-1)
+            codim = np.add.outer(_FIXED, codim).reshape(-1)
+        self.cube = cube
+        # U(Q): least codimension of a constant subcube containing Q, by a
+        # superset minimum: digit 0 or 1 may become free, one axis at a time
+        up = np.where(cube != 0, codim, np.int8(n + 1))
+        for i in range(n):
+            axis = up.reshape(-1, 3, 3 ** i)
+            np.minimum(axis[:, :2], axis[:, 2:], out=axis[:, :2])
+        self.cert = up.reshape((3,) * n)[(slice(0, 2),) * n].reshape(-1)
 
     def const(self, smask: int, vals: int):
-        """Return 0/1 if f is that constant on the subcube, else None."""
-        if smask == self.full:
-            return self.f.value(vals)
-        key = (smask, vals)
-        hit = self.memo.get(key, -1)
-        if hit != -1:
-            return hit
-        free = (~smask) & self.full
-        low = free & -free
-        c0 = self.const(smask | low, vals)
-        res = None
-        if c0 is not None:
-            c1 = self.const(smask | low, vals | low)
-            if c0 == c1:
-                res = c0
-        self.memo[key] = res
-        return res
+        """0 or 1 if f is that constant on {y : y & smask == vals}, else None."""
+        idx = 0
+        for i in reversed(range(self.f.n)):
+            idx = 3 * idx + ((vals >> i) & 1 if (smask >> i) & 1 else 2)
+        return (None, 0, 1)[self.cube[idx]]
+
+    def certificate(self, x: int) -> int:
+        """C_x(f) = U at the corner subcube {x}."""
+        if self.f.n > CERT_MAX_CAP:
+            raise CapExceeded(f"certificate search capped at n<={CERT_MAX_CAP}")
+        return int(self.cert[x])
+
+    def c_max(self, b: int) -> int:
+        """C^(b)(f): max certificate complexity over b-inputs (0 if none)."""
+        if self.f.n > CERT_MAX_CAP:
+            raise CapExceeded(f"certificate maxima capped at n<={CERT_MAX_CAP}")
+        return int(self.cert[self.values == b].max(initial=0))
+
+    def depth(self) -> int:
+        """D(f): D(Q) = 0 if Q is constant, else the minimum over free i of
+        1 + max(D(Q, x_i = 0), D(Q, x_i = 1)).
+
+        Each round lowers D toward that recurrence in place; after round k
+        every subcube with at most k free variables holds its final value.
+        """
+        n = self.f.n
+        if n > DEPTH_CAP:
+            raise CapExceeded(f"decision tree depth capped at n<={DEPTH_CAP}")
+        d = np.where(self.cube != 0, np.int8(0), np.int8(n + 1))
+        axes = [d.reshape(-1, 3, 3 ** i) for i in range(n)]
+        halves = [(a[:, 0], a[:, 1], a[:, 2]) for a in axes]
+        for _ in range(n):
+            for lo, hi, free in halves:
+                split = np.maximum(lo, hi)
+                split += 1
+                np.minimum(free, split, out=free)
+        return int(d[-1])
 
 
 def certificate_complexity(f: TruthTable, x: int) -> int:
-    """Minimum size of an f(x)-certificate consistent with x.
-
-    Subsets are scanned by increasing size then lexicographically, so the
-    returned size (and the first witnessing subset) is deterministic.
-    """
-    if f.n > CERT_INPUT_CAP:
-        raise CapExceeded(f"certificate search capped at n<={CERT_INPUT_CAP}")
-    return _certificate_size(_CubeClassifier(f), x)
-
-
-def _certificate_size(cc: _CubeClassifier, x: int) -> int:
-    """certificate_complexity(cc.f, x), sharing cc's memo across inputs."""
-    target = cc.f.value(x)
-    idx = list(range(cc.f.n))
-    for k in range(cc.f.n + 1):
-        for combo in itertools.combinations(idx, k):
-            smask = 0
-            for i in combo:
-                smask |= 1 << i
-            if cc.const(smask, x & smask) == target:
-                return k
-    raise AssertionError("full assignment always certifies")
-
-
-def _cert_max(f: TruthTable, b: int) -> int:
-    if f.n > CERT_MAX_CAP:
-        raise CapExceeded(f"certificate maxima capped at n<={CERT_MAX_CAP}")
-    cc = _CubeClassifier(f)
-    best = 0
-    for x in range(f.size):
-        if f.value(x) == b:
-            best = max(best, _certificate_size(cc, x))
-    return best
+    """Minimum size of an f(x)-certificate consistent with x."""
+    return SubcubeTable(f).certificate(x)
 
 
 def c_one(f: TruthTable) -> int:
     """C^(1)(f): max certificate complexity over 1-inputs (0 if none)."""
-    return _cert_max(f, 1)
+    return SubcubeTable(f).c_max(1)
 
 
 def c_zero(f: TruthTable) -> int:
     """C^(0)(f): max certificate complexity over 0-inputs (0 if none)."""
-    return _cert_max(f, 0)
+    return SubcubeTable(f).c_max(0)
 
 
 def n_query(f: TruthTable) -> int:
     """Nondeterministic classical query complexity N(f) = C^(1)(f)."""
     return c_one(f)
+
+
+def decision_tree_depth(f: TruthTable) -> int:
+    """Exact D(f), read off the subcube table."""
+    return SubcubeTable(f).depth()
 
 
 # ---------------------------------------------------------------------------
@@ -324,54 +318,6 @@ def bs_one(f: TruthTable) -> int:
 
 
 # ---------------------------------------------------------------------------
-# deterministic decision tree depth
-
-
-@lru_cache(maxsize=None)
-def _depth(n: int, bits: int) -> int:
-    if bits == 0 or bits == (1 << (1 << n)) - 1:
-        return 0
-    if n == 1:
-        return 1
-    table = TruthTable(n, bits)
-    best = n
-    for i in range(1, n + 1):
-        a0 = restrict(table, PartialAssignment(((i, 0),)))
-        a1 = restrict(table, PartialAssignment(((i, 1),)))
-        best = min(best, 1 + max(_depth(a0.n, a0.bits), _depth(a1.n, a1.bits)))
-    return best
-
-
-def decision_tree_depth(f: TruthTable) -> int:
-    """Exact D(f) by memoized minimax over variable restrictions."""
-    if f.n > DEPTH_CAP:
-        raise CapExceeded(f"decision tree depth capped at n<={DEPTH_CAP}")
-    return _depth(f.n, f.bits)
-
-
-# ---------------------------------------------------------------------------
-
-
-def restrict(f: TruthTable, a: PartialAssignment) -> TruthTable:
-    """Fix the assigned variables; remaining variables keep their order."""
-    amask = a.mask()
-    if amask >= (1 << f.n):
-        raise ValueError("assignment index out of range")
-    avals = a.values()
-    free = [i for i in range(f.n) if not (amask >> i) & 1]
-    if not free:
-        # restriction to zero free variables is the constant f(avals),
-        # represented on one dummy variable
-        v = f.value(avals)
-        return TruthTable(1, 0b11 if v else 0b00)
-    bits = 0
-    for y in range(1 << len(free)):
-        x = avals
-        for j, i in enumerate(free):
-            if (y >> j) & 1:
-                x |= 1 << i
-        bits |= f.value(x) << y
-    return TruthTable(len(free), bits)
 
 
 def symmetric_profile(f: TruthTable) -> SymmetricProfile:
@@ -410,6 +356,8 @@ def parse_table(text: str) -> TruthTable:
         raise ValueError(f"bad table format {text!r}") from e
     if not npart.startswith("n=") or not hexpart.startswith("hex="):
         raise ValueError(f"bad table format {text!r}")
+    if not 1 <= n <= STORAGE_CAP:
+        raise CapExceeded(f"n={n} outside 1..{STORAGE_CAP}")
     expect = max(1, ((1 << n) + 3) // 4)
     if len(hexs) != expect:
         raise ValueError(f"expected {expect} hex digits for n={n}")

@@ -85,9 +85,10 @@ def _theorem_rows(f, seed):
         return [{"function": name, "inequality": iq, "pass": True}
                 for iq in INEQUALITIES]
     nd, cert = polys.ndeg(f, seed=seed)
-    c0, c1 = boolfn.c_zero(f), boolfn.c_one(f)
+    cubes = boolfn.SubcubeTable(f)
+    c0, c1 = cubes.c_max(0), cubes.c_max(1)
     b0 = boolfn.bs_zero(f)
-    depth = boolfn.decision_tree_depth(f)
+    depth = cubes.depth()
     ones = len(f.ones())
     rows = [
         ("ndeg<=C1", nd <= c1),

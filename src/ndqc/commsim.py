@@ -897,17 +897,24 @@ def matrix_from_csv_lines(lines) -> NondetMatrix:
             or head[3] not in ("exact", "float"):
         raise ValueError("bad matrix header")
     n, mode = int(head[1]), head[3]
+    if not 1 <= n <= PAIR_CAP:
+        raise CapExceeded(f"pair functions capped at n<={PAIR_CAP}")
     size = 1 << n
     body = [line.strip().split(",") for line in lines[1:] if line.strip()]
     if len(body) != size or any(len(r) != size for r in body):
         raise ValueError("matrix body shape mismatch")
     if mode == "float":
         entries = [[float(v) for v in row] for row in body]
+        if not all(math.isfinite(v) for row in entries for v in row):
+            raise ValueError("non-finite matrix entry")
         rows = tuple(sum((1 << y) for y in range(size) if entries[x][y] != 0.0)
                      for x in range(size))
         return NondetMatrix(n, tuple(tuple(r) for r in entries),
                             PairTable(n, rows), is_float=True)
-    entries = [[Fraction(v) for v in row] for row in body]
+    try:
+        entries = [[Fraction(v) for v in row] for row in body]
+    except ZeroDivisionError as e:
+        raise ValueError("zero denominator in a matrix entry") from e
     rows = tuple(sum((1 << y) for y in range(size) if entries[x][y])
                  for x in range(size))
     return NondetMatrix(n, tuple(tuple(r) for r in entries),

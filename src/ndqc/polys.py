@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .boolfn import CapExceeded, SymmetricProfile, TruthTable, _CubeClassifier
+from .boolfn import (CERT_MAX_CAP, CapExceeded, SubcubeTable, SymmetricProfile,
+                     TruthTable)
 from .linalg import dot, nullspace, staircase_column
 
 MONOMIAL = "MONOMIAL"
@@ -513,11 +514,14 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
     taken over all 2^n inputs, checking correctness on each.  A broken round
     invariant raises RoundInvariantViolation.
     """
+    if f.n > CERT_MAX_CAP:
+        raise CapExceeded(
+            f"Nisan-Smolensky procedure capped at n<={CERT_MAX_CAP}")
     if p.basis != MONOMIAL:
         p = from_fourier(p)
     if not verify_ndet(p, f):
         raise InvalidWitness("polynomial does not match the function pattern")
-    classifier = _CubeClassifier(f)
+    cubes = SubcubeTable(f)
     full = f.size - 1
 
     def min_zero_certificate(amask, avals):
@@ -532,7 +536,7 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
                     for j, i in enumerate(combo):
                         if (pattern >> j) & 1:
                             vbits |= 1 << i
-                    if classifier.const(amask | smask, avals | vbits) == 0:
+                    if cubes.const(amask | smask, avals | vbits) == 0:
                         return smask
         return None
 
@@ -543,7 +547,7 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
             deg = max((m.bit_count() for m in coeffs), default=-1)
             if deg <= 0:
                 return (1 if coeffs else 0), queries
-            forced = classifier.const(amask, avals)
+            forced = cubes.const(amask, avals)
             if forced is not None:
                 return forced, queries
             smask = min_zero_certificate(amask, avals)
@@ -609,5 +613,9 @@ def parse_poly(text: str, n: int) -> MultilinearPoly:
                     if not 1 <= i <= n:
                         raise ValueError(f"variable x{i} out of range")
                     mask |= 1 << (i - 1)
-            coeffs[mask] = coeffs.get(mask, Fraction(0)) + Fraction(coef_s)
+            try:
+                coef = Fraction(coef_s)
+            except ZeroDivisionError as e:
+                raise ValueError(f"zero denominator in {term!r}") from e
+            coeffs[mask] = coeffs.get(mask, Fraction(0)) + coef
     return MultilinearPoly.make(n, basis, coeffs)

@@ -657,5 +657,5 @@ def circuit_from_lines(lines) -> QueryAlgorithm:
                               gates=tuple(gates),
                               query_cost=head["query_cost"],
                               output_qubit=head["output_qubit"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as e:
         raise ValueError(f"malformed circuit record: {e!r}") from e

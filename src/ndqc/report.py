@@ -45,11 +45,12 @@ def compute_measures(f: TruthTable, seed: int):
         measures["ndeg"] = {"skipped": str(e)}
     except polys.IdenticallyZero:
         measures["ndeg"] = {"error": "IdenticallyZero"}
-    measures["C0"] = _measure(boolfn.c_zero, f)
-    measures["C1"] = _measure(boolfn.c_one, f)
+    cubes = boolfn.SubcubeTable(f)
+    measures["C0"] = _measure(cubes.c_max, 0)
+    measures["C1"] = _measure(cubes.c_max, 1)
     measures["bs0"] = _measure(boolfn.bs_zero, f)
     measures["bs1"] = _measure(boolfn.bs_one, f)
-    measures["D"] = _measure(boolfn.decision_tree_depth, f)
+    measures["D"] = _measure(cubes.depth)
     measures["N"] = measures["C1"]
     measures["NQ"] = measures["ndeg"]
     return measures, witness
@@ -85,20 +86,26 @@ def build_measure_report(f: TruthTable, seed: int, config: dict) -> dict:
 def load_measure_report(text: str) -> dict:
     """Strict loader: rejects unknown keys and re-verifies the witness."""
     report = json.loads(text)
+    if not isinstance(report, dict):
+        raise ValueError("a report is a JSON object")
     if set(report) != REPORT_KEYS:
         unknown = set(report) - REPORT_KEYS
         missing = REPORT_KEYS - set(report)
         raise ValueError(f"bad report keys: unknown={sorted(unknown)}, "
                          f"missing={sorted(missing)}")
-    if set(report["measures"]) != set(MEASURE_KEYS):
+    if not isinstance(report["measures"], dict) \
+            or set(report["measures"]) != set(MEASURE_KEYS):
         raise ValueError("bad measure keys")
-    for chk in report["checks"]:
-        if set(chk) != CHECK_KEYS:
-            raise ValueError("bad check keys")
+    if not isinstance(report["checks"], list) \
+            or any(not isinstance(chk, dict) or set(chk) != CHECK_KEYS
+                   for chk in report["checks"]):
+        raise ValueError("bad check keys")
     f = boolfn.parse_table(report["function"])
     if f.n != report["n"]:
         raise ValueError("n does not match the function table")
     if report["witness"] is not None:
+        if not isinstance(report["witness"], str):
+            raise ValueError("the witness is a polynomial string or null")
         w = polys.parse_poly(report["witness"], f.n)
         if not polys.verify_ndet(w, f):
             raise ValueError("stored witness fails re-verification")

@@ -5,17 +5,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndqc.boolfn import (CapExceeded, NotSymmetric, PartialAssignment,
+from ndqc.boolfn import (CapExceeded, NotSymmetric, SubcubeTable,
                          SymmetricProfile, TruthTable, block_sensitivity,
                          bs_one, bs_zero, c_one, c_zero,
                          certificate_complexity, decision_tree_depth,
                          format_table, make_named, minimal_sensitive_blocks,
-                         n_query, parse_table, random_table, restrict,
+                         n_query, parse_table, random_table,
                          symmetric_profile)
+from ndqc.polys import MONOMIAL, MultilinearPoly, nisan_smolensky_procedure
 
 
 def all_tables(n):
     return [TruthTable(n, bits) for bits in range(1 << (1 << n))]
+
+
+# ---------------------------------------------------------------------------
+# reference implementations the subcube table is checked against: the
+# restriction minimax for D and the per-input subset search for C
+
+
+def restrict_var(f, i, b):
+    """f with variable i (1-based) fixed to b; later variables move down one.
+    Fixing the last variable leaves a constant on one dummy variable."""
+    if f.n == 1:
+        return TruthTable(1, 0b11 if f.value(b) else 0)
+    low = (1 << (i - 1)) - 1
+    bits = 0
+    for y in range(1 << (f.n - 1)):
+        bits |= f.value((y & low) | (b << (i - 1)) | ((y & ~low) << 1)) << y
+    return TruthTable(f.n - 1, bits)
+
+
+def reference_depth(f):
+    memo = {}
+
+    def depth(g):
+        if g.is_constant():
+            return 0
+        if (g.n, g.bits) not in memo:
+            memo[g.n, g.bits] = min(
+                1 + max(depth(restrict_var(g, i, 0)),
+                        depth(restrict_var(g, i, 1)))
+                for i in range(1, g.n + 1))
+        return memo[g.n, g.bits]
+
+    return depth(f)
+
+
+def constant_on(f, smask, vals):
+    """f's value if f is constant on {y : y & smask == vals}, else None."""
+    seen = {f.value(y) for y in range(f.size) if y & smask == vals}
+    return seen.pop() if len(seen) == 1 else None
+
+
+def reference_certificate(f, x):
+    for k in range(f.n + 1):
+        for combo in itertools.combinations(range(f.n), k):
+            smask = sum(1 << i for i in combo)
+            if constant_on(f, smask, x & smask) == f.value(x):
+                return k
+    raise AssertionError("the full assignment always certifies")
+
+
+def density_tables(n, count, seed):
+    """`count` seeded tables each with about 1/8, 1/2 and 7/8 ones."""
+    rng = random.Random(seed)
+    return [TruthTable(n, sum(1 << x for x in range(1 << n)
+                              if rng.random() < p))
+            for p in (0.125, 0.5, 0.875) for _ in range(count)]
 
 
 class TestNamedFamilies:
@@ -214,26 +271,71 @@ class TestDepth:
 
 
 class TestRestrict:
+    """Hand-worked cases of `restrict_var`, under the reference depth."""
+
     def test_or2_fix_one(self):
-        r = restrict(make_named("OR", 2), PartialAssignment(((1, 1),)))
+        r = restrict_var(make_named("OR", 2), 1, 1)
         assert r.n == 1 and r.bits == 0b11
 
     def test_or2_fix_zero(self):
-        r = restrict(make_named("OR", 2), PartialAssignment(((1, 0),)))
+        r = restrict_var(make_named("OR", 2), 1, 0)
         assert r.n == 1 and r.bits == 0b10  # identity on x2
 
     def test_not_one3(self):
-        r = restrict(make_named("NOT_ONE", 3), PartialAssignment(((3, 1),)))
+        r = restrict_var(make_named("NOT_ONE", 3), 3, 1)
         assert r.bits == make_named("OR", 2).bits
 
-    def test_duplicate_index(self):
-        with pytest.raises(ValueError):
-            PartialAssignment(((1, 0), (1, 1)))
-
     def test_all_fixed_gives_constant(self):
-        f = make_named("PARITY", 2)
-        r = restrict(f, PartialAssignment(((1, 1), (2, 0))))
+        r = restrict_var(restrict_var(make_named("PARITY", 2), 1, 1), 1, 0)
         assert r.is_constant() and r.value(0) == 1
+
+
+class TestSubcubeTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_reference(self, n):
+        # every table for n <= 3; sparse, half and dense samples above
+        tables = all_tables(n) if n <= 3 else density_tables(n, 10, n)
+        for f in tables:
+            cubes = SubcubeTable(f)
+            certs = [reference_certificate(f, x) for x in range(f.size)]
+            assert [cubes.certificate(x) for x in range(f.size)] == certs
+            for b in (0, 1):
+                assert cubes.c_max(b) == max(
+                    (c for x, c in enumerate(certs) if f.value(x) == b),
+                    default=0)
+            assert cubes.depth() == reference_depth(f)
+            for smask in range(f.size):
+                for vals in range(f.size):
+                    if vals & ~smask == 0:
+                        assert cubes.const(smask, vals) == \
+                            constant_on(f, smask, vals)
+
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("family", ["OR", "AND", "PARITY", "NOT_ONE"])
+    def test_named_families(self, n, family):
+        expect = {"OR": (n, 1), "AND": (1, n), "PARITY": (n, n),
+                  "NOT_ONE": (n, n)}[family]
+        f = make_named(family, n)
+        assert (c_zero(f), c_one(f)) == expect
+
+    def test_measure_chain(self):
+        # bs_b <= C_b <= D <= C0 * C1 on sampled tables
+        rng = random.Random(9)
+        for n in range(1, 6):
+            for f in [random_table(n, rng) for _ in range(12)] + \
+                    density_tables(n, 2, 100 + n):
+                cubes = SubcubeTable(f)
+                c0, c1, d = cubes.c_max(0), cubes.c_max(1), cubes.depth()
+                assert bs_zero(f) <= c0 <= d and bs_one(f) <= c1 <= d
+                assert d <= c0 * c1
+
+    def test_caps(self):
+        f = make_named("OR", 13)
+        with pytest.raises(CapExceeded):
+            certificate_complexity(f, 0)
+        with pytest.raises(CapExceeded):
+            nisan_smolensky_procedure(
+                f, MultilinearPoly.make(13, MONOMIAL, {1: 1}))
 
 
 class TestSymmetricProfile:
@@ -307,8 +409,8 @@ class TestInvariants:
        val=st.integers(min_value=0, max_value=1))
 def test_restrict_commutes_with_complement(bits, var, val):
     f = TruthTable(3, bits)
-    a = PartialAssignment(((var, val),))
-    assert restrict(f.complement(), a) == restrict(f, a).complement()
+    assert restrict_var(f.complement(), var, val) == \
+        restrict_var(f, var, val).complement()
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,6 +422,7 @@ def test_format_round_trip(n, data):
 
 
 def test_parse_table_rejects_garbage():
-    for bad in ("", "n=2;hex=", "hex=6;n=2", "n=2;hex=666", "n=a;hex=6"):
+    for bad in ("", "n=2;hex=", "hex=6;n=2", "n=2;hex=666", "n=a;hex=6",
+                "n=0;hex=0", "n=1000000000000;hex=0"):
         with pytest.raises(ValueError):
             parse_table(bad)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -234,6 +235,22 @@ class TestReportLoader:
         with pytest.raises(ValueError, match="witness"):
             report.load_measure_report(report.dump_report(rep))
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda rep: 5, id="top-level-number"),
+        pytest.param(lambda rep: None, id="top-level-null"),
+        pytest.param(lambda rep: dict(rep, measures=5), id="measures-number"),
+        pytest.param(lambda rep: dict(rep, checks=[5]), id="check-number"),
+        pytest.param(lambda rep: dict(rep, witness=5), id="witness-number"),
+        pytest.param(lambda rep: dict(
+            rep, witness="basis=MONOMIAL; terms=1/0*x{1}"),
+            id="witness-zero-denominator"),
+    ])
+    def test_malformed_input_raises_value_error(self, edit):
+        rep = report.build_measure_report(make_named("OR", 2), 1,
+                                          {"mode": "exact"})
+        with pytest.raises(ValueError):
+            report.load_measure_report(json.dumps(edit(rep)))
+
     def test_depth_skipped_above_cap(self):
         rep = report.build_measure_report(make_named("OR", 6), 1,
                                           {"mode": "exact"})
@@ -263,3 +280,28 @@ def test_python_O_same_report(argv, capsys):
                           env=dict(os.environ, PYTHONPATH=src))
     assert code == proc.returncode == 0, proc.stderr
     assert proc.stdout == out.encode()
+
+
+# sha256 of stdout at --seed 1, recorded before the classical measures moved
+# to the subcube table; AND at n = 13 reads the C0/C1 and D skip strings
+REPORT_SHA256 = {
+    "analyze --family OR --n 10":
+        "74cdf6f13e458f96e6f8f21ba4ae677e779675c41501182efbaed38fa1507610",
+    "analyze --family NOT_ONE --n 10":
+        "cfe2d32ad8008a8fc240d22b3fd581637117e8e67d13c0818645c802e4568c39",
+    "analyze --family PARITY --n 5":
+        "a5e931554909b411c522e3bb845b852e4537d64d04a7749611ce65a3a9aa4522",
+    "analyze --family AND --n 13":
+        "788f250b89ac05dc2ce3d7643ec65cb729a8c6f80c36ed16fe84831fa966bc4c",
+    "theorems --n 3 --exhaustive":
+        "b7d35c1b208735048622cbd84ea3b1cc92f635e8aeaf58a81659fea73be21281",
+    "theorems --n 5 --samples 50":
+        "42954246277e39b193868b4a26c0010de903190d1d34946d40e02b58cc724278",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_SHA256))
+def test_report_bytes_unchanged(command, capsys):
+    code, out = run_cli(["--seed", "1"] + command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[command]

@@ -648,10 +648,18 @@ class TestMatrixFiles:
         ["n,1,mode,bogus", "1,0", "0,1"],
         ["n,x,mode,exact", "1,0", "0,1"],
         ["n,1,mode,exact", "1,0"],
+        ["n,1,mode,exact", "1/0,0", "0,1"],
+        ["n,1000000000000,mode,exact", "1"],
     ])
     def test_malformed_input_raises_value_error(self, lines):
         with pytest.raises(ValueError):
             matrix_from_csv_lines(lines)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_float_non_finite_rejected(self, entry):
+        # nan != 0.0 would otherwise put a nonzero in the pattern
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_from_csv_lines(["n,1,mode,float", f"{entry},0.0", "0.0,1.0"])
 
     def test_rational_entries_preserved(self):
         f = PairTable(1, (3, 3))

@@ -409,6 +409,15 @@ class TestPolyFormat:
         p = MultilinearPoly.make(2, MONOMIAL, {0: F(-3, 7), 3: F(22, 5)})
         assert parse_poly(format_poly(p), 2) == p
 
+    @pytest.mark.parametrize("text", [
+        "", "basis=MONOMIAL", "basis=MONOMIAL; terms=1*x{3}",
+        "basis=BOGUS; terms=1*x{1}", "basis=MONOMIAL; terms=x*x{1}",
+        "basis=MONOMIAL; terms=1/0*x{1}",
+    ])
+    def test_malformed_input_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_poly(text, 2)
+
 
 # verification faults: (owner, attribute, fault, call) per typed error
 _FAULTS = {

@@ -431,6 +431,10 @@ class TestCircuitFile:
         ['{"gate":"PREP","qubits":[0,1],"data":{"n":1,"query_cost":2,'
          '"output_qubit":1,"re":["1","0","0","0"],"im":null,"scale2":"1"}}',
          '{"gate":"PHASE_F","qubits":[0,1],"data":{"degree_bound":2}}'],
+        ['{"gate":"PREP","qubits":[0],"data":{"n":1,"query_cost":0,'
+         '"output_qubit":0,"re":["1","0"],"im":null,"scale2":"1/0"}}'],
+        ['{"gate":"PREP","qubits":[0],"data":{"n":1,"query_cost":0,'
+         '"output_qubit":0,"re":["1","0"],"im":null,"scale2":Infinity}}'],
     ])
     def test_malformed_input_raises_value_error(self, lines):
         with pytest.raises(ValueError):
