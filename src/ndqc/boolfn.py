@@ -7,6 +7,7 @@ on n variables is a 2**n-bit integer whose bit at an input's index is f(x).
 C and D come from one table over the 3^n subcubes Q (each variable 0, 1 or
 free): const(Q) from the halves of a free variable, U(Q) = least codimension
 of a constant superset of Q, C_x = U({x}), D(Q) = min_i 1 + max(halves on i).
+Minimal sensitive blocks are the nonconstant subcubes with constant faces.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 STORAGE_CAP = 24
-CERT_MAX_CAP = 12     # certificates: the subcube table
-BS_CAP = 12           # block sensitivity maxima
+CERT_MAX_CAP = 12     # certificates and block sensitivity: the subcube table
 DEPTH_CAP = 5         # decision tree depth
 
 FAMILIES = ("OR", "AND", "PARITY", "NOT_ONE", "CONST0", "CONST1")
@@ -138,7 +138,7 @@ def make_named(family: str, n: int) -> TruthTable:
 
 
 # ---------------------------------------------------------------------------
-# the subcube table: certificates and decision tree depth
+# the subcube table: certificates, block sensitivity and decision tree depth
 
 
 class SubcubeTable:
@@ -196,6 +196,40 @@ class SubcubeTable:
             raise CapExceeded(f"certificate maxima capped at n<={CERT_MAX_CAP}")
         return int(self.cert[self.values == b].max(initial=0))
 
+    def minimal_blocks(self, xs):
+        """Yield the minimal sensitive blocks (variable masks) at each input
+        in xs, in (size, mask) order: the B whose subcube through x, of index
+        tern[x] + 2*tern[B] - tern[x & B] with tern[m] = sum_{i in m} 3**i,
+        is not constant while each face B - {i} (x_i put back) is."""
+        n = self.f.n
+        if n > CERT_MAX_CAP:
+            raise CapExceeded(
+                f"block sensitivity capped at n<={CERT_MAX_CAP}")
+        masks = np.arange(1 << n)
+        tern = np.array([int(f"{m:b}", 3) for m in range(1 << n)])
+        order = np.array(sorted(range(1, 1 << n),
+                                key=lambda b: (b.bit_count(), b)))
+        xs = np.asarray(xs, np.intp).reshape(-1, 1)
+        step = max(1, (1 << 14) >> n)   # (input, block) pairs per pass
+        for start in range(0, len(xs), step):
+            x = xs[start:start + step]
+            const = self.cube[tern[x] + 2 * tern - tern[x & masks]] != 0
+            minimal = ~const
+            for i in range(n):   # axis 2 of `half` is bit i of the block
+                half = (len(x), -1, 2, 1 << i)
+                minimal.reshape(half)[:, :, 1] &= const.reshape(half)[:, :, 0]
+            for row in minimal[:, order]:
+                yield order[row].tolist()
+
+    def bs_max(self, b: int) -> int:
+        """bs^(b)(f): max block sensitivity over b-inputs (0 if none)."""
+        if self.f.n > CERT_MAX_CAP:
+            raise CapExceeded(
+                f"block sensitivity maxima capped at n<={CERT_MAX_CAP}")
+        xs = np.flatnonzero(self.values == b)
+        return max((_pack(blocks, self.f.n)
+                    for blocks in self.minimal_blocks(xs)), default=0)
+
     def depth(self) -> int:
         """D(f): D(Q) = 0 if Q is constant, else the minimum over free i of
         1 + max(D(Q, x_i = 0), D(Q, x_i = 1)).
@@ -248,33 +282,14 @@ def decision_tree_depth(f: TruthTable) -> int:
 
 def minimal_sensitive_blocks(f: TruthTable, x: int):
     """All minimal sensitive blocks (as variable masks) of f at x."""
-    fx = f.value(x)
-    sens = set()
-    for block in range(1, f.size):
-        if f.value(x ^ block) != fx:
-            sens.add(block)
-    minimal = []
-    for block in sorted(sens, key=lambda b: (b.bit_count(), b)):
-        sub = (block - 1) & block
-        found = False
-        while sub:
-            if sub in sens:
-                found = True
-                break
-            sub = (sub - 1) & block
-        if not found:
-            minimal.append(block)
-    return minimal
+    return next(SubcubeTable(f).minimal_blocks([x]))
 
 
-def block_sensitivity(f: TruthTable, x: int) -> int:
-    """bs_x(f): maximum number of disjoint minimal sensitive blocks at x."""
-    if f.n > BS_CAP:
-        raise CapExceeded(f"block sensitivity capped at n<={BS_CAP}")
-    blocks = minimal_sensitive_blocks(f, x)
+def _pack(blocks, n: int) -> int:
+    """Maximum number of disjoint blocks among `blocks` on n variables."""
     if not blocks:
         return 0
-    full = (1 << f.n) - 1
+    full = (1 << n) - 1
 
     memo = {}
 
@@ -299,22 +314,17 @@ def block_sensitivity(f: TruthTable, x: int) -> int:
     return pack(full)
 
 
-def _bs_max(f: TruthTable, b: int) -> int:
-    if f.n > BS_CAP:
-        raise CapExceeded(f"block sensitivity maxima capped at n<={BS_CAP}")
-    best = 0
-    for x in range(f.size):
-        if f.value(x) == b:
-            best = max(best, block_sensitivity(f, x))
-    return best
+def block_sensitivity(f: TruthTable, x: int) -> int:
+    """bs_x(f): maximum number of disjoint minimal sensitive blocks at x."""
+    return _pack(minimal_sensitive_blocks(f, x), f.n)
 
 
 def bs_zero(f: TruthTable) -> int:
-    return _bs_max(f, 0)
+    return SubcubeTable(f).bs_max(0)
 
 
 def bs_one(f: TruthTable) -> int:
-    return _bs_max(f, 1)
+    return SubcubeTable(f).bs_max(1)
 
 
 # ---------------------------------------------------------------------------

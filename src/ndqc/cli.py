@@ -87,7 +87,7 @@ def _theorem_rows(f, seed):
     nd, cert = polys.ndeg(f, seed=seed)
     cubes = boolfn.SubcubeTable(f)
     c0, c1 = cubes.c_max(0), cubes.c_max(1)
-    b0 = boolfn.bs_zero(f)
+    b0 = cubes.bs_max(0)
     depth = cubes.depth()
     ones = len(f.ones())
     rows = [

@@ -18,7 +18,7 @@ import numpy as np
 
 from .boolfn import CapExceeded
 from .linalg import int_rank
-from .polys import MultilinearPoly, _resample
+from .polys import MultilinearPoly, _resample, parse_rational
 from .statevec import ExactState, ScaledMatrix, apply_label_map, \
     apply_matrix_float, apply_scaled_matrix, register_values
 
@@ -911,10 +911,7 @@ def matrix_from_csv_lines(lines) -> NondetMatrix:
                      for x in range(size))
         return NondetMatrix(n, tuple(tuple(r) for r in entries),
                             PairTable(n, rows), is_float=True)
-    try:
-        entries = [[Fraction(v) for v in row] for row in body]
-    except ZeroDivisionError as e:
-        raise ValueError("zero denominator in a matrix entry") from e
+    entries = [[parse_rational(v) for v in row] for row in body]
     rows = tuple(sum((1 << y) for y in range(size) if entries[x][y])
                  for x in range(size))
     return NondetMatrix(n, tuple(tuple(r) for r in entries),

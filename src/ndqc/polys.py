@@ -486,20 +486,14 @@ def schwartz_stats(p: MultilinearPoly):
 def _restrict_coeffs(coeffs, var_bit, value):
     out = {}
     for m, c in coeffs.items():
-        if m & var_bit:
-            if value:
-                key = m ^ var_bit
-                v = out.get(key, Fraction(0)) + c
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+        if m & var_bit and not value:
+            continue
+        key = m & ~var_bit
+        v = out.get(key, Fraction(0)) + c
+        if v:
+            out[key] = v
         else:
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+            out.pop(key, None)
     return out
 
 
@@ -528,14 +522,10 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
         free = [i for i in range(f.n) if not (amask >> i) & 1]
         for k in range(len(free) + 1):
             for combo in itertools.combinations(free, k):
-                smask = 0
-                for i in combo:
-                    smask |= 1 << i
+                smask = sum(1 << i for i in combo)
                 for pattern in range(1 << k):
-                    vbits = 0
-                    for j, i in enumerate(combo):
-                        if (pattern >> j) & 1:
-                            vbits |= 1 << i
+                    vbits = sum(1 << i for j, i in enumerate(combo)
+                                if (pattern >> j) & 1)
                     if cubes.const(amask | smask, avals | vbits) == 0:
                         return smask
         return None
@@ -556,11 +546,9 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
             queries += smask.bit_count()
             amask |= smask
             avals |= x & smask
-            bit = smask
-            while bit:
-                low = bit & -bit
-                coeffs = _restrict_coeffs(coeffs, low, bool(x & low))
-                bit ^= low
+            for i in range(f.n):
+                if (smask >> i) & 1:
+                    coeffs = _restrict_coeffs(coeffs, 1 << i, (x >> i) & 1)
             new_deg = max((m.bit_count() for m in coeffs), default=-1)
             if new_deg >= deg:
                 raise RoundInvariantViolation("round kept the degree")
@@ -590,6 +578,17 @@ def format_poly(p: MultilinearPoly) -> str:
     return f"basis={p.basis}; terms={terms}"
 
 
+def parse_rational(v) -> Fraction:
+    """Exact rational from a `p/q` or decimal literal, or a JSON number; no
+    exponents, which Fraction expands (1e999999999 would stall)."""
+    if isinstance(v, str) and "e" in v.lower():
+        raise ValueError(f"exponent in rational literal {v!r}")
+    try:
+        return Fraction(v)
+    except (ZeroDivisionError, OverflowError) as e:
+        raise ValueError(f"bad rational literal {v!r}") from e
+
+
 def parse_poly(text: str, n: int) -> MultilinearPoly:
     try:
         basis_part, terms_part = text.strip().split("; ", 1)
@@ -613,9 +612,5 @@ def parse_poly(text: str, n: int) -> MultilinearPoly:
                     if not 1 <= i <= n:
                         raise ValueError(f"variable x{i} out of range")
                     mask |= 1 << (i - 1)
-            try:
-                coef = Fraction(coef_s)
-            except ZeroDivisionError as e:
-                raise ValueError(f"zero denominator in {term!r}") from e
-            coeffs[mask] = coeffs.get(mask, Fraction(0)) + coef
+            coeffs[mask] = coeffs.get(mask, 0) + parse_rational(coef_s)
     return MultilinearPoly.make(n, basis, coeffs)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .boolfn import CapExceeded, TruthTable
 from .polys import (MONOMIAL, InvalidWitness, MultilinearPoly, _resample,
-                    to_fourier, verify_ndet)
+                    parse_rational, to_fourier, verify_ndet)
 from .statevec import (HADAMARD, ExactState, ScaledMatrix, apply_label_map,
                        apply_matrix_float, apply_scaled_matrix,
                        register_values, subset_index_maps)
@@ -578,10 +578,6 @@ def _frac_str(v):
     return str(Fraction(v))
 
 
-def _frac(s):
-    return Fraction(s)
-
-
 def circuit_to_lines(algo: QueryAlgorithm) -> list:
     """Line records {gate: PREP|UNITARY|ORACLE|PHASE_F, qubits, data};
     input-indexed gates are behavioral and cannot be serialized."""
@@ -627,10 +623,10 @@ def circuit_from_lines(lines) -> QueryAlgorithm:
         if not records or records[0]["gate"] != "PREP":
             raise ValueError("circuit file must start with a PREP record")
         head = records[0]["data"]
-        prep = StatePrep(tuple(_frac(v) for v in head["re"]),
-                         tuple(_frac(v) for v in head["im"])
+        prep = StatePrep(tuple(parse_rational(v) for v in head["re"]),
+                         tuple(parse_rational(v) for v in head["im"])
                          if head["im"] is not None else None,
-                         _frac(head["scale2"]))
+                         parse_rational(head["scale2"]))
         gates = []
         for rec in records[1:]:
             kind, data = rec["gate"], rec["data"]
@@ -639,10 +635,12 @@ def circuit_from_lines(lines) -> QueryAlgorithm:
                 gates.append(FlipOnZero(tuple(fz["controls"]), fz["target"]))
             elif kind == "UNITARY":
                 mat = ScaledMatrix(
-                    tuple(tuple(_frac(v) for v in row) for row in data["re"]),
-                    tuple(tuple(_frac(v) for v in row) for row in data["im"])
+                    tuple(tuple(parse_rational(v) for v in row)
+                          for row in data["re"]),
+                    tuple(tuple(parse_rational(v) for v in row)
+                          for row in data["im"])
                     if data["im"] is not None else None,
-                    _frac(data["scale2"]))
+                    parse_rational(data["scale2"]))
                 gates.append(Unitary(tuple(rec["qubits"]), mat))
             elif kind == "ORACLE":
                 gates.append(BitOracle(tuple(data["index_qubits"]),
@@ -657,5 +655,5 @@ def circuit_from_lines(lines) -> QueryAlgorithm:
                               gates=tuple(gates),
                               query_cost=head["query_cost"],
                               output_qubit=head["output_qubit"])
-    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as e:
+    except (KeyError, TypeError) as e:
         raise ValueError(f"malformed circuit record: {e!r}") from e

@@ -48,8 +48,8 @@ def compute_measures(f: TruthTable, seed: int):
     cubes = boolfn.SubcubeTable(f)
     measures["C0"] = _measure(cubes.c_max, 0)
     measures["C1"] = _measure(cubes.c_max, 1)
-    measures["bs0"] = _measure(boolfn.bs_zero, f)
-    measures["bs1"] = _measure(boolfn.bs_one, f)
+    measures["bs0"] = _measure(cubes.bs_max, 0)
+    measures["bs1"] = _measure(cubes.bs_max, 1)
     measures["D"] = _measure(cubes.depth)
     measures["N"] = measures["C1"]
     measures["NQ"] = measures["ndeg"]

@@ -21,7 +21,8 @@ def all_tables(n):
 
 # ---------------------------------------------------------------------------
 # reference implementations the subcube table is checked against: the
-# restriction minimax for D and the per-input subset search for C
+# restriction minimax for D, the per-input subset search for C and the
+# per-input submask scan for minimal sensitive blocks
 
 
 def restrict_var(f, i, b):
@@ -65,6 +66,42 @@ def reference_certificate(f, x):
             if constant_on(f, smask, x & smask) == f.value(x):
                 return k
     raise AssertionError("the full assignment always certifies")
+
+
+def reference_minimal_blocks(f, x):
+    fx = f.value(x)
+    sens = set()
+    for block in range(1, f.size):
+        if f.value(x ^ block) != fx:
+            sens.add(block)
+    minimal = []
+    for block in sorted(sens, key=lambda b: (b.bit_count(), b)):
+        sub = (block - 1) & block
+        found = False
+        while sub:
+            if sub in sens:
+                found = True
+                break
+            sub = (sub - 1) & block
+        if not found:
+            minimal.append(block)
+    return minimal
+
+
+def reference_packing(blocks):
+    """Most pairwise disjoint blocks, taking or skipping each in turn."""
+    memo = {}
+
+    def best(i, used):
+        if i == len(blocks):
+            return 0
+        if (i, used) not in memo:
+            take = 0 if blocks[i] & used else \
+                1 + best(i + 1, used | blocks[i])
+            memo[i, used] = max(take, best(i + 1, used))
+        return memo[i, used]
+
+    return best(0, 0)
 
 
 def density_tables(n, count, seed):
@@ -336,6 +373,50 @@ class TestSubcubeTable:
         with pytest.raises(CapExceeded):
             nisan_smolensky_procedure(
                 f, MultilinearPoly.make(13, MONOMIAL, {1: 1}))
+
+
+class TestTableBlockSensitivity:
+    """Minimal blocks read off the subcube table against the submask scan."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_reference(self, n):
+        # every table for n <= 3; sparse, half and dense samples above
+        tables = all_tables(n) if n <= 3 else density_tables(n, 10, 20 + n)
+        for f in tables:
+            blocks = [reference_minimal_blocks(f, x) for x in range(f.size)]
+            bs = [reference_packing(b) for b in blocks]
+            for x in range(f.size):
+                assert minimal_sensitive_blocks(f, x) == blocks[x]
+                assert block_sensitivity(f, x) == bs[x]
+            assert bs_zero(f) == max(
+                (v for x, v in enumerate(bs) if not f.value(x)), default=0)
+            assert bs_one(f) == max(
+                (v for x, v in enumerate(bs) if f.value(x)), default=0)
+
+    def test_every_input_n10(self):
+        # 1,024 inputs of 1,023 blocks: 64 passes, so chunk edges are read
+        f = random_table(10, random.Random(10))
+        got = list(SubcubeTable(f).minimal_blocks(range(f.size)))
+        assert got == [reference_minimal_blocks(f, x) for x in range(f.size)]
+
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("family", ["OR", "AND", "PARITY", "NOT_ONE"])
+    def test_named_families(self, n, family):
+        expect = {"OR": (n, 1), "AND": (1, n), "PARITY": (n, n),
+                  "NOT_ONE": (n, n)}[family]
+        f = make_named(family, n)
+        assert (bs_zero(f), bs_one(f)) == expect
+
+    def test_caps(self):
+        f = make_named("OR", 13)
+        for fn in (bs_zero, bs_one):
+            with pytest.raises(CapExceeded, match=r"^block sensitivity "
+                               r"maxima capped at n<=12$"):
+                fn(f)
+        for fn in (minimal_sensitive_blocks, block_sensitivity):
+            with pytest.raises(CapExceeded, match=r"^block sensitivity "
+                               r"capped at n<=12$"):
+                fn(f, 0)
 
 
 class TestSymmetricProfile:

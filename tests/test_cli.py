@@ -244,6 +244,9 @@ class TestReportLoader:
         pytest.param(lambda rep: dict(
             rep, witness="basis=MONOMIAL; terms=1/0*x{1}"),
             id="witness-zero-denominator"),
+        pytest.param(lambda rep: dict(
+            rep, witness="basis=MONOMIAL; terms=1e999999999*x{1}"),
+            id="witness-exponent"),
     ])
     def test_malformed_input_raises_value_error(self, edit):
         rep = report.build_measure_report(make_named("OR", 2), 1,

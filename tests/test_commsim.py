@@ -12,7 +12,8 @@ from ndqc.boolfn import make_named
 from ndqc.polys import (MONOMIAL, MultilinearPoly, RetryCapExceeded,
                         weight_offset_poly)
 from ndqc.commsim import (PAIR_FAMILIES, HypothesisViolated, NondetMatrix,
-                          PairTable, PatternMismatch, ProtocolSpec, Rectangle,
+                          PairTable, PatternMismatch, ProtocolSpec,
+                          RankBoundViolation, Rectangle,
                           Round, ZeroRow, closed_one_rectangles, cover_number,
                           exact_matrix, fooling_set_check, full_rank_check,
                           intersect_complement_fooling_set, final_state_families,
@@ -585,6 +586,15 @@ class TestVectorFamilies:
         with pytest.raises(RetryCapExceeded):
             matrix_from_vector_families(a, b, f, seed=5)
 
+    def test_rank_bound_fault(self, monkeypatch):
+        # a rank that overshoots the family count m = 1
+        monkeypatch.setattr(commsim.NondetMatrix, "rank", lambda self: 2)
+        f = PairTable(1, (3, 3))
+        a = [{0: (F(1),), 1: (F(1),)}]
+        b = [{0: (F(2),), 1: (F(3),)}]
+        with pytest.raises(RankBoundViolation):
+            matrix_from_vector_families(a, b, f, seed=5)
+
     def test_hypothesis_violated(self):
         f = PairTable(1, (3, 3))
         a = [{0: (F(1),), 1: (F(1),)}]
@@ -649,6 +659,7 @@ class TestMatrixFiles:
         ["n,x,mode,exact", "1,0", "0,1"],
         ["n,1,mode,exact", "1,0"],
         ["n,1,mode,exact", "1/0,0", "0,1"],
+        ["n,1,mode,exact", "1e999999999,0", "0,1"],
         ["n,1000000000000,mode,exact", "1"],
     ])
     def test_malformed_input_raises_value_error(self, lines):

@@ -18,7 +18,8 @@ from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
                         IdenticallyZero, InvalidWitness, MultilinearPoly,
                         RetryCapExceeded,
                         exact_poly, from_fourier, ndeg, ndeg_decide,
-                        nisan_smolensky_procedure, parse_poly, format_poly,
+                        nisan_smolensky_procedure, parse_poly,
+                        parse_rational, format_poly,
                         schwartz_stats, symmetric_ndeg, symmetric_ndet_poly,
                         to_fourier, verify_ndet, weight_offset_poly,
                         _ndeg_decide_dual, _ndeg_decide_primal,
@@ -413,10 +414,21 @@ class TestPolyFormat:
         "", "basis=MONOMIAL", "basis=MONOMIAL; terms=1*x{3}",
         "basis=BOGUS; terms=1*x{1}", "basis=MONOMIAL; terms=x*x{1}",
         "basis=MONOMIAL; terms=1/0*x{1}",
+        # Fraction would expand the exponent: 10**999999999
+        "basis=MONOMIAL; terms=1e999999999*x{1}",
     ])
     def test_malformed_input_raises_value_error(self, text):
         with pytest.raises(ValueError):
             parse_poly(text, 2)
+
+    def test_parse_rational(self):
+        for v, want in (("-3/7", F(-3, 7)), ("0.25", F(1, 4)), ("5", F(5)),
+                        (2, F(2)), (0.5, F(1, 2))):
+            assert parse_rational(v) == want
+        for bad in ("1e5", "2.5E-3", "1/0", "inf", "nan", float("inf"),
+                    float("nan")):
+            with pytest.raises(ValueError):
+                parse_rational(bad)
 
 
 # verification faults: (owner, attribute, fault, call) per typed error

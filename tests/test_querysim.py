@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -14,7 +15,8 @@ from ndqc.boolfn import TruthTable, make_named, random_table
 from ndqc.polys import (MONOMIAL, InvalidWitness, MultilinearPoly,
                         RetryCapExceeded, ndeg, to_fourier, verify_ndet,
                         weight_offset_poly)
-from ndqc.querysim import (BitOracle, EmptyOneSet, FlipOnZero, InputGate,
+from ndqc.querysim import (BitOracle, DegreeBoundViolation, EmptyOneSet,
+                           FlipOnZero, InputGate,
                            NormNotPreserved, NotNondeterministic,
                            PhaseOracle, QueryAlgorithm,
                            Unitary, VerifierClauseViolation, VerifierSpec,
@@ -302,6 +304,40 @@ class TestExtraction:
         with pytest.raises(RetryCapExceeded):
             extract_ndet_poly_stats(algo, f, seed=7)
 
+    def test_gate_degree_check_catches_extra_variable(self, monkeypatch):
+        # x1 multiplied into the phase gate's output lifts an amplitude
+        # such as x1 * (1 - 2 x2) above the running query count of 1
+        real = querysim._symbolic_phase
+
+        def phase_times_x1(amps, gate, num_qubits, n):
+            x1 = MultilinearPoly.make(n, MONOMIAL, {1: 1})
+            return {label: p * x1 for label, p
+                    in real(amps, gate, num_qubits, n).items()}
+
+        monkeypatch.setattr(querysim, "_symbolic_phase", phase_times_x1)
+        algo = compile_from_ndet_poly(weight_offset_poly(3),
+                                      make_named("OR", 3))
+        with pytest.raises(DegreeBoundViolation):
+            symbolic_simulate(algo)
+
+    def test_extracted_degree_check(self, monkeypatch):
+        # every amplitude times 1 + x1 x2, which is positive on all inputs:
+        # the acceptance pattern and the witness check still pass, but the
+        # extracted polynomial's degree exceeds the query cost of 1
+        real = querysim.symbolic_simulate
+
+        def padded(algo):
+            sym = real(algo)
+            bump = MultilinearPoly.make(algo.n, MONOMIAL, {0: 1, 0b11: 1})
+            return dataclasses.replace(sym, amplitudes={
+                label: p * bump for label, p in sym.amplitudes.items()})
+
+        monkeypatch.setattr(querysim, "symbolic_simulate", padded)
+        f = make_named("OR", 3)
+        algo = compile_from_ndet_poly(weight_offset_poly(3), f)
+        with pytest.raises(DegreeBoundViolation):
+            extract_ndet_poly_stats(algo, f, seed=7)
+
     def test_input_gate_has_no_symbolic_form(self):
         f = make_named("OR", 2)
         algo = verifier_to_ndet(or2_verifier(), f)
@@ -435,6 +471,9 @@ class TestCircuitFile:
          '"output_qubit":0,"re":["1","0"],"im":null,"scale2":"1/0"}}'],
         ['{"gate":"PREP","qubits":[0],"data":{"n":1,"query_cost":0,'
          '"output_qubit":0,"re":["1","0"],"im":null,"scale2":Infinity}}'],
+        ['{"gate":"PREP","qubits":[0],"data":{"n":1,"query_cost":0,'
+         '"output_qubit":0,"re":["1e999999999","0"],"im":null,'
+         '"scale2":"1"}}'],
     ])
     def test_malformed_input_raises_value_error(self, lines):
         with pytest.raises(ValueError):
