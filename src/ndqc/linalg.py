@@ -1,11 +1,20 @@
 """Exact integer linear algebra: fraction-free elimination, rank, nullspaces.
 
 All ground-truth computations here are over the integers/rationals with
-arbitrary precision.
+arbitrary precision.  The one modular computation is one-sided: `nullspace`
+may prove an empty nullspace by full column rank modulo a prime.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+import numpy as np
+
+# The largest prime below 2^15: residues are < _P, so every product of two
+# residues is < 2^30 and elimination runs in int32 without overflow.
+_P = 32749
+# Below this many cells numpy's fixed cost exceeds the Bareiss time saved.
+_CERT_MIN_CELLS = 4096
 
 
 def rows_to_int(rows):
@@ -100,8 +109,18 @@ def nullspace(rows, ncols):
     nondeterministic-degree engine.  Back-substitution stays in the
     integers: before solving for a pivot variable the partial vector is
     scaled by just enough to make that entry integral.
+
+    A tall system (at least ncols rows, at least _CERT_MIN_CELLS cells) is
+    first eliminated modulo _P.  Rank ncols there proves rank ncols over
+    the rationals, since a minor that is nonzero mod _P is a nonzero
+    integer, so the empty basis is returned at once; any other outcome
+    falls through to the exact elimination.
     """
-    ech, pivots = _echelon_ff(rows_to_int(rows), ncols)
+    ints = rows_to_int(rows)
+    if (len(ints) >= ncols and len(ints) * ncols >= _CERT_MIN_CELLS
+            and _full_rank_mod_p(ints, ncols)):
+        return []
+    ech, pivots = _echelon_ff(ints, ncols)
     pivot_set = {pc for _, pc in pivots}
     basis = []
     for j in range(ncols):
@@ -128,6 +147,38 @@ def nullspace(rows, ncols):
             vec = [v // g for v in vec]
         basis.append((j, tuple(vec)))
     return basis
+
+
+def _full_rank_mod_p(ints, ncols):
+    """True when the integer rows have rank ncols modulo _P.
+
+    Gaussian elimination in one int32 array, updated in place through one
+    preallocated scratch buffer.  Returns False at the first column without
+    a pivot, and also when an entry does not fit in int32 (the exact path
+    then decides).
+    """
+    try:
+        a = np.array(ints, dtype=np.int32)
+    except OverflowError:
+        return False
+    a %= _P
+    buf = np.empty((len(ints) - 1) * (ncols - 1), dtype=np.int32)
+    for c in range(ncols):
+        nz = np.flatnonzero(a[c:, c])
+        if not nz.size:
+            return False
+        r = c + int(nz[0])
+        if r != c:
+            a[[c, r]] = a[[r, c]]
+        row = a[c, c + 1:]
+        row *= pow(int(a[c, c]), -1, _P)
+        row %= _P
+        below = a[c + 1:, c + 1:]
+        t = buf[:below.size].reshape(below.shape)
+        np.multiply(a[c + 1:, c, None], row, out=t)
+        below -= t
+        below %= _P
+    return True
 
 
 def staircase_column(rows, ncols, v):

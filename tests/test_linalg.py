@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,3 +216,136 @@ def test_echelon_matches_plain_bareiss(rows):
     # deferred rescaling must leave every entry at plain Bareiss's value
     ncols = len(rows[0])
     assert _echelon_ff(rows, ncols) == reference_bareiss(rows, ncols)
+
+
+# ---------------------------------------------------------------------------
+# the full-rank certificate mod a prime, ahead of Bareiss in `nullspace`
+
+
+def primal_rows(n, d, seed):
+    """ndeg primal system of a random half-ones table: one row per 0-input,
+    one column per monomial of degree <= d, entry 1 when the monomial's
+    variables are all set in the input."""
+    rng = random.Random(seed)
+    zeros = sorted(rng.sample(range(1 << n), 1 << (n - 1)))
+    cols = [m for m in range(1 << n) if m.bit_count() <= d]
+    return [[1 if m & x == m else 0 for m in cols] for x in zeros]
+
+
+def rank_mod_p(rows, ncols, p):
+    """Rank mod p by plain Python Gaussian elimination."""
+    m = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        sel = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[rank], m[sel] = m[sel], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            k = m[i][c] * inv % p
+            if k:
+                m[i] = [(a - k * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """Record each verdict of the certificate and each Bareiss run."""
+    calls = {"certificate": [], "bareiss": 0}
+    cert, echelon = linalg._full_rank_mod_p, linalg._echelon_ff
+
+    def spy_cert(ints, ncols):
+        out = cert(ints, ncols)
+        calls["certificate"].append(out)
+        return out
+
+    def spy_echelon(rows, ncols):
+        calls["bareiss"] += 1
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_full_rank_mod_p", spy_cert)
+    monkeypatch.setattr(linalg, "_echelon_ff", spy_echelon)
+    return calls
+
+
+@pytest.mark.parametrize("n,d,seed", [(8, 3, 1), (8, 3, 2), (8, 2, 3),
+                                      (9, 2, 4)])
+def test_certificate_full_rank_primal(n, d, seed, certificate_calls):
+    rows = primal_rows(n, d, seed)
+    ncols = len(rows[0])
+    assert len(rows) * ncols >= 4096
+    assert nullspace(rows, ncols) == []
+    assert certificate_calls == {"certificate": [True], "bareiss": 0}
+    assert int_rank(rows, ncols) == ncols
+
+
+@pytest.mark.parametrize("n,d,seed,i,j,k", [(8, 2, 5, 0, 3, 20),
+                                            (8, 2, 6, 36, 9, 10),
+                                            (7, 3, 7, 63, 1, 40)])
+def test_certificate_planted_dependency(n, d, seed, i, j, k,
+                                        certificate_calls):
+    # column i becomes the sum of columns j and k: nullity at least 1
+    rows = primal_rows(n, d, seed)
+    for row in rows:
+        row[i] = row[j] + row[k]
+    ncols = len(rows[0])
+    assert len(rows) * ncols >= 4096
+    basis = nullspace(rows, ncols)
+    assert basis and basis == reference_nullspace(rows, ncols)
+    assert certificate_calls == {"certificate": [False], "bareiss": 1}
+
+
+def test_certificate_rank_drops_mod_p(certificate_calls):
+    # full rank over Q, but the diagonal entry 32749 vanishes mod the prime
+    rng = random.Random(8)
+    size = 64
+    rows = [[rng.randint(-3, 3) if c > r else 0 for c in range(size)]
+            for r in range(size)]
+    for r in range(size):
+        rows[r][r] = 1
+    rows[size // 2][size // 2] = 32749
+    assert linalg._P == 32749
+    assert nullspace(rows, size) == []
+    assert certificate_calls == {"certificate": [False], "bareiss": 1}
+    assert int_rank(rows, size) == size
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certificate_matches_python_rank_mod_p(seed):
+    # residues spread over [0, p) make every int32 product large, so an
+    # overflowing prime or a wrong update shows as a different verdict
+    p = linalg._P
+    assert (p - 1) ** 2 < 1 << 31
+    rng = random.Random(seed)
+    nrows, ncols = rng.choice([(64, 64), (80, 60), (100, 41)])
+    rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    if seed % 2:
+        for row in rows:
+            row[seed] = row[seed + 1] + 3 * row[seed + 2]
+    full = rank_mod_p(rows, ncols, p) == ncols
+    assert full != bool(seed % 2)
+    assert linalg._full_rank_mod_p(rows_to_int(rows), ncols) == full
+    assert len(nullspace(rows, ncols)) == ncols - int_rank(rows, ncols)
+
+
+def test_certificate_skips_entries_beyond_int32(certificate_calls):
+    rows = primal_rows(8, 2, 9)
+    rows[-1][0] = 1 << 40    # a row with other ones, so it stays primitive
+    assert nullspace(rows, len(rows[0])) == []
+    assert certificate_calls == {"certificate": [False], "bareiss": 1}
+
+
+@pytest.mark.parametrize("nrows,ncols,gated", [
+    (64, 64, True),      # exactly at the cell threshold
+    (65, 63, False),     # 4095 cells
+    (63, 65, False),     # enough cells, fewer rows than columns
+    (93, 128, False),    # the wide dual shape of an n = 8 table
+    (128, 93, True)])
+def test_certificate_gate(nrows, ncols, gated, certificate_calls):
+    rng = random.Random(nrows * ncols)
+    rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
+    basis = nullspace(rows, ncols)
+    assert len(basis) == ncols - int_rank(rows, ncols)
+    assert (len(certificate_calls["certificate"]) == 1) == gated

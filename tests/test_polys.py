@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ndqc
-from ndqc import polys
+from ndqc import linalg, polys
 from ndqc.boolfn import SymmetricProfile, TruthTable, make_named, \
     random_table, symmetric_profile
 from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
@@ -257,6 +258,39 @@ class TestNdeg:
                 assert ndeg(f.permute(perm))[0] == d
                 assert exact_poly(f.permute(perm)).degree == \
                     exact_poly(f).degree
+
+    # Degree and sha256 of format_poly(witness), recorded before `nullspace`
+    # proved empty nullspaces by a rank certificate mod a prime.  The first
+    # three tables have probes above the certificate's size gate; the 7/8
+    # table's primal systems have 64 rows and never reach it.
+    @pytest.mark.parametrize("n,eighths,seed,degree,digest,gated", [
+        (8, 4, 81, 4, "04d13697837357b668d862dd85ff9523"
+                      "e06dfb9469935d824d43b112dccd5a80", 2),
+        (9, 1, 91, 6, "ff5dba3bccb3e2a138248e3dd83db0b4"
+                      "a8ff8c67e5a2423b8c062c819ecd7a94", 5),
+        (9, 4, 94, 5, "c9727b84b50a40831bc11ea9a4b5e7f4"
+                      "9431c02926e7fbd62a1ee4f30ba154d7", 3),
+        (9, 7, 97, 3, "e458839e1b1a05cc51320711e6470537"
+                      "da162e1769d2290fe523e0474c5298fd", 0)])
+    def test_outputs_pinned_across_certificate_gate(
+            self, n, eighths, seed, degree, digest, gated, monkeypatch):
+        verdicts = []
+        kernel = linalg._full_rank_mod_p
+
+        def spy(ints, ncols):
+            verdicts.append(kernel(ints, ncols))
+            return verdicts[-1]
+
+        monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
+        rng = random.Random(seed)
+        size = 1 << n
+        f = TruthTable(n, sum(1 << x for x in
+                              rng.sample(range(size), size * eighths // 8)))
+        d, cert = ndeg(f, seed=seed)
+        text = format_poly(cert.witness)
+        assert d == degree
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert verdicts == [True] * gated
 
 
 class TestVerifyNdet:
