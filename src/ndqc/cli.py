@@ -113,6 +113,9 @@ def _theorem_rows(f, seed):
 
 def cmd_theorems(args) -> int:
     exhaustive = args.exhaustive
+    if args.n < 1 or (not exhaustive and args.samples < 1):
+        _status("theorems: --n and --samples must be at least 1")
+        return 2
     if exhaustive and args.n > THEOREM_EXHAUSTIVE_CAP:
         _status(f"theorems: exhaustive capped at n<={THEOREM_EXHAUSTIVE_CAP}")
         return 2
@@ -342,6 +345,8 @@ def cmd_export(args) -> int:
         _status(f"export: {e}")
         return 2
     try:
+        if not isinstance(data, dict):
+            raise ValueError("a report is a JSON object")
         if set(data) == report.REPORT_KEYS:
             data = report.load_measure_report(text)
             csv_lines = report.measure_report_csv_lines(data)

@@ -20,7 +20,7 @@ from math import comb
 
 from .boolfn import (CERT_MAX_CAP, CapExceeded, SubcubeTable, SymmetricProfile,
                      TruthTable)
-from .linalg import dot, nullspace, staircase_column
+from .linalg import nullspace, staircase_column
 
 MONOMIAL = "MONOMIAL"
 FOURIER = "FOURIER"
@@ -319,8 +319,9 @@ def ndeg_decide(f: TruthTable, d: int, seed: int = DEFAULT_SEED,
     the coefficient-space system (rows = 0-inputs, columns = monomials of
     degree <= d) or the equivalent value-space system (free values on the
     1-inputs, Möbius coefficients above degree d forced to zero), whichever
-    is smaller.  Witnesses are random integer combinations drawn from
-    {1..2^(n+1)}, verified exactly and resampled on failure.
+    is smaller.  Both pass their basis's values on f^{-1}(1) to one tail:
+    a 1-input where all vanish, or else a random integer combination with
+    weights in {1..2^(n+1)}, interpolated, verified and resampled on failure.
     """
     if f.n > NDEG_CAP:
         raise CapExceeded(f"ndeg capped at n<={NDEG_CAP}")
@@ -345,57 +346,40 @@ def _elim_cost(rows, cols):
     return rows * cols * min(rows, cols)
 
 
-def _coeff_bound(n):
-    return 1 << (n + 1)
-
-
 def _ndeg_decide_primal(f, d, cols, zeros, ones, rng):
     rows = [[1 if (m & x) == m else 0 for m in cols] for x in zeros]
-    basis = nullspace(rows, len(cols))
-    vectors = [vec for _, vec in basis]
-    eval_rows = []
-    for x in ones:
-        indicator = [1 if (m & x) == m else 0 for m in cols]
-        evals = tuple(dot(indicator, vec) for vec in vectors)
-        if not any(evals):
-            return NdegCertificate(d, None, x)
-        eval_rows.append(evals)
-    lam, resamples = _sample_combination(rng, vectors, eval_rows,
-                                         _coeff_bound(f.n))
-    coeffs = {}
-    for k, vec in enumerate(vectors):
-        for pos, v in enumerate(vec):
-            if v:
-                coeffs[cols[pos]] = coeffs.get(cols[pos], 0) + lam[k] * v
-    witness = MultilinearPoly.make(f.n, MONOMIAL, coeffs)
-    if not verify_ndet(witness, f):
-        raise InvalidWitness("sampled witness failed exact verification")
-    return NdegCertificate(d, witness, None, resamples)
+    values = []
+    for _, vec in nullspace(rows, len(cols)):
+        arr = [0] * f.size
+        for m, c in zip(cols, vec):
+            arr[m] = c
+        _zeta_inplace(arr, f.n)
+        values.append([arr[x] for x in ones])
+    return _certificate_from_values(f, d, ones, values, rng)
 
 
 def _ndeg_decide_dual(f, d, high_masks, ones, rng):
-    rows = []
-    for m in high_masks:
-        row = []
-        for x in ones:
-            if (x & m) == x:
-                row.append(-1 if (m.bit_count() - x.bit_count()) & 1 else 1)
-            else:
-                row.append(0)
-        rows.append(row)
-    basis = nullspace(rows, len(ones))
-    vectors = [vec for _, vec in basis]
+    rows = [[(-1 if (m.bit_count() - x.bit_count()) & 1 else 1)
+             if (x & m) == x else 0 for x in ones] for m in high_masks]
+    values = [vec for _, vec in nullspace(rows, len(ones))]
+    return _certificate_from_values(f, d, ones, values, rng)
+
+
+def _certificate_from_values(f, d, ones, values, rng):
+    """Certificate from a basis of V_d, values[k][j] being the k-th basis
+    polynomial at ones[j].  The witness is zero on f^{-1}(0) by
+    construction, so its degree is what shows a basis outside V_d."""
     eval_rows = []
     for j, x in enumerate(ones):
-        evals = tuple(vec[j] for vec in vectors)
+        evals = tuple(vec[j] for vec in values)
         if not any(evals):
             return NdegCertificate(d, None, x)
         eval_rows.append(evals)
-    lam, resamples = _sample_combination(rng, vectors, eval_rows,
-                                         _coeff_bound(f.n))
-    arr = [Fraction(0)] * f.size
-    for j, x in enumerate(ones):
-        arr[x] = Fraction(sum(lam[k] * vec[j] for k, vec in enumerate(vectors)))
+    lam, resamples = _sample_combination(rng, values, eval_rows,
+                                         1 << (f.n + 1))
+    arr = [0] * f.size
+    for x, evals in zip(ones, eval_rows):
+        arr[x] = sum(l * v for l, v in zip(lam, evals))
     _mobius_inplace(arr, f.n)
     witness = MultilinearPoly.make(f.n, MONOMIAL,
                                    {m: c for m, c in enumerate(arr) if c})

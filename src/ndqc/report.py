@@ -132,10 +132,18 @@ def measure_report_csv_lines(report: dict) -> list:
     return lines
 
 
+def _rows(report, key, fields):
+    rows = report[key]
+    if not isinstance(rows, list) or not all(
+            isinstance(r, dict) and fields <= r.keys() for r in rows):
+        raise ValueError(f"{key}: not a list of {sorted(fields)} objects")
+    return rows
+
+
 def suite_report_csv_lines(report: dict) -> list:
     """One row per (function, inequality) for theorem-suite reports."""
     lines = ["function,inequality,pass"]
-    for row in report["results"]:
+    for row in _rows(report, "results", {"function", "inequality", "pass"}):
         lines.append(f"{row['function']},{row['inequality']},"
                      f"{'pass' if row['pass'] else 'FAIL'}")
     return lines
@@ -143,7 +151,7 @@ def suite_report_csv_lines(report: dict) -> list:
 
 def checks_report_csv_lines(report: dict) -> list:
     lines = ["check,pass,details"]
-    for chk in report["checks"]:
+    for chk in _rows(report, "checks", CHECK_KEYS):
         detail = str(chk["details"]).replace(",", ";")
         lines.append(f"{chk['name']},{'pass' if chk['pass'] else 'FAIL'},"
                      f"{detail}")

@@ -90,6 +90,15 @@ class TestTheorems:
         rep = json.loads(out)
         assert rep["samples"] == 40 and rep["all_pass"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "--samples", "0"], ["--n", "3", "--samples", "-5"],
+        ["--n", "0", "--exhaustive"], ["--n", "-1", "--exhaustive"],
+        ["--n", "0", "--samples", "5"], ["--n", "-1", "--samples", "5"]])
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        assert cli.main(["theorems", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1].startswith("theorems: ")
+
     def test_cap(self, capsys):
         code, _ = run_cli(["theorems", "--n", "4", "--exhaustive"], capsys)
         assert code == 2
@@ -211,6 +220,16 @@ class TestExport:
 
     def test_missing_file(self, capsys):
         assert cli.main(["export", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[{}]", "5", '{"results": 3}', '{"checks": [1]}',
+        '{"results": [{"function": 1}]}'])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_malformed_report_exits_2(self, text, fmt, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert cli.main(["export", str(p), "--format", fmt]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("export: ")
 
 
 class TestReportLoader:

@@ -240,6 +240,55 @@ class TestNdeg:
             _ndeg_decide_dual(f, 1, _masks_by_degree(3, 2, 3), f.ones(),
                               random.Random(1))
 
+    def test_basis_outside_v_d_raises_invalid_witness(self, monkeypatch):
+        # the witness is zero on f^-1(0) by construction, so only its
+        # degree shows that one basis vector left V_d
+        def perturbed(rows, ncols):
+            basis = linalg.nullspace(rows, ncols)
+            j, vec = basis[0]
+            basis[0] = (j, (vec[0] + 1,) + vec[1:])
+            return basis
+
+        monkeypatch.setattr(polys, "nullspace", perturbed)
+        f = make_named("OR", 3)
+        with pytest.raises(InvalidWitness):
+            _ndeg_decide_primal(f, 1, _masks_by_degree(3, 0, 1), f.zeros(),
+                                f.ones(), random.Random(1))
+        with pytest.raises(InvalidWitness):
+            _ndeg_decide_dual(f, 1, _masks_by_degree(3, 2, 3), f.ones(),
+                              random.Random(1))
+
+    # sha256 over (d, evidence, resamples, witness text) from both engine
+    # paths at every degree, recorded before the two paths shared one
+    # witness tail
+    @pytest.mark.parametrize("which,digest", [
+        ("all nonzero n<=3", "2e659e35fb96e448a927ce41b59f8707"
+                             "e35ab4f14213a3208c121808c45dae00"),
+        ("seeded n=4-6", "b762ae8fa859255f95e47f34deea4431"
+                         "423698497afb2cd4f657237ac9d7232a")])
+    def test_both_paths_pinned_at_every_degree(self, which, digest):
+        if which == "seeded n=4-6":
+            rng = random.Random(46)
+            tables = [random_table(n, rng) for n in (4, 5, 6)
+                      for _ in range(10)]
+        else:
+            tables = [TruthTable(n, bits) for n in (1, 2, 3)
+                      for bits in range(1 << (1 << n))]
+        h = hashlib.sha256()
+        for f in (f for f in tables if f.bits):
+            ones, zeros = f.ones(), f.zeros()
+            for d in range(f.n + 1):
+                low = _masks_by_degree(f.n, 0, d)
+                high = _masks_by_degree(f.n, d + 1, f.n)
+                for cert in (_ndeg_decide_primal(f, d, low, zeros, ones,
+                                                 random.Random(d)),
+                             _ndeg_decide_dual(f, d, high, ones,
+                                               random.Random(d))):
+                    text = cert.witness and format_poly(cert.witness)
+                    h.update(repr((d, cert.evidence, cert.resamples,
+                                   text)).encode())
+        assert h.hexdigest() == digest
+
     def test_retry_cap(self):
         # no combination is nonzero at a point where every basis vector is 0
         with pytest.raises(RetryCapExceeded):
