@@ -222,13 +222,22 @@ class SubcubeTable:
                 yield order[row].tolist()
 
     def bs_max(self, b: int) -> int:
-        """bs^(b)(f): max block sensitivity over b-inputs (0 if none)."""
+        """bs^(b)(f): max block sensitivity over b-inputs (0 if none).
+
+        bs_x <= C_x, so the b-inputs are packed in decreasing C_x order
+        until no remaining C_x exceeds the best packing found.
+        """
         if self.f.n > CERT_MAX_CAP:
             raise CapExceeded(
                 f"block sensitivity maxima capped at n<={CERT_MAX_CAP}")
         xs = np.flatnonzero(self.values == b)
-        return max((_pack(blocks, self.f.n)
-                    for blocks in self.minimal_blocks(xs)), default=0)
+        xs = xs[np.argsort(-self.cert[xs], kind="stable")]
+        best = 0
+        for c, blocks in zip(self.cert[xs].tolist(), self.minimal_blocks(xs)):
+            if c <= best:
+                break
+            best = max(best, _pack(blocks, self.f.n))
+        return best
 
     def depth(self) -> int:
         """D(f): D(Q) = 0 if Q is constant, else the minimum over free i of

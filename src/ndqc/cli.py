@@ -11,7 +11,7 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -181,24 +181,28 @@ def _separation_query(args):
     algo = querysim.compile_from_ndet_poly(p, f)
     values["query_cost"] = algo.query_cost
     _check(checks, "compiled_cost_1", algo.query_cost == 1, "")
-    c2 = Fraction(1, 1) / (Fraction(n * n, 4) - Fraction(3 * n, 4) + 1)
-    expect = [c2 * v ** 2 / f.size for v in p.values()]
+    # c^2 = 1 / (n^2/4 - 3n/4 + 1), so the expected acceptance
+    # c^2 p(x)^2 / 2^n is 4 v^2 / e for p(x) = v / pden
+    pvals, pden = p._int_values()
+    e = (n * n - 3 * n + 4) * f.size * pden * pden
     if args.mode == "float":
         ok = True
         for x in range(f.size):
             _, acc = querysim.simulate(algo, x, mode="float")
-            ok = ok and abs(acc - float(expect[x])) < 1e-9 \
+            ok = ok and abs(acc - 4 * pvals[x] ** 2 / e) < 1e-9 \
                 and (acc > 1e-12) == (f.value(x) == 1)
     else:
         sym = querysim.symbolic_simulate(algo)
-        accs = sym.acceptance_polynomial().values()
+        accs, aden = sym.acceptance_polynomial()._int_values()
         # the accepting amplitude alone misses wrong entries in rows of a
         # dense gate that never reach it; the whole state's norm does not
-        amps = sym.amplitudes.values()
-        ok = all(sum(a.evaluate(x) ** 2 for a in amps) == sym.scale2
-                 for x in (0, 1, f.size - 1))
-        ok = ok and accs == expect and all(
-            (acc > 0) == (f.value(x) == 1) for x, acc in enumerate(accs))
+        amps = list(sym.amplitudes.values())
+        den = lcm(*(a.den for a in amps))
+        ok = all(sum((a._num_at(x) * (den // a.den)) ** 2 for a in amps)
+                 == sym.scale2 * den * den for x in (0, 1, f.size - 1))
+        ok = ok and all(a * e == 4 * v * v * aden
+                        for a, v in zip(accs, pvals)) and all(
+            (a > 0) == (f.value(x) == 1) for x, a in enumerate(accs))
     _check(checks, "compiled_acceptance_c2p2", ok,
            "acceptance = c^2 p(x)^2 / 2^n on every input, positive iff f=1")
     nq = boolfn.n_query(f)

@@ -176,8 +176,16 @@ class NondetMatrix:
 
 
 def exact_matrix(n, entries, target) -> NondetMatrix:
-    return NondetMatrix(n, tuple(tuple(Fraction(v) for v in row)
+    """Rational entries, integral ones stored as ints."""
+    return NondetMatrix(n, tuple(tuple(map(_exact_entry, row))
                                  for row in entries), target)
+
+
+def _exact_entry(v):
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return int(v.numerator) if v.denominator == 1 else v
 
 
 def matrix_from_poly(p: MultilinearPoly, f: PairTable) -> NondetMatrix:
@@ -185,7 +193,7 @@ def matrix_from_poly(p: MultilinearPoly, f: PairTable) -> NondetMatrix:
     single-argument function, i.e. the pattern check must pass."""
     if p.n != f.n:
         raise ValueError("arity mismatch")
-    vals = p.values()
+    vals = [_exact_entry(v) for v in p.values()]
     size = 1 << f.n
     entries = [[vals[x & y] for y in range(size)] for x in range(size)]
     return exact_matrix(f.n, entries, f)

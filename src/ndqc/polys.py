@@ -16,7 +16,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from numbers import Rational
 
 from .boolfn import (CERT_MAX_CAP, CapExceeded, SubcubeTable, SymmetricProfile,
                      TruthTable)
@@ -60,71 +61,82 @@ class RoundInvariantViolation(ValueError):
 
 @dataclass(frozen=True, eq=True)
 class MultilinearPoly:
+    """Coefficients nums[S] / den: nums maps mask -> nonzero int, den > 0
+    and gcd(den, *nums) = 1, so equal polynomials are equal dataclasses."""
+
     n: int
     basis: str
-    coeffs: dict
+    nums: dict
+    den: int = 1
 
     @staticmethod
     def make(n: int, basis: str, coeffs) -> "MultilinearPoly":
+        """From rational (int or Fraction) coefficients, mask -> value."""
         if basis not in (MONOMIAL, FOURIER):
             raise ValueError(f"unknown basis {basis!r}")
-        norm = {}
-        for mask, c in dict(coeffs).items():
+        coeffs = dict(coeffs)
+        for mask, c in coeffs.items():
             if not 0 <= mask < (1 << n):
                 raise ValueError(f"monomial mask {mask} out of range for n={n}")
-            c = Fraction(c)
-            if c:
-                norm[int(mask)] = c
-        return MultilinearPoly(n, basis, norm)
+            if not isinstance(c, Rational):
+                raise TypeError(f"coefficient {c!r} is not rational")
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        return _canonical(n, basis, {
+            int(m): int(c.numerator) * (den // c.denominator)
+            for m, c in coeffs.items() if c}, den)
 
     @staticmethod
     def constant(n: int, value, basis: str = MONOMIAL) -> "MultilinearPoly":
         return MultilinearPoly.make(n, basis, {0: value})
 
     @property
+    def coeffs(self) -> dict:
+        """Read-only rational view, mask -> Fraction."""
+        return dict(zip(self.nums, _over(self.nums.values(), self.den)))
+
+    @property
     def degree(self) -> int:
         """Max |S| with nonzero coefficient; -1 for the zero polynomial."""
-        return max((m.bit_count() for m in self.coeffs), default=-1)
+        return max((m.bit_count() for m in self.nums), default=-1)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
+
+    def _num_at(self, x: int) -> int:
+        """den * p(x), an integer."""
+        if self.basis == MONOMIAL:
+            return sum(c for m, c in self.nums.items() if m & x == m)
+        return sum(-c if (m & x).bit_count() & 1 else c
+                   for m, c in self.nums.items())
 
     def evaluate(self, x: int) -> Fraction:
-        if self.basis == MONOMIAL:
-            return sum((c for m, c in self.coeffs.items() if m & x == m),
-                       Fraction(0))
-        return sum((-c if (m & x).bit_count() & 1 else c
-                    for m, c in self.coeffs.items()), Fraction(0))
+        return Fraction(self._num_at(x), self.den)
 
-    def values(self) -> list:
-        """Value at every point of {0,1}^n, indexed by input mask."""
+    def _int_values(self):
+        """(vals, den): den * p(x) at every point of {0,1}^n, as ints."""
         if self.n > POLY_TABLE_CAP:
             raise CapExceeded(f"full evaluation capped at n<={POLY_TABLE_CAP}")
-        size = 1 << self.n
-        arr = [Fraction(0)] * size
-        for m, c in self.coeffs.items():
+        arr = [0] * (1 << self.n)
+        for m, c in self.nums.items():
             arr[m] = c
         if self.basis == MONOMIAL:
             _zeta_inplace(arr, self.n)
         else:
             _wht_inplace(arr, self.n)
-        return arr
+        return arr, self.den
+
+    def values(self) -> list:
+        """Value at every point of {0,1}^n, indexed by input mask."""
+        return _over(*self._int_values())
 
     # -- arithmetic ---------------------------------------------------------
 
     def _binop(self, other, sign):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultilinearPoly):
             other = MultilinearPoly.constant(self.n, other, self.basis)
         if other.n != self.n or other.basis != self.basis:
             raise ValueError("operands must share n and basis")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, Fraction(0)) + sign * c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return MultilinearPoly(self.n, self.basis, out)
+        return _combine(self.n, self.basis, ((1, self), (sign, other)))
 
     def __add__(self, other):
         return self._binop(other, 1)
@@ -136,34 +148,60 @@ class MultilinearPoly:
         return self.scale(-1)
 
     def scale(self, k) -> "MultilinearPoly":
-        k = Fraction(k)
-        if not k:
-            return MultilinearPoly(self.n, self.basis, {})
-        return MultilinearPoly(self.n, self.basis,
-                               {m: c * k for m, c in self.coeffs.items()})
+        """k * p for a rational (int or Fraction) k."""
+        return _combine(self.n, self.basis, ((k, self),))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultilinearPoly):
             return self.scale(other)
         if other.n != self.n or other.basis != self.basis:
             raise ValueError("operands must share n and basis")
+        union = self.basis == MONOMIAL
         out = {}
-        combine = (lambda a, b: a | b) if self.basis == MONOMIAL else \
-                  (lambda a, b: a ^ b)
-        for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
-                m = combine(ma, mb)
-                v = out.get(m, Fraction(0)) + ca * cb
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return MultilinearPoly(self.n, self.basis, out)
+        for ma, ca in self.nums.items():
+            for mb, cb in other.nums.items():
+                m = ma | mb if union else ma ^ mb
+                out[m] = out.get(m, 0) + ca * cb
+        return _canonical(self.n, self.basis,
+                          {m: c for m, c in out.items() if c},
+                          self.den * other.den)
 
     __rmul__ = __mul__
 
     def __str__(self):
         return format_poly(self)
+
+
+def _canonical(n, basis, nums, den):
+    """The polynomial nums / den (nonzero ints, den > 0), with the common
+    factor of den and every numerator divided out."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: c // g for m, c in nums.items()}
+            den //= g
+    return MultilinearPoly(n, basis, nums, den)
+
+
+def _combine(n, basis, terms):
+    """sum of k * p over (k, p) in terms, for rational k, over one common
+    denominator."""
+    terms = [(k, p) for k, p in terms if k and p.nums]
+    den = lcm(*(k.denominator * p.den for k, p in terms))
+    out = {}
+    for k, p in terms:
+        f = k.numerator * (den // (k.denominator * p.den))
+        if not out:   # the first term; every term here is nonzero
+            out = {m: f * c for m, c in p.nums.items()}
+            continue
+        for m, c in p.nums.items():
+            out[m] = out.get(m, 0) + f * c
+    return _canonical(n, basis, {m: c for m, c in out.items() if c}, den)
+
+
+def _over(nums, den):
+    """Each integer numerator over den, as a Fraction."""
+    return [Fraction(c, den) for c in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +241,10 @@ def exact_poly(f: TruthTable) -> MultilinearPoly:
     """The unique multilinear polynomial agreeing with f on {0,1}^n."""
     if f.n > POLY_TABLE_CAP:
         raise CapExceeded(f"interpolation capped at n<={POLY_TABLE_CAP}")
-    arr = [Fraction(f.value(x)) for x in range(f.size)]
+    arr = [f.value(x) for x in range(f.size)]
     _mobius_inplace(arr, f.n)
-    p = MultilinearPoly.make(f.n, MONOMIAL,
-                             {m: c for m, c in enumerate(arr) if c})
-    vals = p.values()
+    p = MultilinearPoly(f.n, MONOMIAL, {m: c for m, c in enumerate(arr) if c})
+    vals, _ = p._int_values()
     if any(vals[x] != f.value(x) for x in range(f.size)):
         raise InterpolationMismatch("interpolant disagrees with the table")
     return p
@@ -217,36 +254,35 @@ def to_fourier(p: MultilinearPoly) -> MultilinearPoly:
     """Rewrite a monomial-basis polynomial in the Fourier basis (exact)."""
     if p.basis != MONOMIAL:
         raise ValueError("expected monomial basis")
-    vals = p.values()
+    vals, den = p._int_values()
     _wht_inplace(vals, p.n)  # self-inverse up to 2^n
-    scale = Fraction(1, 1 << p.n)
-    return MultilinearPoly.make(p.n, FOURIER,
-                                {m: v * scale for m, v in enumerate(vals) if v})
+    return _canonical(p.n, FOURIER, {m: v for m, v in enumerate(vals) if v},
+                      den << p.n)
 
 
 def from_fourier(p: MultilinearPoly) -> MultilinearPoly:
     """Rewrite a Fourier-basis polynomial in the monomial basis (exact)."""
     if p.basis != FOURIER:
         raise ValueError("expected Fourier basis")
-    vals = p.values()
+    vals, den = p._int_values()
     _mobius_inplace(vals, p.n)
-    return MultilinearPoly.make(p.n, MONOMIAL,
-                                {m: v for m, v in enumerate(vals) if v})
+    return _canonical(p.n, MONOMIAL, {m: v for m, v in enumerate(vals) if v},
+                      den)
 
 
 def verify_ndet(p: MultilinearPoly, f: TruthTable) -> bool:
     """Exact pointwise check: p(x) != 0 iff f(x) = 1, over all 2^n inputs."""
     if p.n != f.n:
         return False
-    vals = p.values()
+    vals, _ = p._int_values()
     return all(bool(vals[x]) == bool(f.value(x)) for x in range(f.size))
 
 
 def weight_offset_poly(n: int, k: int = 0) -> MultilinearPoly:
     """(sum_i x_i) - k in the monomial basis."""
-    coeffs = {1 << i: Fraction(1) for i in range(n)}
+    coeffs = {1 << i: 1 for i in range(n)}
     if k:
-        coeffs[0] = Fraction(-k)
+        coeffs[0] = -k
     return MultilinearPoly.make(n, MONOMIAL, coeffs)
 
 
@@ -381,8 +417,8 @@ def _certificate_from_values(f, d, ones, values, rng):
     for x, evals in zip(ones, eval_rows):
         arr[x] = sum(l * v for l, v in zip(lam, evals))
     _mobius_inplace(arr, f.n)
-    witness = MultilinearPoly.make(f.n, MONOMIAL,
-                                   {m: c for m, c in enumerate(arr) if c})
+    witness = MultilinearPoly(f.n, MONOMIAL,
+                              {m: c for m, c in enumerate(arr) if c})
     if witness.degree > d or not verify_ndet(witness, f):
         raise InvalidWitness("sampled witness failed exact verification")
     return NdegCertificate(d, witness, None, resamples)
@@ -459,7 +495,7 @@ def schwartz_stats(p: MultilinearPoly):
     if p.n > POLY_TABLE_CAP:
         raise CapExceeded(
             f"exhaustive evaluation capped at n<={POLY_TABLE_CAP}")
-    vals = p.values()
+    vals, _ = p._int_values()
     pr = Fraction(sum(1 for v in vals if v), len(vals))
     bound = Fraction(1, 1 << p.degree)
     if pr < bound:
@@ -473,7 +509,7 @@ def _restrict_coeffs(coeffs, var_bit, value):
         if m & var_bit and not value:
             continue
         key = m & ~var_bit
-        v = out.get(key, Fraction(0)) + c
+        v = out.get(key, 0) + c
         if v:
             out[key] = v
         else:
@@ -515,7 +551,7 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
         return None
 
     def oracle(x):
-        coeffs = dict(p.coeffs)
+        coeffs = dict(p.nums)
         amask = avals = queries = 0
         while True:
             deg = max((m.bit_count() for m in coeffs), default=-1)
@@ -551,13 +587,14 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
 
 
 def format_poly(p: MultilinearPoly) -> str:
-    if not p.coeffs:
+    if not p.nums:
         terms = "0"
     else:
         parts = []
-        for m in sorted(p.coeffs, key=lambda m: (m.bit_count(), m)):
+        coeffs = p.coeffs
+        for m in sorted(coeffs, key=lambda m: (m.bit_count(), m)):
             idxs = ",".join(str(i + 1) for i in range(p.n) if (m >> i) & 1)
-            parts.append(f"{p.coeffs[m]}*x{{{idxs}}}")
+            parts.append(f"{coeffs[m]}*x{{{idxs}}}")
         terms = " + ".join(parts)
     return f"basis={p.basis}; terms={terms}"
 

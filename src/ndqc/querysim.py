@@ -14,13 +14,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .boolfn import CapExceeded, TruthTable
-from .polys import (MONOMIAL, InvalidWitness, MultilinearPoly, _resample,
-                    parse_rational, to_fourier, verify_ndet)
+from .polys import (MONOMIAL, InvalidWitness, MultilinearPoly, _combine,
+                    _resample, parse_rational, to_fourier, verify_ndet)
 from .statevec import (HADAMARD, ExactState, ScaledMatrix, apply_label_map,
                        apply_matrix_float, apply_scaled_matrix,
                        register_values, subset_index_maps)
@@ -291,10 +290,9 @@ def compile_from_ndet_poly(p: MultilinearPoly, f: TruthTable) -> QueryAlgorithm:
         raise InvalidWitness("not a nondeterministic polynomial for f")
     n = f.n
     d = p.degree
-    den = lcm(*(c.denominator for c in p.coeffs.values()))
     nums = [0] * (1 << (n + 1))
-    for mask, c in p.coeffs.items():
-        nums[mask] = int(c * den)
+    for mask, c in p.nums.items():
+        nums[mask] = c
     scale2 = sum(v * v for v in nums)
     prep = StatePrep(tuple(nums), None, scale2)
     gates = [PhaseOracle(tuple(range(n)), d)]
@@ -328,11 +326,10 @@ class SymbolicState:
 
     def acceptance_polynomial(self) -> MultilinearPoly:
         bit = 1 << self.output_qubit
-        acc = MultilinearPoly.make(self.n, MONOMIAL, {})
-        for label, poly in self.amplitudes.items():
-            if label & bit:
-                acc = acc + poly * poly
-        return acc.scale(Fraction(1, 1) / self.scale2)
+        k = Fraction(1, self.scale2)
+        return _combine(self.n, MONOMIAL, ((k, poly * poly) for label, poly
+                                           in self.amplitudes.items()
+                                           if label & bit))
 
 
 def symbolic_simulate(algo: QueryAlgorithm) -> SymbolicState:
@@ -370,28 +367,23 @@ def symbolic_simulate(algo: QueryAlgorithm) -> SymbolicState:
             queries += gate.degree_bound
         else:
             raise ValueError(f"gate {gate!r} has no symbolic form")
-        if max((p.degree for p in amps.values()), default=-1) > queries:
+        masks = set().union(*(p.nums for p in amps.values()))
+        if max(map(int.bit_count, masks), default=-1) > queries:
             raise DegreeBoundViolation(
                 "amplitude degree exceeded the query count")
     return SymbolicState(n, algo.num_qubits, amps, scale2, algo.output_qubit)
 
 
 def _symbolic_unitary(amps, gate, num_qubits, n):
-    bases, offs = subset_index_maps(num_qubits, gate.qubits)
-    zero = MultilinearPoly.make(n, MONOMIAL, {})
+    _, offs = subset_index_maps(num_qubits, gate.qubits)
+    mask = sum(1 << q for q in gate.qubits)
     out = {}
     mat = gate.matrix.re
-    k = len(offs)
-    for base in bases:
+    for base in sorted({label & ~mask for label in amps}):
         sub = [amps.get(base | o) for o in offs]
-        if all(s is None for s in sub):
-            continue
-        for r in range(k):
-            acc = zero
-            row = mat[r]
-            for c in range(k):
-                if row[c] and sub[c] is not None:
-                    acc = acc + sub[c].scale(row[c])
+        for r, row in enumerate(mat):
+            acc = _combine(n, MONOMIAL, ((g, s) for g, s in zip(row, sub)
+                                         if s is not None))
             if not acc.is_zero():
                 out[base | offs[r]] = acc
     return out
@@ -462,7 +454,7 @@ def extract_ndet_poly_stats(algo: QueryAlgorithm, f: TruthTable, seed: int):
     if algo.n != f.n:
         raise ValueError("algorithm arity does not match the function")
     sym = symbolic_simulate(algo)
-    for x, acc in enumerate(sym.acceptance_polynomial().values()):
+    for x, acc in enumerate(sym.acceptance_polynomial()._int_values()[0]):
         if bool(acc) != bool(f.value(x)):
             raise NotNondeterministic(
                 f"acceptance pattern breaks at input {x}")
@@ -473,9 +465,8 @@ def extract_ndet_poly_stats(algo: QueryAlgorithm, f: TruthTable, seed: int):
     bound = 1 << (f.n + 1)
 
     def attempt():
-        p = MultilinearPoly.make(f.n, MONOMIAL, {})
-        for part in parts:
-            p = p + part.scale(rng.randint(1, bound))
+        lam = [rng.randint(1, bound) for _ in parts]
+        p = _combine(f.n, MONOMIAL, zip(lam, parts))
         return p if verify_ndet(p, f) else None
 
     p, retries = _resample(attempt, "extraction")

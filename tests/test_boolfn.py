@@ -11,7 +11,7 @@ from ndqc.boolfn import (CapExceeded, NotSymmetric, SubcubeTable,
                          certificate_complexity, decision_tree_depth,
                          format_table, make_named, minimal_sensitive_blocks,
                          n_query, parse_table, random_table,
-                         symmetric_profile)
+                         symmetric_profile, _pack)
 from ndqc.polys import MONOMIAL, MultilinearPoly, nisan_smolensky_procedure
 
 
@@ -398,6 +398,22 @@ class TestTableBlockSensitivity:
         f = random_table(10, random.Random(10))
         got = list(SubcubeTable(f).minimal_blocks(range(f.size)))
         assert got == [reference_minimal_blocks(f, x) for x in range(f.size)]
+
+    def test_pruned_max_equals_full_scan(self):
+        # bs_max stops once C_x <= the best packing; the full scan packs
+        # every b-input.  On 0xe8818117 (n = 5) every 0-input has
+        # bs_x = 3 < C_x = 4, so no 0-input can end the scan early.
+        tables = [TruthTable(5, 0xe8818117)]
+        tables += [f for n in range(4, 10) for f in density_tables(n, 1, n)]
+        for f in tables:
+            cubes = SubcubeTable(f)
+            for b in (0, 1):
+                xs = [x for x in range(f.size) if f.value(x) == b]
+                full = max((_pack(blocks, f.n) for blocks
+                            in cubes.minimal_blocks(xs)), default=0)
+                assert cubes.bs_max(b) == full
+        cubes = SubcubeTable(tables[0])
+        assert cubes.bs_max(0) == 3 and cubes.c_max(0) == 4
 
     @pytest.mark.parametrize("n", [8, 10])
     @pytest.mark.parametrize("family", ["OR", "AND", "PARITY", "NOT_ONE"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -176,6 +177,49 @@ class TestSeparation:
         assert code == 1 and checks["compiled_cost_1"]
         assert checks["compiled_acceptance_c2p2"] is False
 
+    def test_query_acceptance_check_sees_one_numerator(self, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr(querysim, "symbolic_simulate",
+                            _bump_one_numerator(querysim.symbolic_simulate))
+        code, out = run_cli(["separation", "query", "--n", "4"], capsys)
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["compiled_acceptance_c2p2"] is False
+        # the same fault under python -O, which strips assert statements
+        path = os.pathsep.join([str(Path(ndqc.__file__).resolve().parents[1]),
+                                str(Path(__file__).resolve().parent)])
+        proc = subprocess.run([sys.executable, "-O", "-c", _BUMP_UNDER_O],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        checks = {c["name"]: c["pass"]
+                  for c in json.loads(proc.stdout)["checks"]}
+        assert proc.returncode == 1, proc.stderr
+        assert checks["compiled_acceptance_c2p2"] is False
+
+
+def _bump_one_numerator(real):
+    """symbolic_simulate with 1 added to the lowest-mask numerator of the
+    first amplitude off the output qubit, which acceptance never reads."""
+    def bumped(algo):
+        sym = real(algo)
+        label = min(lbl for lbl in sym.amplitudes
+                    if not lbl >> sym.output_qubit & 1)
+        amp = sym.amplitudes[label]
+        m = min(amp.nums)
+        amps = dict(sym.amplitudes)
+        amps[label] = dataclasses.replace(
+            amp, nums={**amp.nums, m: amp.nums[m] + 1})
+        return dataclasses.replace(sym, amplitudes=amps)
+    return bumped
+
+
+_BUMP_UNDER_O = """
+import sys
+from ndqc import cli, querysim
+from test_cli import _bump_one_numerator
+querysim.symbolic_simulate = _bump_one_numerator(querysim.symbolic_simulate)
+sys.exit(cli.main(["separation", "query", "--n", "4"]))
+"""
+
 
 class TestExport:
     def test_json_round_trip_bit_exact(self, tmp_path, capsys):
@@ -319,6 +363,15 @@ REPORT_SHA256 = {
         "b7d35c1b208735048622cbd84ea3b1cc92f635e8aeaf58a81659fea73be21281",
     "theorems --n 5 --samples 50":
         "42954246277e39b193868b4a26c0010de903190d1d34946d40e02b58cc724278",
+    # recorded before polynomials moved to integer numerators
+    "separation query --n 6":
+        "83f58d4fa90c29cd7b8453372644767a1158c64a8c05349cf3ca544b6c38615d",
+    "separation query --n 10":
+        "16a13d1a88b9522bae3ac7a0826315b2144494612ada1afd6be29be12562f995",
+    "separation comm --n 5":
+        "6f29049acd6c4c48a5067e098950e35fe734faa8f54b99425ef4b6af8af0ce38",
+    "separation ne --n 3":
+        "7616f87614f3c3ce32769dd38a7c72158537cc5aef94e4e393855fcd530aa13c",
 }
 
 

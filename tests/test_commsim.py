@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -722,3 +723,15 @@ def test_nrank_lower_bound_valid():
         m = exact_matrix(2, [[f.value(x, y) for y in range(4)]
                              for x in range(4)], f)
         assert lb <= m.rank()
+
+
+# sha256 of the CSV lines, recorded before polynomial values became integer
+# numerators over one denominator
+def test_poly_matrix_csv_pinned():
+    h = hashlib.sha256()
+    for n in (3, 4, 5):
+        m = matrix_from_poly(weight_offset_poly(n, 1),
+                             make_pair_function("INTERSECT_NOT_ONE", n))
+        h.update("\n".join(matrix_to_csv_lines(m)).encode())
+    assert h.hexdigest() == ("a4a3bb022b0fd4aea8eca62a6131543d"
+                             "644fe54e26a1094895f29179064947ff")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -114,6 +115,102 @@ def test_mul_evaluates_pointwise(n, data):
     prod = p * q
     for x in range(1 << n):
         assert prod.evaluate(x) == p.evaluate(x) * q.evaluate(x)
+
+
+def _ref_values(n, basis, coeffs):
+    """Value at every point, summed term by term in Fractions."""
+    out = []
+    for x in range(1 << n):
+        v = F(0)
+        for m, c in coeffs.items():
+            if basis == FOURIER:
+                v += -c if (m & x).bit_count() & 1 else c
+            elif m & x == m:
+                v += c
+        out.append(v)
+    return out
+
+
+def _ref_collect(pairs):
+    out = {}
+    for m, c in pairs:
+        out[m] = out.get(m, F(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(basis, a, b):
+    combine = (lambda x, y: x | y) if basis == MONOMIAL else \
+        (lambda x, y: x ^ y)
+    return _ref_collect((combine(ma, mb), ca * cb)
+                        for ma, ca in a.items() for mb, cb in b.items())
+
+
+def _ref_to_fourier(n, coeffs):
+    vals = _ref_values(n, MONOMIAL, coeffs)
+    return _ref_collect((s, (-v if (x & s).bit_count() & 1 else v)
+                         / (1 << n))
+                        for s in range(1 << n) for x, v in enumerate(vals))
+
+
+def _ref_from_fourier(n, coeffs):
+    vals = _ref_values(n, FOURIER, coeffs)
+    return _ref_collect((s, -vals[t] if (s ^ t).bit_count() & 1
+                         else vals[t])
+                        for s in range(1 << n) for t in range(1 << n)
+                        if t & s == t)
+
+
+def _draw_coeffs(data, n):
+    coeffs = {}
+    for m in data.draw(st.lists(
+            st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6)):
+        num = data.draw(st.integers(min_value=-12, max_value=12))
+        den = data.draw(st.integers(min_value=1, max_value=12))
+        coeffs[m] = coeffs.get(m, F(0)) + F(num, den)
+    return coeffs
+
+
+def _assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(min_value=1, max_value=5),
+       basis=st.sampled_from([MONOMIAL, FOURIER]), data=st.data())
+def test_integer_numerators_match_fraction_reference(n, basis, data):
+    ca, cb = _draw_coeffs(data, n), _draw_coeffs(data, n)
+    p = MultilinearPoly.make(n, basis, ca)
+    q = MultilinearPoly.make(n, basis, cb)
+    k = data.draw(st.sampled_from([0, 1, -1, 3, F(2, 3), F(-5, 4)]))
+    ca, cb = _ref_collect(ca.items()), _ref_collect(cb.items())
+    cases = [(p, ca), (p + q, _ref_collect([*ca.items(), *cb.items()])),
+             (p - q, _ref_collect([*ca.items(),
+                                   *((m, -c) for m, c in cb.items())])),
+             (p * q, _ref_mul(basis, ca, cb)),
+             (p.scale(k), _ref_collect((m, k * c) for m, c in ca.items())),
+             (p * k, _ref_collect((m, k * c) for m, c in ca.items()))]
+    if basis == MONOMIAL:
+        cases.append((to_fourier(p), _ref_to_fourier(n, ca)))
+    else:
+        cases.append((from_fourier(p), _ref_from_fourier(n, ca)))
+    for r, want in cases:
+        _assert_canonical(r)
+        assert r.coeffs == want
+        vals = _ref_values(n, r.basis, want)
+        assert r.values() == vals
+        assert [r.evaluate(x) for x in range(1 << n)] == vals
+
+
+@pytest.mark.parametrize("basis", [MONOMIAL, FOURIER])
+def test_equal_polynomials_are_equal_dataclasses(basis):
+    half = MultilinearPoly.make(3, basis, {1: F(1, 2)})
+    assert MultilinearPoly.make(3, basis, {1: F(2, 4)}) == half
+    assert MultilinearPoly.make(3, basis, {1: 1}).scale(F(1, 2)) == half
+    assert half.scale(2) == MultilinearPoly.make(3, basis, {1: 1})
+    assert (half + half).den == 1 and (half - half).is_zero()
+    assert (half - half) == MultilinearPoly.make(3, basis, {})
 
 
 class TestEq1Polynomial:
@@ -520,7 +617,8 @@ _FAULTS = {
         polys, "_mobius_inplace", lambda arr, n: None,
         lambda: exact_poly(make_named("OR", 2))),
     "NonzeroBoundViolation": (
-        MultilinearPoly, "values", lambda self: [F(0)] * (1 << self.n),
+        MultilinearPoly, "_int_values",
+        lambda self: ([0] * (1 << self.n), self.den),
         lambda: schwartz_stats(weight_offset_poly(2, 1))),
     "RoundInvariantViolation": (
         polys, "_restrict_coeffs", lambda coeffs, bit, value: coeffs,

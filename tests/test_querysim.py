@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ import ndqc
 from ndqc import querysim
 from ndqc.boolfn import TruthTable, make_named, random_table
 from ndqc.polys import (MONOMIAL, InvalidWitness, MultilinearPoly,
-                        RetryCapExceeded, ndeg, to_fourier, verify_ndet,
+                        RetryCapExceeded, format_poly, ndeg, to_fourier, verify_ndet,
                         weight_offset_poly)
 from ndqc.querysim import (BitOracle, DegreeBoundViolation, EmptyOneSet,
                            FlipOnZero, InputGate,
@@ -34,6 +35,45 @@ def hadamard_algo():
     return QueryAlgorithm(n=1, num_qubits=1, prep=basis_prep(1),
                           gates=(Unitary((0,), HADAMARD),),
                           query_cost=0, output_qubit=0)
+
+
+def _random_circuit(rng):
+    """Seeded circuit with n <= 5, up to 4 queries (bit and phase oracles),
+    flag flips, Hadamards and rational rotations."""
+    rotations = [(F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)),
+                 (F(8, 17), F(15, 17))]
+    n = rng.randint(1, 5)
+    nq = rng.randint(2, 4)
+    idx_width = min(max(1, (n - 1).bit_length() or 1), nq - 1) or 1
+    gates = []
+    t = 0
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        if kind < 0.35 and t < 4:
+            idx = tuple(rng.sample(range(nq), idx_width))
+            tgt = rng.choice([q for q in range(nq) if q not in idx])
+            gates.append(BitOracle(idx, tgt))
+            t += 1
+        elif kind < 0.45 and t < 4:
+            width = rng.randint(1, min(n, nq, 4 - t))
+            gates.append(PhaseOracle(
+                tuple(rng.sample(range(nq), width)), width))
+            t += width
+        elif kind < 0.55:
+            ctl = tuple(rng.sample(range(nq), rng.randrange(nq)))
+            tgt = rng.choice([q for q in range(nq) if q not in ctl])
+            gates.append(FlipOnZero(ctl, tgt))
+        elif kind < 0.8:
+            a, b = rotations[rng.randrange(3)]
+            if rng.random() < 0.5:
+                b = -b
+            gates.append(Unitary((rng.randrange(nq),),
+                                 rational_rotation(a, b)))
+        else:
+            gates.append(Unitary((rng.randrange(nq),), HADAMARD))
+    return QueryAlgorithm(n=n, num_qubits=nq, prep=basis_prep(nq),
+                          gates=tuple(gates), query_cost=t,
+                          output_qubit=nq - 1)
 
 
 class TestSimulate:
@@ -214,41 +254,9 @@ class TestSymbolic:
         # 200 seeded circuits, n <= 5, T <= 4: deg(amp) <= T, deg(P) <= 2T;
         # symbolic, exact and float simulation agree on every input
         rng = random.Random(2024)
-        rotations = [(F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)),
-                     (F(8, 17), F(15, 17))]
         for _ in range(200):
-            n = rng.randint(1, 5)
-            nq = rng.randint(2, 4)
-            idx_width = min(max(1, (n - 1).bit_length() or 1), nq - 1) or 1
-            gates = []
-            t = 0
-            for _ in range(rng.randint(1, 6)):
-                kind = rng.random()
-                if kind < 0.35 and t < 4:
-                    idx = tuple(rng.sample(range(nq), idx_width))
-                    tgt = rng.choice([q for q in range(nq) if q not in idx])
-                    gates.append(BitOracle(idx, tgt))
-                    t += 1
-                elif kind < 0.45 and t < 4:
-                    width = rng.randint(1, min(n, nq, 4 - t))
-                    gates.append(PhaseOracle(
-                        tuple(rng.sample(range(nq), width)), width))
-                    t += width
-                elif kind < 0.55:
-                    ctl = tuple(rng.sample(range(nq), rng.randrange(nq)))
-                    tgt = rng.choice([q for q in range(nq) if q not in ctl])
-                    gates.append(FlipOnZero(ctl, tgt))
-                elif kind < 0.8:
-                    a, b = rotations[rng.randrange(3)]
-                    if rng.random() < 0.5:
-                        b = -b
-                    gates.append(Unitary((rng.randrange(nq),),
-                                         rational_rotation(a, b)))
-                else:
-                    gates.append(Unitary((rng.randrange(nq),), HADAMARD))
-            algo = QueryAlgorithm(n=n, num_qubits=nq, prep=basis_prep(nq),
-                                  gates=tuple(gates), query_cost=t,
-                                  output_qubit=nq - 1)
+            algo = _random_circuit(rng)
+            t = algo.query_cost
             sym = symbolic_simulate(algo)
             assert sym.max_degree() <= t
             assert sym.acceptance_polynomial().degree <= 2 * t
@@ -361,6 +369,61 @@ class TestExtraction:
                 algo = compile_from_ndet_poly(cert.witness, f)
                 q = extract_ndet_poly(algo, f, seed=rng.randrange(1 << 20))
                 assert q.degree <= d and verify_ndet(q, f)
+
+
+
+def _pinned_compiled():
+    """(f, compiled algorithm): NOT_ONE at n = 3-9 from |x| - 1, and the
+    ndeg witnesses of 20 seeded random tables with n = 3-6."""
+    out = []
+    for n in range(3, 10):
+        f = make_named("NOT_ONE", n)
+        out.append((f, compile_from_ndet_poly(weight_offset_poly(n, 1), f)))
+    rng = random.Random(53)
+    for i in range(20):
+        f = random_table(3 + i % 4, rng)
+        if f.bits:
+            out.append((f, compile_from_ndet_poly(ndeg(f)[1].witness, f)))
+    return out
+
+
+def _symbolic_record(algo):
+    sym = symbolic_simulate(algo)
+    return ([(label, format_poly(a)) for label, a
+             in sorted(sym.amplitudes.items())],
+            str(sym.scale2), format_poly(sym.acceptance_polynomial()))
+
+
+# sha256 pins recorded before polynomials moved to integer numerators over
+# one denominator: every symbolic amplitude, scale and acceptance
+# polynomial, every extraction, and every compiled circuit file
+@pytest.mark.parametrize("which,digest", [
+    ("symbolic", "388cb47afa271b6672f14a1df6e6d1fa"
+                "627b7636c9f763e1c2704f8ae35c3024"),
+    ("symbolic random circuits", "21142f0f030a6235a2d9584c245d9aae"
+                                "572dfe41d5bfb39aafd3c0108ceaaed3"),
+    ("extract", "5aa2a1269fb9c3986fc6e151b8f2d7d2"
+               "3c7059f6239d4788aa459cd51130614c"),
+    ("circuit", "22224eda804bb04a2227c0e4b61660fb"
+                "62159aab449f3338e0d0b3402b02a014")])
+def test_outputs_pinned_across_integer_numerators(which, digest):
+    h = hashlib.sha256()
+    if which == "symbolic random circuits":
+        rng = random.Random(2024)
+        records = [_symbolic_record(_random_circuit(rng)) for _ in range(200)]
+    else:
+        compiled = _pinned_compiled()
+        if which == "symbolic":
+            records = [_symbolic_record(algo) for _, algo in compiled]
+        elif which == "extract":
+            records = [(format_poly(p), retries) for p, retries in
+                       (extract_ndet_poly_stats(algo, f, 1)
+                        for f, algo in compiled)]
+        else:
+            records = [circuit_to_lines(algo) for _, algo in compiled]
+    for rec in records:
+        h.update(repr(rec).encode())
+    assert h.hexdigest() == digest
 
 
 from helpers import or2_verifier  # noqa: E402  (toy verifier fixture)
