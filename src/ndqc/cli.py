@@ -237,17 +237,22 @@ def _separation_comm(args):
     _check(checks, "cost_le_log_n_plus_1",
            spec.cost <= (n).bit_length() + 1,
            f"cost={spec.cost}, ceil(log2(n+1))+1={(n).bit_length() + 1}")
-    sweep = commsim.svd_acceptance_sweep(M)
-    ok = True
-    for x in range(f.size):
-        row_norm2 = sum(float(v) ** 2 for v in M.entries[x])
-        for y in range(f.size):
-            expect = float(M.entries[x][y]) ** 2 / row_norm2
-            acc = sweep[x][y]
-            ok = ok and abs(acc - expect) < 1e-9 \
-                and (acc > 1e-12) == (f.value(x, y) == 1)
-    _check(checks, "protocol_accepts_iff_f1", ok,
-           "acceptance = c_x^2 |M_xy|^2 over all pairs")
+    # acc = c_x^2 d_y^2 M_xy^2 with c, d > 0 iff acc / M^2 is a positive
+    # rank-one matrix on M's support; f(x, 0) = f(0, y) = 1, so row 0 and
+    # column 0 of M are nonzero and u_x v_y is read off them.  The corners
+    # tie the sweep to the simulated protocol, whose rounds are unitary.
+    acc = commsim.svd_acceptance_sweep(M)
+    u = [acc[x][0] / M.entries[x][0] ** 2 for x in range(f.size)]
+    v = [acc[0][y] / M.entries[0][y] ** 2 / u[0] for y in range(f.size)]
+    rank_one = all(c > 0 for c in u + v) and all(
+        a.numerator * ux.denominator * vy.denominator
+        == a.denominator * ux.numerator * vy.numerator * m * m
+        for row, ux, m_row in zip(acc, u, M.entries)
+        for a, vy, m in zip(row, v, m_row))
+    simulated = all(commsim.run_protocol(spec, x, y)[0] == acc[x][y]
+                    for x in (0, f.size - 1) for y in (0, f.size - 1))
+    _check(checks, "protocol_accepts_iff_f1", rank_one and simulated,
+           "acceptance = c_x^2 d_y^2 M_xy^2 exactly over all pairs")
     fbar = f.complement()
     S = commsim.intersect_complement_fooling_set(n)
     fool, bound = commsim.fooling_set_check(fbar, S)
@@ -303,7 +308,7 @@ def _separation_ne(args):
         spot = spot[:64]
     ok = True
     for x, y in spot:
-        a, tr = commsim.run_protocol(spec, x, y, mode="float")
+        a, tr = commsim.run_protocol(spec, x, y)
         ok = ok and abs(a - commsim.ne_protocol(n, x, y)) < 1e-12 \
             and tr.cost == 2
     _check(checks, "protocol_spec_agrees", ok,

@@ -1,6 +1,6 @@
-"""Two-party functions and nondeterministic communication: matrices, the SVD
-protocol, the nonequality rotation protocol, rectangle covers, and fooling
-sets.
+"""Two-party functions and nondeterministic communication: matrices, the exact
+rank-factorization protocol, the nonequality rotation protocol, rectangle
+covers, and fooling sets.
 
 Qubit layout for protocols: Alice's private block, then the channel, then
 Bob's private block; the output bit is the first channel qubit.  Messages
@@ -17,10 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import CapExceeded
-from .linalg import int_rank
+from .linalg import int_rank, nullspace, rows_to_int
 from .polys import MultilinearPoly, _resample, parse_rational
 from .statevec import ExactState, ScaledMatrix, apply_label_map, \
-    apply_matrix_float, apply_scaled_matrix, register_values
+    apply_matrix_float, apply_scaled_matrix, register_values, \
+    subset_index_maps
 
 PAIR_CAP = 10
 FULL_RANK_CAP = 8
@@ -33,11 +34,15 @@ PAIR_FAMILIES = ("EQ", "NE", "DISJ", "INTERSECT_NOT_ONE")
 
 
 class ZeroRow(ValueError):
-    """The SVD protocol's normalizer is undefined on an all-zero row.
+    """The rank-factorization protocol's c_x is undefined on an all-zero row.
 
     Only possible when f(x, .) == 0; the standard workaround is one extra
     classical bit, which would break the cost formula, so we reject instead.
     """
+
+
+class FloatMatrix(ValueError):
+    """The rank-factorization protocol needs rational entries."""
 
 
 class HypothesisViolated(ValueError):
@@ -342,57 +347,50 @@ class Transcript:
     cost: int
 
 
-def run_protocol(spec: ProtocolSpec, x: int, y: int, mode: str = None):
-    """Simulate the protocol on (x, y): returns (acceptance, Transcript)."""
+def run_protocol(spec: ProtocolSpec, x: int, y: int):
+    """Simulate the protocol on (x, y): returns (acceptance, Transcript).
+
+    Exact specs run on an ExactState and give a Fraction; specs with float
+    rounds run on a complex vector and give a float.
+    """
     if (1 << spec.num_qubits) > PROTOCOL_DIM_CAP:
         raise CapExceeded("protocol state dimension above 2^20")
-    if mode is None:
-        mode = "exact" if spec.exact else "float"
-    if mode == "exact" and not spec.exact:
-        raise ValueError("protocol has float rounds; run in float mode")
     nq = spec.num_qubits
-    if mode == "exact":
-        state = ExactState.zero_state(nq)
-    else:
-        state = np.zeros(1 << nq, dtype=complex)
-        state[0] = 1.0
+    state = _basis_state(spec, 0)
     for rnd in spec.rounds:
         allowed = set(spec.party_qubits(rnd.party))
         for op in rnd.ops(x if rnd.party == "A" else y):
             if any(q not in allowed for q in _op_qubits(op)):
                 raise ValueError(f"{rnd.party} op touches foreign qubits")
-            state = _apply_protocol_op(state, nq, op, mode)
+            state = _apply_protocol_op(state, nq, op)
     tr = Transcript(tuple((r.party, r.message_qubits) for r in spec.rounds),
                     spec.cost)
     bit = 1 << spec.output_qubit
     labels = [i for i in range(1 << nq) if i & bit]
-    if mode == "exact":
+    if spec.exact:
         return state.probability(labels), tr
     return float(np.sum(np.abs(state[labels]) ** 2)), tr
 
 
 def _op_qubits(op):
     kind = op[0]
-    if kind == "matrix":
-        return op[1]
-    if kind == "prep_basis":
+    if kind in ("matrix", "prep_state"):
         return op[1]
     if kind == "swap":
         return (op[1], op[2])
-    if kind == "phase_diag":
-        return op[1]
-    if kind == "flip_eq":
+    if kind == "flip_on_projector":
         return (op[1],) + tuple(op[2])
     raise ValueError(f"unknown op {kind!r}")
 
 
-def _apply_protocol_op(state, nq, op, mode):
+def _apply_protocol_op(state, nq, op):
     kind = op[0]
+    exact = isinstance(state, ExactState)
     if kind == "matrix":
         _, qubits, mat = op
-        if mode == "exact":
+        if exact:
             if not isinstance(mat, ScaledMatrix):
-                raise ValueError("exact mode needs ScaledMatrix rounds")
+                raise ValueError("exact protocols need ScaledMatrix rounds")
             if not mat.is_unitary():
                 raise ValueError("non-unitary protocol round")
             apply_scaled_matrix(state, qubits, mat)
@@ -403,94 +401,91 @@ def _apply_protocol_op(state, nq, op, mode):
         if np.max(np.abs(gram - np.eye(arr.shape[0]))) > 1e-9:
             raise ValueError("non-unitary protocol round")
         return apply_matrix_float(state, nq, qubits, arr)
-    # the rest only move or negate labels; each perm is its own inverse
-    labels = np.arange(1 << nq)
-    if kind == "prep_basis":
-        # swap register value 0 with value, the other qubits unchanged
-        _, qubits, value = op
-        if not 0 <= value < 1 << len(qubits):
-            raise ValueError("basis value out of register range")
-        reg = register_values(nq, qubits)
-        tgt = int(np.flatnonzero(reg == value)[0])  # value's own bit pattern
-        hit = (reg == 0) | (reg == value)
-        return apply_label_map(state, labels ^ np.where(hit, tgt, 0))
     if kind == "swap":
+        # a label permutation that is its own inverse
         _, q1, q2 = op
         reg = register_values(nq, (q1, q2))
         hit = (reg == 1) | (reg == 2)
-        return apply_label_map(
-            state, labels ^ np.where(hit, (1 << q1) | (1 << q2), 0))
-    if kind == "phase_diag":
-        _, qubits, signs = op
-        neg = (np.asarray(signs) < 0)[register_values(nq, qubits)]
-        return apply_label_map(state, neg=neg)
-    if kind == "flip_eq":
-        _, target, qubits, value = op
-        if target in qubits:
-            raise ValueError("flip_eq target inside its compared register")
-        hit = register_values(nq, qubits) == value
-        return apply_label_map(state, labels ^ np.where(hit, 1 << target, 0))
-    raise ValueError(f"unknown op {kind!r}")
+        return apply_label_map(state, np.arange(1 << nq) ^ np.where(
+            hit, (1 << q1) | (1 << q2), 0))
+    if kind not in ("prep_state", "flip_on_projector"):
+        raise ValueError(f"unknown op {kind!r}")
+    if not exact or state.im is not None:
+        raise ValueError(f"{kind} runs on real exact states only")
+    qubits, vec = op[-2:]
+    norm2 = sum(v * v for v in vec)
+    if not 0 < len(vec) <= 1 << len(qubits) or not norm2:
+        raise ValueError(f"{kind} needs a nonzero vector that fits")
+    bases, offs = subset_index_maps(nq, qubits)
+    if kind == "prep_state":
+        _prep_state(state, bases, offs, vec)
+        state.scale2 = state.scale2 * norm2
+    else:
+        if op[1] in qubits:
+            raise ValueError(f"{kind} target inside its register")
+        _flip_on_projector(state, bases, offs, vec, norm2, op[1])
+        state.scale2 = state.scale2 * norm2 * norm2
+    return state
+
+
+def _prep_state(state, bases, offs, vec):
+    """Take the register (zero at `bases`, value j at offset offs[j]) from
+    |0> to vec/|vec|, times |vec|.  Defined on states whose register is
+    |0>, where it is the restriction of a unitary."""
+    re, zero_reg = state.re, set(bases)
+    if any(a and i not in zero_reg for i, a in enumerate(re)):
+        raise ValueError("prep_state needs the register in |0>")
+    state.re = [0] * state.dim
+    for base in bases:
+        for o, v in zip(offs, vec):
+            state.re[base | o] = re[base] * v
+
+
+def _flip_on_projector(state, bases, offs, vec, norm2, target):
+    """X on target controlled by P = vec vec^T / |vec|^2 on the register,
+    times |vec|^2: U = (I - P) (x) I + P (x) X is a rational unitary, and
+    |vec|^2 U maps the register blocks (u0, u1) at target 0 and 1 to
+    (|vec|^2 u0 + vec d, |vec|^2 u1 - vec d) with d = vec.(u1 - u0), so the
+    integer numerators update in O(dim * len(vec))."""
+    re, tbit = state.re, 1 << target
+    state.re = new = [a * norm2 for a in re]
+    for b0 in bases:
+        if not b0 & tbit:
+            b1 = b0 | tbit
+            d = sum(v * (re[b1 | o] - re[b0 | o]) for o, v in zip(offs, vec))
+            for o, v in zip(offs, vec):
+                new[b0 | o] += v * d
+                new[b1 | o] -= v * d
 
 
 # ---------------------------------------------------------------------------
-# the SVD protocol
+# the rank-factorization protocol
 
 
 def svd_protocol(M: NondetMatrix) -> ProtocolSpec:
-    """One-round protocol from M^T = U Sigma V: Alice sends the normalized
-    state Sigma V |x> compressed to ceil(log rank) qubits, Bob applies U,
-    compares with y, and replies one qubit; acceptance = c_x^2 |M_xy|^2.
-    Rational diagonal matrices get an exact protocol; anything else runs in
-    float mode with the 1e-9 rank tolerance.
+    """One-round protocol from the rank factorization M = C R (kept under
+    its historical name): Alice sends a_x/|a_x| on ceil(log2 r) qubits, a_x
+    her row of C up to a positive scale; Bob swaps it into his register and
+    flips the reply qubit by the projector onto b_y, his column of R up to a
+    positive scale.  Acceptance is (a_x.b_y)^2 / (|a_x|^2 |b_y|^2) =
+    c_x^2 d_y^2 M_xy^2 exactly, positive iff M_xy != 0; a zero column has
+    b_y = 0 and no flip.
     """
-    setup = _svd_setup(M)
-    if setup is None:
-        return _svd_protocol_exact_diag(M)
-    return _svd_protocol_float(M, *setup)
-
-
-def _svd_setup(M: NondetMatrix):
-    """Shared set-up of the SVD protocol and its sweep: raises ZeroRow on an
-    all-zero row; returns None for a rational diagonal M (the exact
-    protocol), else (u, s, phi) from M^T = U Sigma V with column x of phi
-    the normalized Sigma V |x>."""
-    size = 1 << M.n
-    for x in range(size):
-        if all(not v for v in M.entries[x]):
-            raise ZeroRow(f"row {x} is zero; c_x undefined")
-    if not M.is_float and all(
-            not M.entries[x][y] for x in range(size) for y in range(size)
-            if x != y):
-        return None
-    arr = np.array([[float(v) for v in row] for row in M.entries])
-    u, s, vh = np.linalg.svd(arr.T)
-    phi = s[:, None] * vh
-    norms = np.linalg.norm(phi, axis=0)
-    if np.any(norms == 0):
-        raise ZeroRow("zero row; c_x undefined")
-    return u, s, phi / norms
-
-
-def _svd_protocol_exact_diag(M: NondetMatrix) -> ProtocolSpec:
+    a, b = _rank_factors(M)
     n = M.n
-    size = 1 << n
-    r = size  # nonzero diagonal
-    msg = (r - 1).bit_length()  # ceil(log2 r)
+    msg = (len(a[0]) - 1).bit_length()  # ceil(log2 r)
     chan = max(msg, 1)
-    signs = [1 if M.entries[x][x] > 0 else -1 for x in range(size)]
     chan_qubits = tuple(range(chan))
     bob_qubits = tuple(range(chan, chan + n))
 
     def alice_ops(x):
-        # Sigma V |x> = |diag_x| e_x, so the normalized message is |x>
-        return (("prep_basis", chan_qubits, x),)
+        return (("prep_state", chan_qubits, a[x]),)
 
     def bob_ops(y):
-        ops = [("swap", j, chan + j) for j in range(n)]
-        if any(s < 0 for s in signs):
-            ops.append(("phase_diag", bob_qubits, tuple(signs)))
-        ops.append(("flip_eq", 0, bob_qubits, y))
+        # r <= 2^n, so chan <= n: the message lands in Bob's low qubits
+        ops = [("swap", j, chan + j) for j in range(chan)]
+        if any(b[y]):
+            ops.append(("flip_on_projector", 0, bob_qubits, b[y]))
         return tuple(ops)
 
     return ProtocolSpec(alice_qubits=0, channel_qubits=chan, bob_qubits=n,
@@ -499,61 +494,49 @@ def _svd_protocol_exact_diag(M: NondetMatrix) -> ProtocolSpec:
                         cost=msg + 1, exact=True)
 
 
-def _svd_protocol_float(M: NondetMatrix, u, s, phi) -> ProtocolSpec:
-    n = M.n
+def _rank_factors(M: NondetMatrix):
+    """Integer rank factors (a, b) of a rational M: a_x . b_y = k_x m_y M_xy
+    with k_x, m_y > 0, every vector of length r = rank M.
+
+    a_x is row x at the pivot columns, scaled as `rows_to_int` scales it.
+    b_y is column y of M's reduced echelon form R (M = M[:, pivots] R) times
+    vec_y[y] > 0, read off the nullspace basis: e_i at pivot i, and
+    -vec_y[pivots] at a free column y, since R vec_y = 0 and R is the
+    identity on the pivot columns.
+    """
     if M.is_float:
-        r = int(np.sum(s > FLOAT_RANK_TOL * s[0]))
-    else:
-        r = M.rank()
-    msg = (r - 1).bit_length()  # ceil(log2 r)
-    chan = max(msg, 1)
-    if chan > n:
-        raise AssertionError("message register exceeds Bob's space")
-    chan_qubits = tuple(range(chan))
-    bob_qubits = tuple(range(chan, chan + n))
-
-    def alice_ops(x):
-        # support is the first r <= 2^chan coordinates; drop float dust and
-        # renormalize
-        target = phi[:, x][: 1 << chan].copy()
-        target /= np.linalg.norm(target)
-        w = target.copy()
-        w[0] -= 1.0
-        nw = np.linalg.norm(w)
-        if nw < 1e-14:
-            mat = np.eye(1 << chan)
-        else:
-            w = w / nw
-            mat = np.eye(1 << chan) - 2.0 * np.outer(w, w)
-        return (("matrix", chan_qubits, mat),)
-
-    def bob_ops(y):
-        ops = [("swap", j, chan + j) for j in range(min(chan, n))]
-        ops.append(("matrix", bob_qubits, u))
-        ops.append(("flip_eq", 0, bob_qubits, y))
-        return tuple(ops)
-
-    return ProtocolSpec(alice_qubits=0, channel_qubits=chan, bob_qubits=n,
-                        rounds=(Round("A", msg, alice_ops),
-                                Round("B", 1, bob_ops)),
-                        cost=msg + 1, exact=False)
+        raise FloatMatrix("the exact protocol needs rational entries; the "
+                          "float NE matrix has ne_protocol_spec")
+    size = 1 << M.n
+    ints = rows_to_int(M.entries)
+    for x, row in enumerate(ints):
+        if not any(row):
+            raise ZeroRow(f"row {x} is zero; c_x undefined")
+    free = dict(nullspace(ints, size))
+    pivots = [y for y in range(size) if y not in free]
+    a = [[row[p] for p in pivots] for row in ints]
+    b = [[-free[y][p] for p in pivots] if y in free
+         else [int(p == y) for p in pivots] for y in range(size)]
+    return a, b
 
 
 def svd_acceptance_sweep(M: NondetMatrix):
-    """Acceptance over all 2^{2n} pairs, evaluated from the protocol's
-    per-x final states (the y-comparison read across all y at once).
-
-    Exact Fractions for rational diagonal M; floats otherwise.
-    """
-    setup = _svd_setup(M)
-    if setup is None:
-        size = 1 << M.n
-        one = Fraction(1)
-        return [[one if x == y else Fraction(0) for y in range(size)]
-                for x in range(size)]
-    u, _, phi = setup
-    psi = u @ phi                # column x = U |phi_x>
-    return (np.abs(psi) ** 2).T   # [x][y] = |<y|U|phi_x>|^2
+    """Exact acceptance over all 2^{2n} pairs, from the protocol's integer
+    factors: [x][y] = (a_x.b_y)^2 / (|a_x|^2 |b_y|^2) as a Fraction."""
+    a, b = _rank_factors(M)
+    b_norm2 = [sum(v * v for v in col) for col in b]
+    b_rows = list(zip(*b))
+    zero = Fraction(0)
+    out = []
+    for row in a:
+        dots = [0] * len(b)
+        for ai, b_row in zip(row, b_rows):
+            if ai:
+                dots = [s + ai * v for s, v in zip(dots, b_row)]
+        a_norm2 = sum(v * v for v in row)
+        out.append([Fraction(d * d, a_norm2 * nb) if d else zero
+                    for d, nb in zip(dots, b_norm2)])
+    return out
 
 
 def svd_protocol_cost(rank: int) -> int:
@@ -573,7 +556,10 @@ def final_state_families(spec: ProtocolSpec, n: int):
     Histories i = (message basis w, reply bit b); returns the accepting
     (b = 1) families as (A_list, B_list): A_i(x) is the 1-dim vector of
     Alice's amplitude on |w>, B_i(y) is Bob's block of the final state fed
-    with channel basis |w>.
+    with channel basis |w>.  Exact protocols give amplitude numerators:
+    each state's scale depends only on its party's input, so the families
+    differ from the amplitudes by positive per-party scales, which change
+    neither the zero pattern of the tensor sum nor its rank.
     """
     if spec.alice_qubits != 0 or len(spec.rounds) != 2:
         raise ValueError("families are read off 0-private two-round protocols")
@@ -587,19 +573,17 @@ def final_state_families(spec: ProtocolSpec, n: int):
         for x in range(size):
             st = _basis_state(spec, 0)
             for op in alice_round.ops(x):
-                st = _apply_protocol_op(st, spec.num_qubits, op,
-                                        "exact" if spec.exact else "float")
-            a_entry[x] = _amp_at(st, w, spec)
+                st = _apply_protocol_op(st, spec.num_qubits, op)
+            a_entry[x] = _amp_at(st, w)
         b_entry = {}
         for y in range(size):
             st = _basis_state(spec, w)
             for op in bob_round.ops(y):
-                st = _apply_protocol_op(st, spec.num_qubits, op,
-                                        "exact" if spec.exact else "float")
+                st = _apply_protocol_op(st, spec.num_qubits, op)
             vec = []
             for z in range(1 << bobq):
                 label = (z << chan) | 1  # reply bit set, rest of channel 0
-                vec.append(_amp_at(st, label, spec))
+                vec.append(_amp_at(st, label))
             b_entry[y] = tuple(vec)
         a_fams.append({x: (a_entry[x],) for x in a_entry})
         b_fams.append(b_entry)
@@ -617,15 +601,14 @@ def _basis_state(spec, w):
     return v
 
 
-def _amp_at(st, label, spec):
+def _amp_at(st, label):
+    """The amplitude numerator of an exact state, the amplitude of a float
+    one."""
     if isinstance(st, ExactState):
-        re, im, s2 = st.amplitude(label)
+        re, im, _ = st.amplitude(label)
         if im:
             raise ValueError("complex amplitudes unexpected here")
-        # amplitudes are re / sqrt(s2); permutation-only rounds keep s2 = 1
-        if s2 != 1:
-            raise ValueError("scaled exact amplitudes need a float protocol")
-        return Fraction(re)
+        return re
     return complex(st[label])
 
 

@@ -96,10 +96,19 @@ def load_measure_report(text: str) -> dict:
     if not isinstance(report["measures"], dict) \
             or set(report["measures"]) != set(MEASURE_KEYS):
         raise ValueError("bad measure keys")
+    for k, v in report["measures"].items():
+        # a count, or one {"skipped" | "error": reason} entry
+        if not (type(v) is int and v >= 0 or isinstance(v, dict)
+                and len(v) == 1 and set(v) <= {"skipped", "error"}
+                and all(isinstance(r, str) for r in v.values())):
+            raise ValueError(f"bad measure value for {k}")
     if not isinstance(report["checks"], list) \
             or any(not isinstance(chk, dict) or set(chk) != CHECK_KEYS
+                   or not isinstance(chk["name"], str)
+                   or not isinstance(chk["details"], str)
+                   or type(chk["pass"]) is not bool
                    for chk in report["checks"]):
-        raise ValueError("bad check keys")
+        raise ValueError("bad check fields")
     f = boolfn.parse_table(report["function"])
     if f.n != report["n"]:
         raise ValueError("n does not match the function table")

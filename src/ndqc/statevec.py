@@ -9,8 +9,8 @@ is an exact Fraction.  Complex entries are carried as separate real and
 imaginary parts; the imaginary part is None for real states, which keeps the
 common all-real circuits on a fast integer path.
 
-Gates that only move or negate amplitudes (oracles, flag flips, basis
-preparation, swaps, sign diagonals) share one label-map kernel:
+Gates that only move or negate amplitudes (oracles, flag flips, swaps,
+sign diagonals) share one label-map kernel:
 `register_values` reads the value of a qubit register off every basis label
 in one vectorised pass, a gate built from it is a label permutation (new
 amplitude i = old amplitude perm[i]), a sign mask, or both, and

