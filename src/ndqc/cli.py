@@ -239,11 +239,12 @@ def _separation_comm(args):
            f"cost={spec.cost}, ceil(log2(n+1))+1={(n).bit_length() + 1}")
     # acc = c_x^2 d_y^2 M_xy^2 with c, d > 0 iff acc / M^2 is a positive
     # rank-one matrix on M's support; f(x, 0) = f(0, y) = 1, so row 0 and
-    # column 0 of M are nonzero and u_x v_y is read off them.  The corners
+    # column 0 of M are nonzero and u_x v_y is read off them (u[0] = 0
+    # fails the positivity test, so v never divides by it).  The corners
     # tie the sweep to the simulated protocol, whose rounds are unitary.
     acc = commsim.svd_acceptance_sweep(M)
     u = [acc[x][0] / M.entries[x][0] ** 2 for x in range(f.size)]
-    v = [acc[0][y] / M.entries[0][y] ** 2 / u[0] for y in range(f.size)]
+    v = [acc[0][y] / M.entries[0][y] ** 2 / (u[0] or 1) for y in range(f.size)]
     rank_one = all(c > 0 for c in u + v) and all(
         a.numerator * ux.denominator * vy.denominator
         == a.denominator * ux.numerator * vy.numerator * m * m

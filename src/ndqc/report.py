@@ -97,8 +97,9 @@ def load_measure_report(text: str) -> dict:
             or set(report["measures"]) != set(MEASURE_KEYS):
         raise ValueError("bad measure keys")
     for k, v in report["measures"].items():
-        # a count, or one {"skipped" | "error": reason} entry
-        if not (type(v) is int and v >= 0 or isinstance(v, dict)
+        # a count (deg is -1 for f = 0), or one {"skipped" | "error": reason}
+        if not (type(v) is int and v >= (-1 if k == "deg" else 0)
+                or isinstance(v, dict)
                 and len(v) == 1 and set(v) <= {"skipped", "error"}
                 and all(isinstance(r, str) for r in v.values())):
             raise ValueError(f"bad measure value for {k}")

@@ -211,6 +211,20 @@ class TestSeparation:
         checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
         assert code == 1 and checks["protocol_accepts_iff_f1"] is False
 
+    def test_comm_acceptance_check_fails_on_zero_corner(self, monkeypatch,
+                                                        capsys):
+        # b_0 = 0 makes acceptance 0 at (0, 0), where the check reads its
+        # scale; it must report the check false, not divide by zero
+        real = commsim._rank_factors
+
+        def zero_b0(M):
+            a, b = real(M)
+            return a, [[0] * len(b[0])] + b[1:]
+        monkeypatch.setattr(commsim, "_rank_factors", zero_b0)
+        code, out = run_cli(["separation", "comm", "--n", "3"], capsys)
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["protocol_accepts_iff_f1"] is False
+
 
 def _checks_under_O(source):
     """(exit code, check name -> pass) of a script run under python -O."""
@@ -295,6 +309,17 @@ class TestExport:
         assert out.splitlines()[0] == "key,value"
         assert "ndeg,3" in out
 
+    def test_const0_report_exports(self, tmp_path, capsys):
+        # the zero function's report holds deg = -1 and an error entry
+        p = tmp_path / "r.json"
+        cli.main(["--out", str(p), "analyze", "--family", "CONST0",
+                  "--n", "3"])
+        capsys.readouterr()
+        code, out = run_cli(["export", str(p), "--format", "json"], capsys)
+        assert code == 0 and out.encode() == p.read_bytes()
+        code, out = run_cli(["export", str(p), "--format", "csv"], capsys)
+        assert code == 0 and "deg,-1" in out.splitlines()
+
     def test_csv_theorem_suite_one_row_per_pair(self, tmp_path, capsys):
         p = tmp_path / "t.json"
         cli.main(["--out", str(p), "theorems", "--n", "1", "--exhaustive"])
@@ -324,7 +349,8 @@ class TestExport:
         '{"results": [{"function": 1}]}',
         pytest.param(_or2_report(measures={"deg": {}}), id="measure-{}"),
         pytest.param(_or2_report(measures={"deg": [1]}), id="measure-[1]"),
-        pytest.param(_or2_report(measures={"deg": -1}), id="measure--1"),
+        pytest.param(_or2_report(measures={"deg": -2}), id="measure-deg--2"),
+        pytest.param(_or2_report(measures={"C0": -1}), id="measure-C0--1"),
         pytest.param(_or2_report(measures={"deg": True}), id="measure-true"),
         pytest.param(_or2_report(measures={"D": {"skipped": 5}}),
                      id="measure-skip-reason-5"),
