@@ -11,9 +11,8 @@ import argparse
 import json
 import random
 import sys
+from fractions import Fraction
 from math import lcm
-
-import numpy as np
 
 from . import boolfn, commsim, polys, querysim, report
 from .polys import DEFAULT_SEED
@@ -24,12 +23,19 @@ INEQUALITIES = ("ndeg<=C1", "C0<=bs0*ndeg", "D<=C0*ndeg", "D<=bs0*ndeg^2",
                 "ndeg>=log2(1/Pr[f=1])", "z/2<=ndeg<=z")
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, out_path, command: str, code: int) -> int:
+    """Write text to out_path (stdout if None); returns code, or 2 when the
+    file cannot be written."""
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as e:
+        _status(f"{command}: {e}")
+        return 2
+    return code
 
 
 def _status(msg: str):
@@ -59,8 +65,8 @@ def cmd_analyze(args) -> int:
         return 2
     config = {"mode": args.mode, "source": source}
     rep = report.build_measure_report(f, args.seed, config)
-    _emit(report.dump_report(rep), args.out)
-    return 0 if report.report_all_pass(rep) else 1
+    return _emit(report.dump_report(rep), args.out, "analyze",
+                 0 if report.report_all_pass(rep) else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +160,8 @@ def cmd_theorems(args) -> int:
         "results": results,
         "all_pass": all_pass,
     }
-    _emit(report.dump_report(rep), args.out)
-    return 0 if all_pass else 1
+    return _emit(report.dump_report(rep), args.out, "theorems",
+                 0 if all_pass else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +272,6 @@ def _separation_comm(args):
 
 def _separation_ne(args):
     n = args.n
-    if n > 20:
-        raise ValueError("ne experiment capped at n<=20 (sampled pairs)")
     checks = []
     values = {"cost": 2}
     spec = commsim.ne_protocol_spec(n)
@@ -279,41 +283,36 @@ def _separation_ne(args):
         for k in range(1, 4)}
     values["ncc_ne"] = {k: commsim.ncc_from_cover(v)
                         for k, v in values["cov1_ne"].items()}
-    if n <= 10:
-        size = 1 << n
-        theta = np.pi / size
-        s = np.sin(np.arange(size) * theta)
-        c = np.cos(np.arange(size) * theta)
-        acc = (np.outer(s, c) - np.outer(c, s)) ** 2
-        diag_ok = all(acc[x, x] == 0.0 for x in range(size))
-        off_ok = all(acc[x, y] > 0 for x in range(size) for y in range(size)
-                     if x != y)
-        ref = np.sin((np.arange(size)[:, None] - np.arange(size)[None, :])
-                     * theta) ** 2
-        _check(checks, "zero_iff_equal_exhaustive", diag_ok and off_ok,
-               f"all {size * size} pairs")
-        _check(checks, "matches_sin2_formula",
-               bool(np.max(np.abs(acc - ref)) < 1e-12), "within 1e-12")
-        spot = [(x, y) for x in range(min(size, 8))
-                for y in range(min(size, 8))]
-    else:
-        rng = random.Random(args.seed)
-        spot = [(rng.randrange(1 << n), rng.randrange(1 << n))
-                for _ in range(10_000)]
-        ok = True
-        for x, y in spot:
-            a = commsim.ne_protocol(n, x, y)
-            ok = ok and (a == 0.0) == (x == y) \
-                and abs(a - np.sin((x - y) * np.pi / (1 << n)) ** 2) < 1e-12
-        _check(checks, "zero_iff_equal_sampled", ok, f"{len(spot)} pairs")
-        spot = spot[:64]
+    # z_k = (3+4i)^k gives z_x conj(z_y) = 25^y z_(x-y), so acceptance
+    # depends only on x - y: acc[d] decides every pair at distance d
+    size = 1 << n
+    acc = [commsim.ne_protocol(n, d, 0) for d in range(size)]
+    _check(checks, "zero_iff_equal_exhaustive",
+           all((a == 0) == (d == 0) for d, a in enumerate(acc)),
+           f"all {size * size} pairs, through the {size} differences x - y")
+    # s_d = 5^d sin(d theta) for cos theta = 3/5, by the Chebyshev
+    # recurrence s_(d+1) = 6 s_d - 25 s_(d-1), apart from the protocol's z_k
+    s, s_next = 0, 4
+    sin2 = []
+    for d in range(size):
+        sin2.append(Fraction(s * s, 25 ** d))
+        s, s_next = s_next, 6 * s_next - 25 * s
+    spot = sorted({(x, y) for x in range(min(size, 8))
+                   for y in range(min(size, 8))}
+                  | {(0, size - 1), (size - 1, 0), (size - 1, size - 1),
+                     (size // 2, size // 3)})
+    spot_acc = [commsim.ne_protocol(n, x, y) for x, y in spot]
+    _check(checks, "matches_sin2_formula",
+           acc == sin2 and all(a == acc[abs(x - y)]
+                               for (x, y), a in zip(spot, spot_acc)),
+           f"sin^2((x - y) theta), cos theta = 3/5, exactly on all {size} "
+           f"differences and {len(spot)} pairs")
     ok = True
-    for x, y in spot:
-        a, tr = commsim.run_protocol(spec, x, y)
-        ok = ok and abs(a - commsim.ne_protocol(n, x, y)) < 1e-12 \
-            and tr.cost == 2
+    for (x, y), a in zip(spot, spot_acc):
+        got, tr = commsim.run_protocol(spec, x, y)
+        ok = ok and got == a and tr.cost == 2
     _check(checks, "protocol_spec_agrees", ok,
-           f"{len(spot)} pairs through the simulator")
+           f"{len(spot)} pairs through the exact simulator")
     return checks, values
 
 
@@ -338,8 +337,8 @@ def cmd_separation(args) -> int:
         "checks": checks,
         "all_pass": all_pass,
     }
-    _emit(report.dump_report(rep), args.out)
-    return 0 if all_pass else 1
+    return _emit(report.dump_report(rep), args.out,
+                 f"separation {args.which}", 0 if all_pass else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +369,10 @@ def cmd_export(args) -> int:
         _status(f"export: {e}")
         return 2
     if args.format == "csv":
-        _emit("\n".join(csv_lines) + "\n", args.out)
+        text = "\n".join(csv_lines) + "\n"
     else:
-        _emit(report.dump_report(data), args.out)
-    return 0
+        text = report.dump_report(data)
+    return _emit(text, args.out, "export", 0)
 
 
 # ---------------------------------------------------------------------------

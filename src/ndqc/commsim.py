@@ -1,6 +1,7 @@
 """Two-party functions and nondeterministic communication: matrices, the exact
 rank-factorization protocol, the nonequality rotation protocol, rectangle
-covers, and fooling sets.
+covers, and fooling sets.  Every matrix entry, amplitude and acceptance is
+an exact integer or Fraction.
 
 Qubit layout for protocols: Alice's private block, then the channel, then
 Bob's private block; the output bit is the first channel qubit.  Messages
@@ -9,10 +10,11 @@ alternate starting with Alice and the cost is the total message qubits.
 
 from __future__ import annotations
 
-import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -20,15 +22,15 @@ from .boolfn import CapExceeded
 from .linalg import int_rank, nullspace, rows_to_int
 from .polys import MultilinearPoly, _resample, parse_rational
 from .statevec import ExactState, ScaledMatrix, apply_label_map, \
-    apply_matrix_float, apply_scaled_matrix, register_values, \
-    subset_index_maps
+    apply_scaled_matrix, register_values, subset_index_maps
+# no caller here: kept as commsim.apply_matrix_float, which the perfbench
+# tracer requires to rebind (perfbench/tracer.py MUST_REBIND)
+from .statevec import apply_matrix_float  # noqa: F401
 
 PAIR_CAP = 10
 FULL_RANK_CAP = 8
 COVER_CAP = 3
-NE_CAP = 30
 PROTOCOL_DIM_CAP = 1 << 20
-FLOAT_RANK_TOL = 1e-9
 
 PAIR_FAMILIES = ("EQ", "NE", "DISJ", "INTERSECT_NOT_ONE")
 
@@ -39,10 +41,6 @@ class ZeroRow(ValueError):
     Only possible when f(x, .) == 0; the standard workaround is one extra
     classical bit, which would break the cost formula, so we reject instead.
     """
-
-
-class FloatMatrix(ValueError):
-    """The rank-factorization protocol needs rational entries."""
 
 
 class HypothesisViolated(ValueError):
@@ -145,17 +143,12 @@ def make_pair_function(family: str, n: int) -> PairTable:
 
 @dataclass(frozen=True)
 class NondetMatrix:
-    """2^n x 2^n matrix whose nonzero pattern is exactly the 1-set of target.
-
-    Entries are exact rationals, or floats with is_float provenance (used for
-    the irrational sine construction); the pattern check compares against
-    literal zero in both cases.
-    """
+    """2^n x 2^n matrix of exact rationals whose nonzero pattern is exactly
+    the 1-set of target."""
 
     n: int
     entries: tuple
     target: PairTable
-    is_float: bool = False
 
     def __post_init__(self):
         size = 1 << self.n
@@ -171,13 +164,13 @@ class NondetMatrix:
                         f"entry ({x},{y}) breaks the nonzero pattern")
 
     def rank(self) -> int:
-        if self.is_float:
-            arr = np.array(self.entries, dtype=float)
-            s = np.linalg.svd(arr, compute_uv=False)
-            if s.size == 0 or s[0] == 0:
-                return 0
-            return int(np.sum(s > FLOAT_RANK_TOL * s[0]))
         return int_rank([list(r) for r in self.entries], 1 << self.n)
+
+    @cached_property
+    def _factors(self):
+        """`_rank_factors(self)`, computed once per matrix for the protocol
+        and its acceptance sweep."""
+        return _rank_factors(self)
 
 
 def exact_matrix(n, entries, target) -> NondetMatrix:
@@ -314,7 +307,6 @@ class ProtocolSpec:
     bob_qubits: int
     rounds: tuple
     cost: int
-    exact: bool = True
 
     def __post_init__(self):
         if sum(r.message_qubits for r in self.rounds) != self.cost:
@@ -348,11 +340,8 @@ class Transcript:
 
 
 def run_protocol(spec: ProtocolSpec, x: int, y: int):
-    """Simulate the protocol on (x, y): returns (acceptance, Transcript).
-
-    Exact specs run on an ExactState and give a Fraction; specs with float
-    rounds run on a complex vector and give a float.
-    """
+    """Simulate the protocol on an ExactState: returns (acceptance as a
+    Fraction, Transcript)."""
     if (1 << spec.num_qubits) > PROTOCOL_DIM_CAP:
         raise CapExceeded("protocol state dimension above 2^20")
     nq = spec.num_qubits
@@ -367,9 +356,7 @@ def run_protocol(spec: ProtocolSpec, x: int, y: int):
                     spec.cost)
     bit = 1 << spec.output_qubit
     labels = [i for i in range(1 << nq) if i & bit]
-    if spec.exact:
-        return state.probability(labels), tr
-    return float(np.sum(np.abs(state[labels]) ** 2)), tr
+    return state.probability(labels), tr
 
 
 def _op_qubits(op):
@@ -385,22 +372,14 @@ def _op_qubits(op):
 
 def _apply_protocol_op(state, nq, op):
     kind = op[0]
-    exact = isinstance(state, ExactState)
     if kind == "matrix":
         _, qubits, mat = op
-        if exact:
-            if not isinstance(mat, ScaledMatrix):
-                raise ValueError("exact protocols need ScaledMatrix rounds")
-            if not mat.is_unitary():
-                raise ValueError("non-unitary protocol round")
-            apply_scaled_matrix(state, qubits, mat)
-            return state
-        arr = mat.to_ndarray() if isinstance(mat, ScaledMatrix) \
-            else np.asarray(mat, dtype=complex)
-        gram = arr.conj().T @ arr
-        if np.max(np.abs(gram - np.eye(arr.shape[0]))) > 1e-9:
+        if not isinstance(mat, ScaledMatrix):
+            raise ValueError("protocol rounds need ScaledMatrix matrices")
+        if not mat.is_unitary():
             raise ValueError("non-unitary protocol round")
-        return apply_matrix_float(state, nq, qubits, arr)
+        apply_scaled_matrix(state, qubits, mat)
+        return state
     if kind == "swap":
         # a label permutation that is its own inverse
         _, q1, q2 = op
@@ -410,8 +389,8 @@ def _apply_protocol_op(state, nq, op):
             hit, (1 << q1) | (1 << q2), 0))
     if kind not in ("prep_state", "flip_on_projector"):
         raise ValueError(f"unknown op {kind!r}")
-    if not exact or state.im is not None:
-        raise ValueError(f"{kind} runs on real exact states only")
+    if state.im is not None:
+        raise ValueError(f"{kind} runs on real states only")
     qubits, vec = op[-2:]
     norm2 = sum(v * v for v in vec)
     if not 0 < len(vec) <= 1 << len(qubits) or not norm2:
@@ -471,7 +450,7 @@ def svd_protocol(M: NondetMatrix) -> ProtocolSpec:
     c_x^2 d_y^2 M_xy^2 exactly, positive iff M_xy != 0; a zero column has
     b_y = 0 and no flip.
     """
-    a, b = _rank_factors(M)
+    a, b = M._factors
     n = M.n
     msg = (len(a[0]) - 1).bit_length()  # ceil(log2 r)
     chan = max(msg, 1)
@@ -491,7 +470,7 @@ def svd_protocol(M: NondetMatrix) -> ProtocolSpec:
     return ProtocolSpec(alice_qubits=0, channel_qubits=chan, bob_qubits=n,
                         rounds=(Round("A", msg, alice_ops),
                                 Round("B", 1, bob_ops)),
-                        cost=msg + 1, exact=True)
+                        cost=msg + 1)
 
 
 def _rank_factors(M: NondetMatrix):
@@ -504,9 +483,6 @@ def _rank_factors(M: NondetMatrix):
     -vec_y[pivots] at a free column y, since R vec_y = 0 and R is the
     identity on the pivot columns.
     """
-    if M.is_float:
-        raise FloatMatrix("the exact protocol needs rational entries; the "
-                          "float NE matrix has ne_protocol_spec")
     size = 1 << M.n
     ints = rows_to_int(M.entries)
     for x, row in enumerate(ints):
@@ -523,7 +499,7 @@ def _rank_factors(M: NondetMatrix):
 def svd_acceptance_sweep(M: NondetMatrix):
     """Exact acceptance over all 2^{2n} pairs, from the protocol's integer
     factors: [x][y] = (a_x.b_y)^2 / (|a_x|^2 |b_y|^2) as a Fraction."""
-    a, b = _rank_factors(M)
+    a, b = M._factors
     b_norm2 = [sum(v * v for v in col) for col in b]
     b_rows = list(zip(*b))
     zero = Fraction(0)
@@ -556,10 +532,10 @@ def final_state_families(spec: ProtocolSpec, n: int):
     Histories i = (message basis w, reply bit b); returns the accepting
     (b = 1) families as (A_list, B_list): A_i(x) is the 1-dim vector of
     Alice's amplitude on |w>, B_i(y) is Bob's block of the final state fed
-    with channel basis |w>.  Exact protocols give amplitude numerators:
-    each state's scale depends only on its party's input, so the families
-    differ from the amplitudes by positive per-party scales, which change
-    neither the zero pattern of the tensor sum nor its rank.
+    with channel basis |w>.  The families are amplitude numerators: each
+    state's scale depends only on its party's input, so the families differ
+    from the amplitudes by positive per-party scales, which change neither
+    the zero pattern of the tensor sum nor its rank.
     """
     if spec.alice_qubits != 0 or len(spec.rounds) != 2:
         raise ValueError("families are read off 0-private two-round protocols")
@@ -591,86 +567,74 @@ def final_state_families(spec: ProtocolSpec, n: int):
 
 
 def _basis_state(spec, w):
-    if spec.exact:
-        st = ExactState.zero_state(spec.num_qubits)
-        st.re[0] = 0
-        st.re[w] = 1
-        return st
-    v = np.zeros(1 << spec.num_qubits, dtype=complex)
-    v[w] = 1.0
-    return v
+    st = ExactState.zero_state(spec.num_qubits)
+    st.re[0] = 0
+    st.re[w] = 1
+    return st
 
 
 def _amp_at(st, label):
-    """The amplitude numerator of an exact state, the amplitude of a float
-    one."""
-    if isinstance(st, ExactState):
-        re, im, _ = st.amplitude(label)
-        if im:
-            raise ValueError("complex amplitudes unexpected here")
-        return re
-    return complex(st[label])
+    """The real amplitude numerator at one basis label."""
+    re, im, _ = st.amplitude(label)
+    if im:
+        raise ValueError("complex amplitudes unexpected here")
+    return re
 
 
 # ---------------------------------------------------------------------------
 # the nonequality rotation protocol
 
 
-def _rotation(theta):
-    return np.array([[math.cos(theta), -math.sin(theta)],
-                     [math.sin(theta), math.cos(theta)]])
+def _rotation_power(k: int):
+    """(a, b) with a + ib = (3 + 4i)^k = 5^k (cos k theta + i sin k theta),
+    cos theta = 3/5.  theta/pi is irrational (Niven), so b = 0 only at k = 0
+    and the rotation by k theta is a rational unitary of infinite order."""
+    a, b, pa, pb = 1, 0, 3, 4
+    while k:
+        if k & 1:
+            a, b = a * pa - b * pb, a * pb + b * pa
+        pa, pb = pa * pa - pb * pb, 2 * pa * pb
+        k >>= 1
+    return a, b
 
 
-def ne_protocol(n: int, x: int, y: int) -> float:
-    """Acceptance of the rotation protocol: Alice rotates |0> by x*pi/2^n,
-    Bob rotates back by y*pi/2^n and measures; sin^2((x-y)pi/2^n).
-
-    The two rotations are composed in scalar float arithmetic: on x = y the
-    |1> amplitude is sin(a)cos(a) - cos(a)sin(a) with identical factor
-    pairs, which cancels to exactly 0.0 (fused multiply-add paths, as in
-    numpy's dot, would leave ~1e-34 residue)."""
-    if not 1 <= n <= NE_CAP:
-        raise CapExceeded(f"rotation protocol capped at n<={NE_CAP}")
+def ne_protocol(n: int, x: int, y: int) -> Fraction:
+    """Acceptance of the rotation protocol: Alice rotates |0> by x theta,
+    Bob rotates back by y theta and measures; sin^2((x - y) theta) =
+    (b_x a_y - a_x b_y)^2 / 25^(x+y), zero iff x = y."""
+    if not 1 <= n <= PAIR_CAP:
+        raise CapExceeded(f"rotation protocol capped at n<={PAIR_CAP}")
     if not (0 <= x < (1 << n) and 0 <= y < (1 << n)):
         raise ValueError("inputs out of range")
-    theta = math.pi / (1 << n)
-    sx, cx = math.sin(x * theta), math.cos(x * theta)
-    sy, cy = math.sin(y * theta), math.cos(y * theta)
-    amp1 = sx * cy - cx * sy
-    return amp1 * amp1
+    ax, bx = _rotation_power(x)
+    ay, by = _rotation_power(y)
+    d = bx * ay - ax * by
+    return Fraction(d * d, (ax * ax + bx * bx) * (ay * ay + by * by))
 
 
 def ne_protocol_spec(n: int) -> ProtocolSpec:
     """The same protocol as a 2-message ProtocolSpec (cost 2 qubits)."""
-    if not 1 <= n <= NE_CAP:
-        raise CapExceeded(f"rotation protocol capped at n<={NE_CAP}")
-    theta = math.pi / (1 << n)
+    if not 1 <= n <= PAIR_CAP:
+        raise CapExceeded(f"rotation protocol capped at n<={PAIR_CAP}")
 
-    def alice_ops(x):
-        return (("matrix", (0,), _rotation(x * theta)),)
-
-    def bob_ops(y):
-        return (("matrix", (0,), _rotation(-y * theta)),)
+    def rotation(k, sign):
+        a, b = _rotation_power(k)
+        return (("matrix", (0,), ScaledMatrix(((a, -sign * b), (sign * b, a)),
+                                              None, a * a + b * b)),)
 
     return ProtocolSpec(alice_qubits=0, channel_qubits=1, bob_qubits=0,
-                        rounds=(Round("A", 1, alice_ops),
-                                Round("B", 1, bob_ops)),
-                        cost=2, exact=False)
+                        rounds=(Round("A", 1, lambda x: rotation(x, 1)),
+                                Round("B", 1, lambda y: rotation(y, -1))),
+                        cost=2)
 
 
 def ne_matrix(n: int) -> NondetMatrix:
-    """sin((x - y) pi / 2^n) as the sum of two rank-1 terms; NE pattern with
-    an exactly zero diagonal."""
-    if n > PAIR_CAP:
-        raise CapExceeded(f"pair functions capped at n<={PAIR_CAP}")
-    size = 1 << n
-    theta = math.pi / size
-    s = np.array([math.sin(x * theta) for x in range(size)])
-    c = np.array([math.cos(x * theta) for x in range(size)])
-    entries = np.outer(s, c) - np.outer(c, s)
-    return NondetMatrix(n, tuple(tuple(float(v) for v in row)
-                                 for row in entries),
-                        make_pair_function("NE", n), is_float=True)
+    """The integer rank-2 matrix N_xy = b_x a_y - a_x b_y = 25^min(x,y) *
+    sign(x - y) * b_|x-y|, nonzero exactly off the diagonal."""
+    f = make_pair_function("NE", n)
+    z = [_rotation_power(k) for k in range(f.size)]
+    return exact_matrix(n, [[bx * ay - ax * by for ay, by in z]
+                            for ax, bx in z], f)
 
 
 # ---------------------------------------------------------------------------
@@ -802,16 +766,6 @@ def intersect_complement_fooling_set(n: int):
 # collapsing vector families into a low-rank nondeterministic matrix
 
 
-def _to_fraction(v) -> Fraction:
-    """Exact rational image of a family entry; floats convert exactly as
-    stored, real-only complex values are unwrapped."""
-    if isinstance(v, complex):
-        if v.imag != 0:
-            raise ValueError("complex family entries unsupported")
-        v = v.real
-    return Fraction(v)
-
-
 def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
                                 seed: int) -> NondetMatrix:
     """Collapse vector families with sum_i A_i(x) (x) B_i(y) = 0 iff f = 0
@@ -820,8 +774,7 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
 
     a_fams/b_fams: per i, a mapping x -> tuple (the vectors); the two sides
     may have different dimensions (nothing below needs them padded to a
-    common one).  Float entries are converted to exact rationals as stored,
-    so the pattern check stays exact with respect to the simulated values.
+    common one).  Entries must be exact rationals (ints or Fractions).
     """
     m = len(a_fams)
     if len(b_fams) != m:
@@ -829,10 +782,11 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
     size = 1 << f.n
     d_a = len(next(iter(a_fams[0].values())))
     d_b = len(next(iter(b_fams[0].values())))
-    a_vecs = [[tuple(_to_fraction(v) for v in fam[x]) for fam in a_fams]
-              for x in range(size)]
-    b_vecs = [[tuple(_to_fraction(v) for v in fam[y]) for fam in b_fams]
-              for y in range(size)]
+    a_vecs = [[fam[x] for fam in a_fams] for x in range(size)]
+    b_vecs = [[fam[y] for fam in b_fams] for y in range(size)]
+    if not all(isinstance(v, numbers.Rational) for vecs in (a_vecs, b_vecs)
+               for per_input in vecs for vec in per_input for v in vec):
+        raise ValueError("family entries must be exact rationals")
     # indices i with A_i(x) nonzero; zero summands never flip the pattern
     a_live = [[i for i in range(m) if any(a_vecs[x][i])]
               for x in range(size)]
@@ -872,36 +826,24 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
 
 
 def matrix_to_csv_lines(M: NondetMatrix) -> list:
-    mode = "float" if M.is_float else "exact"
-    lines = [f"n,{M.n},mode,{mode}"]
+    lines = [f"n,{M.n},mode,exact"]
     for row in M.entries:
-        if M.is_float:
-            lines.append(",".join(repr(float(v)) for v in row))
-        else:
-            lines.append(",".join(str(Fraction(v)) for v in row))
+        lines.append(",".join(str(Fraction(v)) for v in row))
     return lines
 
 
 def matrix_from_csv_lines(lines) -> NondetMatrix:
     head = lines[0].strip().split(",") if lines else []
     if len(head) != 4 or head[0] != "n" or head[2] != "mode" \
-            or head[3] not in ("exact", "float"):
+            or head[3] != "exact":
         raise ValueError("bad matrix header")
-    n, mode = int(head[1]), head[3]
+    n = int(head[1])
     if not 1 <= n <= PAIR_CAP:
         raise CapExceeded(f"pair functions capped at n<={PAIR_CAP}")
     size = 1 << n
     body = [line.strip().split(",") for line in lines[1:] if line.strip()]
     if len(body) != size or any(len(r) != size for r in body):
         raise ValueError("matrix body shape mismatch")
-    if mode == "float":
-        entries = [[float(v) for v in row] for row in body]
-        if not all(math.isfinite(v) for row in entries for v in row):
-            raise ValueError("non-finite matrix entry")
-        rows = tuple(sum((1 << y) for y in range(size) if entries[x][y] != 0.0)
-                     for x in range(size))
-        return NondetMatrix(n, tuple(tuple(r) for r in entries),
-                            PairTable(n, rows), is_float=True)
     entries = [[parse_rational(v) for v in row] for row in body]
     rows = tuple(sum((1 << y) for y in range(size) if entries[x][y])
                  for x in range(size))
@@ -916,7 +858,7 @@ def protocol_to_lines(spec: ProtocolSpec) -> list:
     head = {"alice_qubits": spec.alice_qubits,
             "channel_qubits": spec.channel_qubits,
             "bob_qubits": spec.bob_qubits,
-            "cost": spec.cost, "exact": spec.exact}
+            "cost": spec.cost}
     lines = [json.dumps(head)]
     for r in spec.rounds:
         lines.append(json.dumps({"party": r.party,

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+from fractions import Fraction
+
 from ndqc.querysim import VerifierSpec, basis_prep
 from ndqc.statevec import scaled_real
 
@@ -22,3 +24,15 @@ def or2_verifier():
     return VerifierSpec(n=2, m=2, query_cost=1, unitaries=unitaries,
                         certificates=(basis_prep(2, 1), basis_prep(2, 2)),
                         chosen={0b01: 0, 0b10: 1, 0b11: 0})
+
+
+def sin2_table(size):
+    """sin^2(d theta) for cos theta = 3/5 and d < size, from the Chebyshev
+    recurrence s_(d+1) = 6 s_d - 25 s_(d-1) for s_d = 5^d sin(d theta): the
+    nonequality protocol's acceptance at x - y = d, computed without the
+    protocol's powers (3 + 4i)^k."""
+    s, s_next, out = 0, 4, []
+    for d in range(size):
+        out.append(Fraction(s * s, 25 ** d))
+        s, s_next = s_next, 6 * s_next - 25 * s
+    return out

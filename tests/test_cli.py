@@ -137,6 +137,33 @@ class TestSeparation:
         assert values["cov1_ne"] == {"1": 2, "2": 4, "3": 5}
         assert values["ncc_ne"] == {"1": 2, "2": 3, "3": 4}
 
+    def test_ne_above_cap_exits_2(self, capsys):
+        code = cli.main(["separation", "ne", "--n", str(commsim.PAIR_CAP + 1)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "capped at n<=10" in err
+
+    def test_ne_zero_check_can_fail(self, monkeypatch, capsys):
+        # a quarter turn has finite order: acceptance 0 at x - y = 2
+        monkeypatch.setattr(commsim, "_rotation_power", _quarter_turn)
+        code, out = run_cli(["separation", "ne", "--n", "3"], capsys)
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["protocol_spec_agrees"]
+        assert checks["zero_iff_equal_exhaustive"] is False
+        assert checks["matches_sin2_formula"] is False
+        code, checks = _checks_under_O(_QUARTER_TURN_UNDER_O)
+        assert code == 1 and checks["zero_iff_equal_exhaustive"] is False
+        assert checks["matches_sin2_formula"] is False
+
+    def test_ne_protocol_check_can_fail(self, monkeypatch, capsys):
+        monkeypatch.setattr(commsim, "ne_protocol_spec",
+                            _bob_one_step_ahead(commsim.ne_protocol_spec))
+        code, out = run_cli(["separation", "ne", "--n", "3"], capsys)
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert code == 1 and checks["zero_iff_equal_exhaustive"]
+        assert checks["protocol_spec_agrees"] is False
+        code, checks = _checks_under_O(_BOB_AHEAD_UNDER_O)
+        assert code == 1 and checks["protocol_spec_agrees"] is False
+
     def test_query_float_mode(self, capsys):
         code, out = run_cli(["--mode", "float", "separation", "query",
                              "--n", "3"], capsys)
@@ -280,6 +307,39 @@ sys.exit(cli.main(["separation", "comm", "--n", "3"]))
 """
 
 
+def _quarter_turn(k):
+    """(a, b) with a + ib = i^k, in place of (3 + 4i)^k."""
+    return ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]
+
+
+_QUARTER_TURN_UNDER_O = """
+import sys
+from ndqc import cli, commsim
+from test_cli import _quarter_turn
+commsim._rotation_power = _quarter_turn
+sys.exit(cli.main(["separation", "ne", "--n", "3"]))
+"""
+
+
+def _bob_one_step_ahead(real):
+    """ne_protocol_spec with Bob rotating back by (y + 1) theta."""
+    def spec(n):
+        s = real(n)
+        alice, bob = s.rounds
+        return dataclasses.replace(s, rounds=(alice, commsim.Round(
+            "B", 1, lambda y: bob.ops(y + 1))))
+    return spec
+
+
+_BOB_AHEAD_UNDER_O = """
+import sys
+from ndqc import cli, commsim
+from test_cli import _bob_one_step_ahead
+commsim.ne_protocol_spec = _bob_one_step_ahead(commsim.ne_protocol_spec)
+sys.exit(cli.main(["separation", "ne", "--n", "3"]))
+"""
+
+
 def _or2_report(measures=(), check=()):
     """The OR_2 measure report with measures and the first check edited."""
     rep = report.build_measure_report(make_named("OR", 2), 1,
@@ -369,6 +429,27 @@ class TestExport:
         p.write_text(text)
         assert cli.main(["export", str(p), "--format", fmt]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("export: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "OR", "--n", "3"],
+    ["theorems", "--n", "1", "--exhaustive"],
+    ["separation", "ne", "--n", "2"],
+    ["export", "REPORT"],
+])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    # an --out path that cannot be opened is a usage error, not a failed check
+    report_path = tmp_path / "r.json"
+    cli.main(["--out", str(report_path), "analyze", "--family", "OR",
+              "--n", "2"])
+    capsys.readouterr()
+    argv = [str(report_path) if a == "REPORT" else a for a in argv]
+    bad = tmp_path / "missing" / "x.json"
+    assert cli.main(argv + ["--out", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    command = " ".join(argv[:2]) if argv[0] == "separation" else argv[0]
+    assert out == "" and err.splitlines()[-1].startswith(f"{command}: ")
+    assert "No such file" in err and not bad.exists()
 
 
 class TestReportLoader:
@@ -467,8 +548,10 @@ REPORT_SHA256 = {
     # only its details string
     "separation comm --n 5":
         "eb19f4b76a4ad03b84072e1ebdffc2f8bd8f4571331a83eedb61b61f3127c7a1",
+    # recorded when the rotation moved to the rational angle cos = 3/5,
+    # which changed only the details strings
     "separation ne --n 3":
-        "7616f87614f3c3ce32769dd38a7c72158537cc5aef94e4e393855fcd530aa13c",
+        "938e82bf09515b5c4fb1e251cb478cb7787ff102a260484db8289cb947de2a6d",
 }
 
 

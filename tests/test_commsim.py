@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from ndqc import commsim
-from ndqc.boolfn import make_named
+from ndqc.boolfn import CapExceeded, make_named
 from ndqc.linalg import int_rank
 from ndqc.polys import (MONOMIAL, MultilinearPoly, RetryCapExceeded,
                         weight_offset_poly)
-from ndqc.commsim import (PAIR_FAMILIES, FloatMatrix, HypothesisViolated,
-                          NondetMatrix, PairTable, PatternMismatch,
+from ndqc.statevec import ScaledMatrix
+from ndqc.commsim import (PAIR_FAMILIES, HypothesisViolated, NondetMatrix,
+                          PairTable, PatternMismatch,
                           ProtocolSpec,
                           RankBoundViolation, Rectangle,
                           Round, ZeroRow, closed_one_rectangles, cover_number,
@@ -28,6 +29,8 @@ from ndqc.commsim import (PAIR_FAMILIES, FloatMatrix, HypothesisViolated,
                           protocol_summary_from_lines, protocol_to_lines,
                           run_protocol, svd_acceptance_sweep, svd_protocol,
                           svd_protocol_cost)
+
+from helpers import sin2_table
 
 F = Fraction
 
@@ -245,9 +248,28 @@ class TestSvdProtocol:
         with pytest.raises(ZeroRow):
             svd_protocol(m)
 
-    def test_float_matrix_points_to_ne_protocol_spec(self):
-        with pytest.raises(FloatMatrix, match="ne_protocol_spec"):
-            svd_protocol(ne_matrix(2))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ne_matrix_protocol_cost_2(self, n):
+        # the integer rank-2 NE matrix gets the exact protocol of cost 2,
+        # and its sweep is what the simulator measures on every pair
+        m = ne_matrix(n)
+        spec = svd_protocol(m)
+        assert spec.cost == 2
+        sweep = svd_acceptance_sweep(m)
+        size = 1 << n
+        assert all(run_protocol(spec, x, y)[0] == sweep[x][y]
+                   for x in range(size) for y in range(size))
+
+    def test_factors_computed_once_per_matrix(self, monkeypatch):
+        calls = []
+        real = commsim._rank_factors
+        monkeypatch.setattr(commsim, "_rank_factors",
+                            lambda M: calls.append(M) or real(M))
+        m = matrix_from_poly(weight_offset_poly(3, 1),
+                             make_pair_function("INTERSECT_NOT_ONE", 3))
+        svd_protocol(m)
+        svd_acceptance_sweep(m)
+        assert calls == [m]
 
     def test_cost_formula(self):
         assert svd_protocol_cost(1) == 1
@@ -367,7 +389,7 @@ class TestProtocolModel:
             run_protocol(spec, 0, 0)
 
     def test_exact_spec_rejects_float_round(self):
-        rotate = ne_protocol_spec(2).rounds[0]
+        rotate = Round("A", 1, lambda v: (("matrix", (0,), np.eye(2)),))
         spec = ProtocolSpec(alice_qubits=0, channel_qubits=1, bob_qubits=0,
                             rounds=(rotate,), cost=1)
         with pytest.raises(ValueError, match="ScaledMatrix"):
@@ -402,46 +424,59 @@ class TestProtocolModel:
                             rounds=(Round("A", 2, lambda v: ops),), cost=2)
         with pytest.raises(ValueError, match=match):
             run_protocol(spec, 0, 0)
-        float_spec = dataclasses.replace(spec, exact=False)
-        with pytest.raises(ValueError, match="real exact states only"):
-            run_protocol(float_spec, 0, 0)
+        # the projector ops need a real state: a complex round first
+        identity = ScaledMatrix(((1, 0), (0, 1)), ((0, 0), (0, 0)), 1)
+        complex_spec = dataclasses.replace(spec, rounds=(Round(
+            "A", 2, lambda v: (("matrix", (0,), identity),) + ops),))
+        with pytest.raises(ValueError, match="real states only"):
+            run_protocol(complex_spec, 0, 0)
 
     def test_non_unitary_float_round_rejected(self):
-        import numpy as np
-        spec = ProtocolSpec(
-            alice_qubits=0, channel_qubits=1, bob_qubits=0,
-            rounds=(Round("A", 1,
-                          lambda v: (("matrix", (0,),
-                                      np.array([[1.0, 1.0], [0.0, 1.0]])),)),),
-            cost=1, exact=False)
-        with pytest.raises(ValueError, match="non-unitary"):
-            run_protocol(spec, 0, 0)
+        # a float round is rejected as such; an exact one needs G^T G = M I
+        for mat, match in (
+                (np.array([[1.0, 1.0], [0.0, 1.0]]), "ScaledMatrix"),
+                (ScaledMatrix(((1, 1), (0, 1)), None, 1), "non-unitary")):
+            spec = ProtocolSpec(
+                alice_qubits=0, channel_qubits=1, bob_qubits=0,
+                rounds=(Round("A", 1, lambda v, m=mat: (("matrix", (0,), m),)),),
+                cost=1)
+            with pytest.raises(ValueError, match=match):
+                run_protocol(spec, 0, 0)
 
 
 class TestNeProtocol:
     def test_zero_iff_equal(self):
         for n in (1, 3, 6, 10):
             for x in (0, 1, (1 << n) - 1):
-                assert ne_protocol(n, x, x) == 0.0
+                assert ne_protocol(n, x, x) == 0
         assert ne_protocol(3, 1, 2) > 0
-
-    def test_n1_opposite(self):
-        assert abs(ne_protocol(1, 1, 0) - 1.0) < 1e-12
-
-    def test_half_range_angle(self):
-        for n in (2, 4, 8):
-            assert abs(ne_protocol(n, 1 << (n - 1), 0) - 1.0) < 1e-12
 
     def test_matches_formula(self):
         for n in (3, 5):
+            sin2 = sin2_table(1 << n)
             for x in range(0, 1 << n, 3):
                 for y in range(0, 1 << n, 5):
-                    expect = math.sin((x - y) * math.pi / (1 << n)) ** 2
-                    assert abs(ne_protocol(n, x, y) - expect) < 1e-12
+                    assert ne_protocol(n, x, y) == sin2[abs(x - y)]
+
+    def test_depends_only_on_difference(self):
+        # z_x conj(z_y) = 25^y z_(x-y) for z_k = (3+4i)^k
+        n = 4
+        for x in range(1 << n):
+            for y in range(1 << n):
+                assert ne_protocol(n, x, y) == ne_protocol(n, abs(x - y), 0)
+
+    def test_rational_point(self):
+        assert ne_protocol(1, 1, 0) == F(16, 25)    # sin^2 theta
+        assert ne_protocol(2, 2, 0) == F(576, 625)  # sin^2 2 theta
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
             ne_protocol(2, 4, 0)
+        for n in (0, commsim.PAIR_CAP + 1):
+            with pytest.raises(CapExceeded):
+                ne_protocol(n, 0, 0)
+            with pytest.raises(CapExceeded):
+                ne_protocol_spec(n)
 
     def test_spec_embedding_cost_2(self):
         spec = ne_protocol_spec(4)
@@ -449,16 +484,19 @@ class TestNeProtocol:
         for x in (0, 3, 9):
             for y in (0, 5, 15):
                 acc, tr = run_protocol(spec, x, y)
-                assert abs(acc - ne_protocol(4, x, y)) < 1e-12
+                assert acc == ne_protocol(4, x, y)
                 assert tr.cost == 2
 
     def test_ne_matrix_rank_2_and_pattern(self):
         for n in (2, 3, 4):
             m = ne_matrix(n)
-            assert m.is_float
-            assert m.rank() <= 2
+            assert m.rank() == 2
+            assert all(type(v) is int for row in m.entries for v in row)
             for x in range(1 << n):
-                assert m.entries[x][x] == 0.0
+                assert m.entries[x][x] == 0
+                for y in range(1 << n):
+                    assert F(m.entries[x][y]) ** 2 / 25 ** (x + y) \
+                        == ne_protocol(n, x, y)
 
 
 class TestRectangles:
@@ -693,6 +731,14 @@ class TestVectorFamilies:
         with pytest.raises(RankBoundViolation):
             matrix_from_vector_families(a, b, f, seed=5)
 
+    @pytest.mark.parametrize("entry", [1.0, 1 + 0j, np.float64(1.0)])
+    def test_inexact_entries_rejected(self, entry):
+        f = PairTable(1, (3, 3))
+        a = [{0: (F(1),), 1: (entry,)}]
+        b = [{0: (F(2),), 1: (F(3),)}]
+        with pytest.raises(ValueError, match="exact rationals"):
+            matrix_from_vector_families(a, b, f, seed=5)
+
     def test_hypothesis_violated(self):
         f = PairTable(1, (3, 3))
         a = [{0: (F(1),), 1: (F(1),)}]
@@ -751,20 +797,20 @@ class TestMatrixFiles:
     def test_exact_round_trip(self):
         m = identity_matrix(2)
         m2 = matrix_from_csv_lines(matrix_to_csv_lines(m))
-        assert m2.entries == m.entries and not m2.is_float
+        assert m2.entries == m.entries
 
-    def test_float_round_trip(self):
+    def test_ne_matrix_round_trip(self):
         m = ne_matrix(2)
-        m2 = matrix_from_csv_lines(matrix_to_csv_lines(m))
-        assert m2.is_float
-        assert all(m2.entries[x][y] == m.entries[x][y]
-                   for x in range(4) for y in range(4))
+        lines = matrix_to_csv_lines(m)
+        assert lines[0] == "n,2,mode,exact"
+        assert matrix_from_csv_lines(lines).entries == m.entries
 
     @pytest.mark.parametrize("lines", [
         [],
         ["n,1"],
         ["n,1,mode"],
         ["n,1,mode,bogus", "1,0", "0,1"],
+        ["n,1,mode,float", "1.0,0.0", "0.0,1.0"],
         ["n,x,mode,exact", "1,0", "0,1"],
         ["n,1,mode,exact", "1,0"],
         ["n,1,mode,exact", "1/0,0", "0,1"],
@@ -777,9 +823,9 @@ class TestMatrixFiles:
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_float_non_finite_rejected(self, entry):
-        # nan != 0.0 would otherwise put a nonzero in the pattern
-        with pytest.raises(ValueError, match="non-finite"):
-            matrix_from_csv_lines(["n,1,mode,float", f"{entry},0.0", "0.0,1.0"])
+        # entries are p/q rationals: float literals never reach the pattern
+        with pytest.raises(ValueError):
+            matrix_from_csv_lines(["n,1,mode,exact", f"{entry},0", "0,1"])
 
     def test_rational_entries_preserved(self):
         f = PairTable(1, (3, 3))

@@ -18,7 +18,7 @@ CAPS = {
     "full-table polynomial work": polys.POLY_TABLE_CAP,
     "pair functions": commsim.PAIR_CAP,
     "rectangle covers": commsim.COVER_CAP,
-    "rotation protocol": commsim.NE_CAP,
+    "rotation protocol": commsim.PAIR_CAP,
 }
 
 
