@@ -13,8 +13,8 @@ from .querysim import (QueryAlgorithm, SymbolicState, VerifierSpec,
                        compile_from_ndet_poly, extract_ndet_poly, simulate,
                        symbolic_simulate, verifier_to_ndet)
 from .commsim import (NondetMatrix, PairTable, ProtocolSpec, Rectangle,
-                      Transcript, cover_number, fooling_set_check,
-                      full_rank_check, make_pair_function, matrix_from_poly,
+                      cover_number, fooling_set_check, full_rank_check,
+                      make_pair_function, matrix_from_poly,
                       matrix_from_vector_families, ne_protocol, run_protocol,
                       svd_protocol)
 

@@ -256,7 +256,7 @@ def _separation_comm(args):
         == a.denominator * ux.numerator * vy.numerator * m * m
         for row, ux, m_row in zip(acc, u, M.entries)
         for a, vy, m in zip(row, v, m_row))
-    simulated = all(commsim.run_protocol(spec, x, y)[0] == acc[x][y]
+    simulated = all(commsim.run_protocol(spec, x, y) == acc[x][y]
                     for x in (0, f.size - 1) for y in (0, f.size - 1))
     _check(checks, "protocol_accepts_iff_f1", rank_one and simulated,
            "acceptance = c_x^2 d_y^2 M_xy^2 exactly over all pairs")
@@ -307,10 +307,8 @@ def _separation_ne(args):
                                for (x, y), a in zip(spot, spot_acc)),
            f"sin^2((x - y) theta), cos theta = 3/5, exactly on all {size} "
            f"differences and {len(spot)} pairs")
-    ok = True
-    for (x, y), a in zip(spot, spot_acc):
-        got, tr = commsim.run_protocol(spec, x, y)
-        ok = ok and got == a and tr.cost == 2
+    ok = all(commsim.run_protocol(spec, x, y) == a
+             for (x, y), a in zip(spot, spot_acc))
     _check(checks, "protocol_spec_agrees", ok,
            f"{len(spot)} pairs through the exact simulator")
     return checks, values
@@ -430,6 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _status(f"ndqc: seed={args.seed} mode={args.mode}")
+    command = f"{args.command} {getattr(args, 'which', '')}".rstrip()
+    if args.mode == "float" and command != "separation query":
+        _status(f"{command}: --mode float runs only for separation query")
+        return 2
     return args.fn(args)
 
 

@@ -16,16 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .boolfn import CapExceeded
 from .linalg import int_rank, nullspace, rows_to_int
 from .polys import MultilinearPoly, _resample, parse_rational
-from .statevec import ExactState, ScaledMatrix, apply_label_map, \
-    apply_scaled_matrix, register_values, subset_index_maps
-# no caller here: kept as commsim.apply_matrix_float, which the perfbench
-# tracer requires to rebind (perfbench/tracer.py MUST_REBIND)
-from .statevec import apply_matrix_float  # noqa: F401
+from .statevec import (FlipOnProjector, PrepState, ScaledMatrix, Swap,
+                       Unitary, _check_qubits, acceptance, apply_gate,
+                       basis_state)
+# no caller here: kept as names the perfbench tracer requires to rebind
+# (perfbench/tracer.py MUST_REBIND)
+from .statevec import apply_matrix_float, apply_scaled_matrix  # noqa: F401
 
 PAIR_CAP = 10
 FULL_RANK_CAP = 8
@@ -92,8 +91,7 @@ class PairTable:
     rows: tuple
 
     def __post_init__(self):
-        if not 1 <= self.n <= PAIR_CAP:
-            raise CapExceeded(f"pair functions capped at n<={PAIR_CAP}")
+        _check_pair_arity(self.n)
         if len(self.rows) != 1 << self.n:
             raise ValueError("need 2^n rows")
 
@@ -113,9 +111,15 @@ class PairTable:
                 if self.value(x, y)]
 
 
+def _check_pair_arity(n: int, what: str = "pair functions") -> None:
+    if n < 1:
+        raise CapExceeded(f"n={n} outside 1..{PAIR_CAP}")
+    if n > PAIR_CAP:
+        raise CapExceeded(f"{what} capped at n<={PAIR_CAP}")
+
+
 def make_pair_function(family: str, n: int) -> PairTable:
-    if not 1 <= n <= PAIR_CAP:
-        raise CapExceeded(f"pair functions capped at n<={PAIR_CAP}")
+    _check_pair_arity(n)
     size = 1 << n
     rows = []
     for x in range(size):
@@ -297,7 +301,7 @@ def nrank_lower_bound(f: PairTable) -> int:
 class Round:
     party: str            # "A" or "B"
     message_qubits: int
-    ops: object           # callable: party input -> tuple of op records
+    ops: object           # callable: party input -> tuple of statevec gates
 
 
 @dataclass(frozen=True)
@@ -333,108 +337,24 @@ class ProtocolSpec:
         return tuple(range(a, a + c + b))
 
 
-@dataclass(frozen=True)
-class Transcript:
-    rounds: tuple      # (party, message_qubits) per round
-    cost: int
-
-
-def run_protocol(spec: ProtocolSpec, x: int, y: int):
-    """Simulate the protocol on an ExactState: returns (acceptance as a
-    Fraction, Transcript)."""
+def run_protocol(spec: ProtocolSpec, x: int, y: int) -> Fraction:
+    """Simulate the protocol on an ExactState; returns the acceptance as an
+    exact Fraction."""
     if (1 << spec.num_qubits) > PROTOCOL_DIM_CAP:
         raise CapExceeded("protocol state dimension above 2^20")
-    nq = spec.num_qubits
-    state = _basis_state(spec, 0)
+    state = basis_state(spec.num_qubits)
     for rnd in spec.rounds:
-        allowed = set(spec.party_qubits(rnd.party))
-        for op in rnd.ops(x if rnd.party == "A" else y):
-            if any(q not in allowed for q in _op_qubits(op)):
-                raise ValueError(f"{rnd.party} op touches foreign qubits")
-            state = _apply_protocol_op(state, nq, op)
-    tr = Transcript(tuple((r.party, r.message_qubits) for r in spec.rounds),
-                    spec.cost)
-    bit = 1 << spec.output_qubit
-    labels = [i for i in range(1 << nq) if i & bit]
-    return state.probability(labels), tr
+        state = _run_round(spec, rnd, x if rnd.party == "A" else y, state)
+    return acceptance(state, spec.output_qubit)
 
 
-def _op_qubits(op):
-    kind = op[0]
-    if kind in ("matrix", "prep_state"):
-        return op[1]
-    if kind == "swap":
-        return (op[1], op[2])
-    if kind == "flip_on_projector":
-        return (op[1],) + tuple(op[2])
-    raise ValueError(f"unknown op {kind!r}")
-
-
-def _apply_protocol_op(state, nq, op):
-    kind = op[0]
-    if kind == "matrix":
-        _, qubits, mat = op
-        if not isinstance(mat, ScaledMatrix):
-            raise ValueError("protocol rounds need ScaledMatrix matrices")
-        if not mat.is_unitary():
-            raise ValueError("non-unitary protocol round")
-        apply_scaled_matrix(state, qubits, mat)
-        return state
-    if kind == "swap":
-        # a label permutation that is its own inverse
-        _, q1, q2 = op
-        reg = register_values(nq, (q1, q2))
-        hit = (reg == 1) | (reg == 2)
-        return apply_label_map(state, np.arange(1 << nq) ^ np.where(
-            hit, (1 << q1) | (1 << q2), 0))
-    if kind not in ("prep_state", "flip_on_projector"):
-        raise ValueError(f"unknown op {kind!r}")
-    if state.im is not None:
-        raise ValueError(f"{kind} runs on real states only")
-    qubits, vec = op[-2:]
-    norm2 = sum(v * v for v in vec)
-    if not 0 < len(vec) <= 1 << len(qubits) or not norm2:
-        raise ValueError(f"{kind} needs a nonzero vector that fits")
-    bases, offs = subset_index_maps(nq, qubits)
-    if kind == "prep_state":
-        _prep_state(state, bases, offs, vec)
-        state.scale2 = state.scale2 * norm2
-    else:
-        if op[1] in qubits:
-            raise ValueError(f"{kind} target inside its register")
-        _flip_on_projector(state, bases, offs, vec, norm2, op[1])
-        state.scale2 = state.scale2 * norm2 * norm2
+def _run_round(spec, rnd, v, state):
+    """Apply the round's gates for party input v, on its party's qubits."""
+    allowed = spec.party_qubits(rnd.party)
+    for gate in rnd.ops(v):
+        _check_qubits(gate, allowed)
+        state = apply_gate(state, spec.num_qubits, gate)
     return state
-
-
-def _prep_state(state, bases, offs, vec):
-    """Take the register (zero at `bases`, value j at offset offs[j]) from
-    |0> to vec/|vec|, times |vec|.  Defined on states whose register is
-    |0>, where it is the restriction of a unitary."""
-    re, zero_reg = state.re, set(bases)
-    if any(a and i not in zero_reg for i, a in enumerate(re)):
-        raise ValueError("prep_state needs the register in |0>")
-    state.re = [0] * state.dim
-    for base in bases:
-        for o, v in zip(offs, vec):
-            state.re[base | o] = re[base] * v
-
-
-def _flip_on_projector(state, bases, offs, vec, norm2, target):
-    """X on target controlled by P = vec vec^T / |vec|^2 on the register,
-    times |vec|^2: U = (I - P) (x) I + P (x) X is a rational unitary, and
-    |vec|^2 U maps the register blocks (u0, u1) at target 0 and 1 to
-    (|vec|^2 u0 + vec d, |vec|^2 u1 - vec d) with d = vec.(u1 - u0), so the
-    integer numerators update in O(dim * len(vec))."""
-    re, tbit = state.re, 1 << target
-    state.re = new = [a * norm2 for a in re]
-    for b0 in bases:
-        if not b0 & tbit:
-            b1 = b0 | tbit
-            d = sum(v * (re[b1 | o] - re[b0 | o]) for o, v in zip(offs, vec))
-            for o, v in zip(offs, vec):
-                new[b0 | o] += v * d
-                new[b1 | o] -= v * d
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +378,13 @@ def svd_protocol(M: NondetMatrix) -> ProtocolSpec:
     bob_qubits = tuple(range(chan, chan + n))
 
     def alice_ops(x):
-        return (("prep_state", chan_qubits, a[x]),)
+        return (PrepState(chan_qubits, a[x]),)
 
     def bob_ops(y):
         # r <= 2^n, so chan <= n: the message lands in Bob's low qubits
-        ops = [("swap", j, chan + j) for j in range(chan)]
+        ops = [Swap(j, chan + j) for j in range(chan)]
         if any(b[y]):
-            ops.append(("flip_on_projector", 0, bob_qubits, b[y]))
+            ops.append(FlipOnProjector(0, bob_qubits, b[y]))
         return tuple(ops)
 
     return ProtocolSpec(alice_qubits=0, channel_qubits=chan, bob_qubits=n,
@@ -541,44 +461,26 @@ def final_state_families(spec: ProtocolSpec, n: int):
         raise ValueError("families are read off 0-private two-round protocols")
     size = 1 << n
     chan = spec.channel_qubits
-    bobq = spec.bob_qubits
-    a_fams, b_fams = [], []
     alice_round, bob_round = spec.rounds
+
+    def real_amps(rnd, v, w):
+        st = _run_round(spec, rnd, v, basis_state(spec.num_qubits, w))
+        if st.im is not None and any(st.im):
+            raise ValueError("complex amplitudes unexpected here")
+        return st.re
+
+    alice = [real_amps(alice_round, x, 0) for x in range(size)]
+    a_fams, b_fams = [], []
     for w in range(1 << chan):
-        a_entry = {}
-        for x in range(size):
-            st = _basis_state(spec, 0)
-            for op in alice_round.ops(x):
-                st = _apply_protocol_op(st, spec.num_qubits, op)
-            a_entry[x] = _amp_at(st, w)
+        a_fams.append({x: (amps[w],) for x, amps in enumerate(alice)})
         b_entry = {}
         for y in range(size):
-            st = _basis_state(spec, w)
-            for op in bob_round.ops(y):
-                st = _apply_protocol_op(st, spec.num_qubits, op)
-            vec = []
-            for z in range(1 << bobq):
-                label = (z << chan) | 1  # reply bit set, rest of channel 0
-                vec.append(_amp_at(st, label))
-            b_entry[y] = tuple(vec)
-        a_fams.append({x: (a_entry[x],) for x in a_entry})
+            amps = real_amps(bob_round, y, w)
+            # reply bit set, rest of the channel 0
+            b_entry[y] = tuple(amps[(z << chan) | 1]
+                               for z in range(1 << spec.bob_qubits))
         b_fams.append(b_entry)
     return a_fams, b_fams
-
-
-def _basis_state(spec, w):
-    st = ExactState.zero_state(spec.num_qubits)
-    st.re[0] = 0
-    st.re[w] = 1
-    return st
-
-
-def _amp_at(st, label):
-    """The real amplitude numerator at one basis label."""
-    re, im, _ = st.amplitude(label)
-    if im:
-        raise ValueError("complex amplitudes unexpected here")
-    return re
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +504,7 @@ def ne_protocol(n: int, x: int, y: int) -> Fraction:
     """Acceptance of the rotation protocol: Alice rotates |0> by x theta,
     Bob rotates back by y theta and measures; sin^2((x - y) theta) =
     (b_x a_y - a_x b_y)^2 / 25^(x+y), zero iff x = y."""
-    if not 1 <= n <= PAIR_CAP:
-        raise CapExceeded(f"rotation protocol capped at n<={PAIR_CAP}")
+    _check_pair_arity(n, "rotation protocol")
     if not (0 <= x < (1 << n) and 0 <= y < (1 << n)):
         raise ValueError("inputs out of range")
     ax, bx = _rotation_power(x)
@@ -614,13 +515,12 @@ def ne_protocol(n: int, x: int, y: int) -> Fraction:
 
 def ne_protocol_spec(n: int) -> ProtocolSpec:
     """The same protocol as a 2-message ProtocolSpec (cost 2 qubits)."""
-    if not 1 <= n <= PAIR_CAP:
-        raise CapExceeded(f"rotation protocol capped at n<={PAIR_CAP}")
+    _check_pair_arity(n, "rotation protocol")
 
     def rotation(k, sign):
         a, b = _rotation_power(k)
-        return (("matrix", (0,), ScaledMatrix(((a, -sign * b), (sign * b, a)),
-                                              None, a * a + b * b)),)
+        return (Unitary((0,), ScaledMatrix(((a, -sign * b), (sign * b, a)),
+                                           None, a * a + b * b)),)
 
     return ProtocolSpec(alice_qubits=0, channel_qubits=1, bob_qubits=0,
                         rounds=(Round("A", 1, lambda x: rotation(x, 1)),
@@ -838,8 +738,7 @@ def matrix_from_csv_lines(lines) -> NondetMatrix:
             or head[3] != "exact":
         raise ValueError("bad matrix header")
     n = int(head[1])
-    if not 1 <= n <= PAIR_CAP:
-        raise CapExceeded(f"pair functions capped at n<={PAIR_CAP}")
+    _check_pair_arity(n)
     size = 1 << n
     body = [line.strip().split(",") for line in lines[1:] if line.strip()]
     if len(body) != size or any(len(r) != size for r in body):

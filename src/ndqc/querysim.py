@@ -20,9 +20,13 @@ import numpy as np
 from .boolfn import CapExceeded, TruthTable
 from .polys import (MONOMIAL, InvalidWitness, MultilinearPoly, _combine,
                     _resample, parse_rational, to_fourier, verify_ndet)
-from .statevec import (HADAMARD, ExactState, ScaledMatrix, apply_label_map,
-                       apply_matrix_float, apply_scaled_matrix,
+from .statevec import (HADAMARD, ExactState, FlipOnZero, ScaledMatrix,
+                       Unitary, _check_qubits, _fixed_flip, _flip_labels,
+                       acceptance, apply_gate, apply_label_map, basis_state,
                        register_values, subset_index_maps)
+# no caller here: kept as names the perfbench tracer requires to rebind
+# (perfbench/tracer.py MUST_REBIND)
+from .statevec import apply_matrix_float, apply_scaled_matrix  # noqa: F401
 
 DIM_CAP = 1 << 20
 SYMBOLIC_DIM_CAP = 1 << 14
@@ -55,24 +59,7 @@ class DegreeBoundViolation(ValueError):
 # gates
 
 
-@dataclass(frozen=True)
-class Unitary:
-    """Fixed unitary (dense scaled-rational matrix) on named qubits."""
-
-    qubits: tuple
-    matrix: ScaledMatrix
-
-    cost = 0
-
-
-@dataclass(frozen=True)
-class FlipOnZero:
-    """Fixed unitary permutation: X on target iff all control qubits are 0."""
-
-    controls: tuple
-    target: int
-
-    cost = 0
+# gates that read the input; Unitary and FlipOnZero come from statevec
 
 
 @dataclass(frozen=True)
@@ -85,6 +72,10 @@ class BitOracle:
     target: int
 
     cost = 1
+
+    @property
+    def qubits(self):
+        return tuple(self.index_qubits) + (self.target,)
 
 
 @dataclass(frozen=True)
@@ -140,9 +131,7 @@ class StatePrep:
 
 
 def basis_prep(num_qubits: int, label: int = 0) -> StatePrep:
-    re = [0] * (1 << num_qubits)
-    re[label] = 1
-    return StatePrep(tuple(re), None, 1)
+    return StatePrep(tuple(basis_state(num_qubits, label).re), None, 1)
 
 
 @dataclass(frozen=True)
@@ -163,81 +152,45 @@ class QueryAlgorithm:
             raise ValueError("output qubit out of range")
         total = 0
         for g in self.gates:
-            qubits = g.qubits if not isinstance(g, (BitOracle, FlipOnZero)) \
-                else (g.index_qubits + (g.target,) if isinstance(g, BitOracle)
-                      else g.controls + (g.target,))
-            if len(set(qubits)) != len(qubits) or \
-                    any(not 0 <= q < self.num_qubits for q in qubits):
-                raise ValueError(f"bad qubit set on gate {g!r}")
+            _check_qubits(g, range(self.num_qubits))
             if isinstance(g, PhaseOracle) and len(g.qubits) > self.n:
                 raise ValueError("phase oracle register wider than n")
-            if isinstance(g, Unitary):
-                if len(g.qubits) > 12:
-                    raise CapExceeded("dense gate wider than 12 qubits")
-                if not g.matrix.is_unitary():
-                    raise ValueError("non-unitary gate")
             total += g.cost
         if total != self.query_cost:
             raise ValueError("declared query cost must equal summed gate costs")
-
-    def accepting_labels(self):
-        bit = 1 << self.output_qubit
-        return [i for i in range(1 << self.num_qubits) if i & bit]
 
 
 # ---------------------------------------------------------------------------
 # numeric simulation
 
 
-def _label_map(gate, num_qubits, x, n):
-    """(perm, neg, over) of a permutation or phase gate on input x, as taken
-    by apply_label_map; over marks the labels a PhaseOracle requires to be
-    empty.  Every perm flips bits that its condition does not read, so it is
-    its own inverse."""
-    labels = np.arange(1 << num_qubits)
-    if isinstance(gate, FlipOnZero):
-        hit = register_values(num_qubits, gate.controls) == 0
-        return labels ^ np.where(hit, 1 << gate.target, 0), None, None
+def _apply_gate(state, algo, gate, x):
+    """Apply one gate on input x: the gates that read x are resolved here,
+    every other gate goes to statevec.apply_gate."""
+    nq, n = algo.num_qubits, algo.n
+    if isinstance(gate, InputGate):
+        gate = Unitary(gate.qubits, gate.matrices[x])
     if isinstance(gate, BitOracle):
         # x_{i+1} for each index value i; values >= n read 0 (identity), and
         # a table lookup keeps x out of numpy shifts
-        table = np.zeros(1 << len(gate.index_qubits), dtype=labels.dtype)
+        table = np.zeros(1 << len(gate.index_qubits), dtype=np.int64)
         table[:n] = [(x >> i) & 1 for i in range(min(n, len(table)))]
-        hit = table[register_values(num_qubits, gate.index_qubits)]
-        return labels ^ (hit << gate.target), None, None
-    s = register_values(num_qubits, gate.qubits)
+        hit = table[register_values(nq, gate.index_qubits)]
+        return apply_label_map(state, _flip_labels(hit, 1 << gate.target))
+    if not isinstance(gate, PhaseOracle):
+        return apply_gate(state, nq, gate)
+    s = register_values(nq, gate.qubits)
+    idx = np.flatnonzero(np.bitwise_count(s) > gate.degree_bound)
+    if isinstance(state, ExactState):
+        parts = [p for p in (state.re, state.im) if p is not None]
+        occupied = any(any(map(p.__getitem__, idx.tolist())) for p in parts)
+    else:
+        occupied = np.any(state[idx] != 0)
+    if occupied:
+        raise ValueError("phase gate support above its degree bound")
     xs = x & ((1 << len(gate.qubits)) - 1)  # register bit j holds x_{j+1}
-    neg = (np.bitwise_count(s & xs) & 1).astype(bool)
-    return None, neg, np.bitwise_count(s) > gate.degree_bound
-
-
-def _apply_gate(state, algo, gate, x):
-    """Apply one gate on input x: an ExactState in place, or a float vector
-    into a new array; returns the state."""
-    exact = isinstance(state, ExactState)
-    if isinstance(gate, (Unitary, InputGate)):
-        mat = gate.matrix if isinstance(gate, Unitary) else gate.matrices[x]
-        if isinstance(gate, InputGate) and not mat.is_unitary():
-            raise ValueError("non-unitary gate")
-        if exact:
-            apply_scaled_matrix(state, gate.qubits, mat)
-            return state
-        return apply_matrix_float(state, algo.num_qubits, gate.qubits,
-                                  mat.to_ndarray())
-    if not isinstance(gate, (FlipOnZero, BitOracle, PhaseOracle)):
-        raise TypeError(f"unknown gate {gate!r}")
-    perm, neg, over = _label_map(gate, algo.num_qubits, x, algo.n)
-    if over is not None:
-        idx = np.flatnonzero(over)
-        if exact:
-            parts = [p for p in (state.re, state.im) if p is not None]
-            occupied = any(any(map(p.__getitem__, idx.tolist()))
-                           for p in parts)
-        else:
-            occupied = np.any(state[idx] != 0)
-        if occupied:
-            raise ValueError("phase gate support above its degree bound")
-    return apply_label_map(state, perm, neg)
+    return apply_label_map(state,
+                           neg=(np.bitwise_count(s & xs) & 1).astype(bool))
 
 
 def simulate(algo: QueryAlgorithm, x: int, mode: str = "exact"):
@@ -265,13 +218,9 @@ def simulate(algo: QueryAlgorithm, x: int, mode: str = "exact"):
                 raise NormNotPreserved(f"norm drift {drift:.2e} in float mode")
         elif algo.num_qubits <= 10 and state.norm2() != 1:
             raise NormNotPreserved("norm must be preserved exactly")
-    if exact:
-        if state.norm2() != 1:
-            raise NormNotPreserved("norm must be preserved exactly")
-        return state, state.probability(algo.accepting_labels())
-    labels = np.array(algo.accepting_labels())
-    acc = float(np.sum(np.abs(state[labels]) ** 2)) if labels.size else 0.0
-    return state, acc
+    if exact and state.norm2() != 1:
+        raise NormNotPreserved("norm must be preserved exactly")
+    return state, acceptance(state, algo.output_qubit)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +306,7 @@ def symbolic_simulate(algo: QueryAlgorithm) -> SymbolicState:
             amps = _symbolic_unitary(amps, gate, algo.num_qubits, n)
             scale2 = scale2 * gate.matrix.scale2
         elif isinstance(gate, FlipOnZero):
-            perm = _label_map(gate, algo.num_qubits, 0, n)[0].tolist()
+            perm = _fixed_flip(algo.num_qubits, gate).tolist()
             amps = {perm[label]: poly for label, poly in amps.items()}
         elif isinstance(gate, BitOracle):
             amps = _symbolic_oracle(amps, gate, algo.num_qubits, n)
@@ -507,13 +456,9 @@ class VerifierSpec:
 
     def run_on(self, x: int, cert: StatePrep):
         """Acceptance probability of V_x applied to a certificate state."""
-        state = cert.to_exact()
-        mat = self.unitaries[x]
-        if not mat.is_unitary():
-            raise ValueError("non-unitary verifier")
-        apply_scaled_matrix(state, tuple(range(self.m)), mat)
-        bit = 1 << (self.m - 1)
-        return state.probability([i for i in range(state.dim) if i & bit])
+        state = apply_gate(cert.to_exact(), self.m,
+                           Unitary(tuple(range(self.m)), self.unitaries[x]))
+        return acceptance(state, self.m - 1)
 
 
 def verifier_to_ndet(v: VerifierSpec, f: TruthTable) -> QueryAlgorithm:
@@ -590,13 +535,11 @@ def circuit_to_lines(algo: QueryAlgorithm) -> list:
                                    if g.matrix.im is not None else None),
                             "scale2": _frac_str(g.matrix.scale2)}}
         elif isinstance(g, FlipOnZero):
-            rec = {"gate": "UNITARY",
-                   "qubits": list(g.controls) + [g.target],
+            rec = {"gate": "UNITARY", "qubits": list(g.qubits),
                    "data": {"flip_on_zero": {"controls": list(g.controls),
                                              "target": g.target}}}
         elif isinstance(g, BitOracle):
-            rec = {"gate": "ORACLE",
-                   "qubits": list(g.index_qubits) + [g.target],
+            rec = {"gate": "ORACLE", "qubits": list(g.qubits),
                    "data": {"index_qubits": list(g.index_qubits),
                             "target": g.target}}
         elif isinstance(g, PhaseOracle):

@@ -1,4 +1,5 @@
-"""Exact and float statevector backends shared by the simulators.
+"""Exact and float statevector backends, and the one gate set shared by the
+query and protocol simulators.
 
 Exact states are rational numerator vectors with one positive rational scale
 N, the state being v / sqrt(N); exact gates are rational matrices G with a
@@ -9,14 +10,16 @@ is an exact Fraction.  Complex entries are carried as separate real and
 imaginary parts; the imaginary part is None for real states, which keeps the
 common all-real circuits on a fast integer path.
 
-Gates that only move or negate amplitudes (oracles, flag flips, swaps,
-sign diagonals) share one label-map kernel:
-`register_values` reads the value of a qubit register off every basis label
-in one vectorised pass, a gate built from it is a label permutation (new
-amplitude i = old amplitude perm[i]), a sign mask, or both, and
-`apply_label_map` applies that to an ExactState by list gather or to a float
-vector by fancy indexing.  Only the labels go through numpy; exact
-amplitudes stay Python ints or Fractions.
+The gates that do not read an input (`Unitary`, `FlipOnZero`, `Swap`,
+`PrepState`, `FlipOnProjector`) name every qubit they touch in `qubits` and
+run through `apply_gate`; `acceptance` reads the probability of a qubit
+being 1.  Gates that only move or negate amplitudes (the oracles, flag flips
+and swaps) share one label-map kernel: `register_values` reads a qubit
+register off every basis label in one vectorised pass, a gate built from it
+is a label permutation (new amplitude i = old amplitude perm[i]), a sign
+mask, or both, and `apply_label_map` applies that by list gather or fancy
+indexing.  Only the labels go through numpy; exact amplitudes stay Python
+ints or Fractions.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .boolfn import CapExceeded
 
 
 @dataclass(frozen=True)
@@ -102,32 +107,12 @@ class ExactState:
         self.im = list(im) if im is not None else None
         self.scale2 = scale2
 
-    @classmethod
-    def zero_state(cls, num_qubits: int) -> "ExactState":
-        re = [0] * (1 << num_qubits)
-        re[0] = 1
-        return cls(re, None, 1)
-
     @property
     def dim(self) -> int:
         return len(self.re)
 
     def norm2(self) -> Fraction:
-        s = sum(v * v for v in self.re)
-        if self.im is not None:
-            s += sum(v * v for v in self.im)
-        return Fraction(s, 1) / self.scale2
-
-    def amplitude(self, label: int):
-        """(re, im, scale2) triple for one basis label."""
-        return (self.re[label],
-                self.im[label] if self.im is not None else 0,
-                self.scale2)
-
-    def probability(self, labels) -> Fraction:
-        s = sum(self.re[i] * self.re[i] for i in labels)
-        if self.im is not None:
-            s += sum(self.im[i] * self.im[i] for i in labels)
+        s = sum(v * v for part in (self.re, self.im or ()) for v in part)
         return Fraction(s, 1) / self.scale2
 
     def to_ndarray(self) -> np.ndarray:
@@ -135,6 +120,23 @@ class ExactState:
         if self.im is not None:
             v += 1j * np.array([float(x) for x in self.im])
         return v / np.sqrt(float(self.scale2))
+
+
+def basis_state(num_qubits: int, label: int = 0) -> ExactState:
+    re = [0] * (1 << num_qubits)
+    re[label] = 1
+    return ExactState(re, None, 1)
+
+
+def acceptance(state, qubit: int):
+    """Probability that the qubit reads 1: a Fraction for an ExactState, a
+    float for a float vector."""
+    if isinstance(state, ExactState):
+        s = sum(v * v for part in (state.re, state.im or ())
+                for i, v in enumerate(part) if i >> qubit & 1)
+        return Fraction(s, 1) / state.scale2
+    hit = np.arange(len(state)) >> qubit & 1 == 1
+    return float(np.sum(np.abs(state[hit]) ** 2))
 
 
 def register_values(num_qubits: int, qubits) -> np.ndarray:
@@ -184,10 +186,9 @@ def subset_index_maps(num_qubits: int, qubits) -> tuple:
 
 
 def apply_scaled_matrix(state: ExactState, qubits, gate: ScaledMatrix) -> None:
-    """Apply gate/sqrt(gate.scale2) on the given qubits (in-place)."""
+    """Apply gate/sqrt(gate.scale2) on the given qubits (in-place); its
+    dimension must be 2^len(qubits), which `Unitary` checks."""
     k = len(qubits)
-    if gate.dim != (1 << k):
-        raise ValueError("gate dimension does not match qubit count")
     if k == 1 and gate.im is None and state.im is None:
         # tight loop for real single-qubit gates (Hadamards dominate)
         (g00, g01), (g10, g11) = gate.re
@@ -255,3 +256,156 @@ def _num_qubits(dim: int) -> int:
     if 1 << nq != dim:
         raise ValueError("state dimension is not a power of two")
     return nq
+
+
+# ---------------------------------------------------------------------------
+# gates that do not read an input
+
+
+@dataclass(frozen=True)
+class Unitary:
+    """Fixed unitary (dense scaled-rational matrix) on named qubits, checked
+    exactly on construction."""
+
+    qubits: tuple
+    matrix: ScaledMatrix
+
+    cost = 0
+
+    def __post_init__(self):
+        if not isinstance(self.matrix, ScaledMatrix):
+            raise ValueError("gates need ScaledMatrix matrices")
+        if len(self.qubits) > 12:
+            raise CapExceeded("dense gate wider than 12 qubits")
+        if self.matrix.dim != 1 << len(self.qubits):
+            raise ValueError("gate dimension does not match qubit count")
+        if not self.matrix.is_unitary():
+            raise ValueError("non-unitary gate")
+
+
+@dataclass(frozen=True)
+class FlipOnZero:
+    """Fixed unitary permutation: X on target iff all control qubits are 0."""
+
+    controls: tuple
+    target: int
+
+    cost = 0
+
+    @property
+    def qubits(self):
+        return tuple(self.controls) + (self.target,)
+
+
+@dataclass(frozen=True)
+class Swap:
+    """Exchange qubits a and b."""
+
+    a: int
+    b: int
+
+    @property
+    def qubits(self):
+        return (self.a, self.b)
+
+
+@dataclass(frozen=True)
+class PrepState:
+    """Take the register from |0> to vec/|vec|, times |vec|.  Defined on
+    states whose register is |0>, where it is the restriction of a unitary;
+    exact real states only."""
+
+    register: tuple
+    vec: tuple
+
+    @property
+    def qubits(self):
+        return tuple(self.register)
+
+
+@dataclass(frozen=True)
+class FlipOnProjector:
+    """X on target controlled by P = vec vec^T / |vec|^2 on the register,
+    times |vec|^2: U = (I - P) (x) I + P (x) X is a rational unitary.
+    Exact real states only."""
+
+    target: int
+    register: tuple
+    vec: tuple
+
+    @property
+    def qubits(self):
+        return (self.target,) + tuple(self.register)
+
+
+def apply_gate(state, num_qubits: int, gate):
+    """Apply one gate: an ExactState in place, or a float vector into a new
+    array; returns the state."""
+    exact = isinstance(state, ExactState)
+    if isinstance(gate, Unitary):
+        if exact:
+            apply_scaled_matrix(state, gate.qubits, gate.matrix)
+            return state
+        return apply_matrix_float(state, num_qubits, gate.qubits,
+                                  gate.matrix.to_ndarray())
+    if isinstance(gate, (FlipOnZero, Swap)):
+        return apply_label_map(state, _fixed_flip(num_qubits, gate))
+    if not isinstance(gate, (PrepState, FlipOnProjector)):
+        raise TypeError(f"unknown gate {gate!r}")
+    name = type(gate).__name__
+    if not exact or state.im is not None:
+        raise ValueError(f"{name} runs on exact real states only")
+    vec = gate.vec
+    norm2 = sum(v * v for v in vec)
+    if not 0 < len(vec) <= 1 << len(gate.register) or not norm2:
+        raise ValueError(f"{name} needs a nonzero vector that fits")
+    bases, offs = subset_index_maps(num_qubits, gate.register)
+    re = state.re
+    if isinstance(gate, PrepState):
+        zero_reg = set(bases)
+        if any(a and i not in zero_reg for i, a in enumerate(re)):
+            raise ValueError(f"{name} needs the register in |0>")
+        state.re = new = [0] * state.dim
+        for base in bases:
+            for o, v in zip(offs, vec):
+                new[base | o] = re[base] * v
+        state.scale2 = state.scale2 * norm2
+        return state
+    # |vec|^2 U maps the register blocks (u0, u1) at target 0 and 1 to
+    # (|vec|^2 u0 + vec d, |vec|^2 u1 - vec d) with d = vec.(u1 - u0), so
+    # the integer numerators update in O(dim * len(vec))
+    tbit = 1 << gate.target
+    state.re = new = [a * norm2 for a in re]
+    for b0 in bases:
+        if not b0 & tbit:
+            b1 = b0 | tbit
+            d = sum(v * (re[b1 | o] - re[b0 | o]) for o, v in zip(offs, vec))
+            for o, v in zip(offs, vec):
+                new[b0 | o] += v * d
+                new[b1 | o] -= v * d
+    state.scale2 = state.scale2 * norm2 * norm2
+    return state
+
+
+def _check_qubits(gate, allowed) -> None:
+    """ValueError unless the gate's qubits are distinct members of allowed."""
+    qubits = gate.qubits
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"gate {gate!r} repeats a qubit")
+    if not all(q in allowed for q in qubits):
+        raise ValueError(f"gate {gate!r} touches foreign qubits")
+
+
+def _flip_labels(hit, mask: int) -> np.ndarray:
+    """Label permutation flipping the bits of mask wherever hit is set; it
+    is its own inverse when hit does not read those bits."""
+    return np.arange(len(hit)) ^ np.where(hit, mask, 0)
+
+
+def _fixed_flip(num_qubits: int, gate) -> np.ndarray:
+    """The label permutation of a FlipOnZero or Swap gate."""
+    if isinstance(gate, FlipOnZero):
+        return _flip_labels(register_values(num_qubits, gate.controls) == 0,
+                            1 << gate.target)
+    reg = register_values(num_qubits, gate.qubits)
+    return _flip_labels((reg == 1) | (reg == 2), (1 << gate.a) | (1 << gate.b))

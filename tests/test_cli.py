@@ -164,6 +164,19 @@ class TestSeparation:
         code, checks = _checks_under_O(_BOB_AHEAD_UNDER_O)
         assert code == 1 and checks["protocol_spec_agrees"] is False
 
+    @pytest.mark.parametrize("which, n, message", [
+        ("comm", 0, f"n=0 outside 1..{commsim.PAIR_CAP}"),
+        ("ne", 0, f"n=0 outside 1..{commsim.PAIR_CAP}"),
+        ("comm", commsim.PAIR_CAP + 1,
+         f"pair functions capped at n<={commsim.PAIR_CAP}"),
+    ])
+    def test_pair_arity_outside_range_exits_2(self, which, n, message,
+                                              capsys):
+        code = cli.main(["separation", which, "--n", str(n)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"separation {which}: {message}"
+
     def test_query_float_mode(self, capsys):
         code, out = run_cli(["--mode", "float", "separation", "query",
                              "--n", "3"], capsys)
@@ -450,6 +463,25 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys):
     command = " ".join(argv[:2]) if argv[0] == "separation" else argv[0]
     assert out == "" and err.splitlines()[-1].startswith(f"{command}: ")
     assert "No such file" in err and not bad.exists()
+
+
+@pytest.mark.parametrize("flag_first", [True, False],
+                         ids=["flag-first", "flag-last"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "OR", "--n", "3"],
+    ["theorems", "--n", "1", "--exhaustive"],
+    ["separation", "comm", "--n", "2"],
+    ["separation", "ne", "--n", "2"],
+    ["export", "missing.json"],
+])
+def test_float_mode_only_for_separation_query(argv, flag_first, capsys):
+    # no other command has a float path, so it may not claim one
+    flag = ["--mode", "float"]
+    assert cli.main(flag + argv if flag_first else argv + flag) == 2
+    out, err = capsys.readouterr()
+    command = " ".join(argv[:2]) if argv[0] == "separation" else argv[0]
+    assert out == "" and err.splitlines()[-1] == (
+        f"{command}: --mode float runs only for separation query")
 
 
 class TestReportLoader:

@@ -14,7 +14,8 @@ from ndqc.boolfn import CapExceeded, make_named
 from ndqc.linalg import int_rank
 from ndqc.polys import (MONOMIAL, MultilinearPoly, RetryCapExceeded,
                         weight_offset_poly)
-from ndqc.statevec import ScaledMatrix
+from ndqc.statevec import (ExactState, FlipOnProjector, PrepState,
+                           ScaledMatrix, Swap, Unitary, apply_gate)
 from ndqc.commsim import (PAIR_FAMILIES, HypothesisViolated, NondetMatrix,
                           PairTable, PatternMismatch,
                           ProtocolSpec,
@@ -224,12 +225,12 @@ class TestSvdProtocol:
         for m in (identity_matrix(n), signed):
             spec = svd_protocol(m)
             assert spec.cost == n + 1
+            assert [(r.party, r.message_qubits) for r in spec.rounds] \
+                == [("A", n), ("B", 1)]
             for x in range(size):
                 for y in range(size):
-                    acc, tr = run_protocol(spec, x, y)
+                    acc = run_protocol(spec, x, y)
                     assert acc == (F(1) if x == y else F(0))
-                    assert tr.cost == n + 1
-                    assert tr.rounds == (("A", n), ("B", 1))
         # a_x = sign(M_xx) e_x, so Alice's amplitude on |x> carries the sign
         a_f, _ = final_state_families(svd_protocol(signed), n)
         assert all(a_f[w][x] == ((-1) ** x if w == x else 0,)
@@ -257,7 +258,7 @@ class TestSvdProtocol:
         assert spec.cost == 2
         sweep = svd_acceptance_sweep(m)
         size = 1 << n
-        assert all(run_protocol(spec, x, y)[0] == sweep[x][y]
+        assert all(run_protocol(spec, x, y) == sweep[x][y]
                    for x in range(size) for y in range(size))
 
     def test_factors_computed_once_per_matrix(self, monkeypatch):
@@ -286,7 +287,7 @@ class TestSvdProtocol:
         assert spec.cost == svd_protocol_cost(r)
         for x in range(1 << n):
             for y in range(1 << n):
-                acc, _ = run_protocol(spec, x, y)
+                acc = run_protocol(spec, x, y)
                 assert acc == want[x][y]
                 assert (acc > 0) == (f.value(x, y) == 1)
 
@@ -298,7 +299,7 @@ class TestSvdProtocol:
         sweep = svd_acceptance_sweep(m)
         for x in range(4):
             for y in range(4):
-                acc, _ = run_protocol(spec, x, y)
+                acc = run_protocol(spec, x, y)
                 assert acc == sweep[x][y]
 
     def test_random_matrices_protocol_correctness(self):
@@ -353,7 +354,7 @@ class TestSvdProtocol:
                 for x in range(size):
                     for y in range(size):
                         assert (sweep[x][y] > 0) == bool(f.value(x, y))
-                        assert run_protocol(spec, x, y)[0] == sweep[x][y]
+                        assert run_protocol(spec, x, y) == sweep[x][y]
         assert min(seen.values()) >= 3, seen
 
     def test_all_ones_cost_1(self):
@@ -363,7 +364,7 @@ class TestSvdProtocol:
         assert spec.cost == 1
         for x in range(2):
             for y in range(2):
-                acc, _ = run_protocol(spec, x, y)
+                acc = run_protocol(spec, x, y)
                 assert acc == 1
 
 
@@ -383,13 +384,13 @@ class TestProtocolModel:
         spec = ProtocolSpec(
             alice_qubits=1, channel_qubits=1, bob_qubits=0,
             rounds=(Round("A", 1, lambda v: ()),
-                    Round("B", 1, lambda v: (("swap", 0, 1),))),
+                    Round("B", 1, lambda v: (Swap(0, 1),))),
             cost=2)
         with pytest.raises(ValueError, match="foreign"):
             run_protocol(spec, 0, 0)
 
     def test_exact_spec_rejects_float_round(self):
-        rotate = Round("A", 1, lambda v: (("matrix", (0,), np.eye(2)),))
+        rotate = Round("A", 1, lambda v: (Unitary((0,), np.eye(2)),))
         spec = ProtocolSpec(alice_qubits=0, channel_qubits=1, bob_qubits=0,
                             rounds=(rotate,), cost=1)
         with pytest.raises(ValueError, match="ScaledMatrix"):
@@ -404,20 +405,19 @@ class TestProtocolModel:
             if not any(vec) or not any(re):
                 continue
             norm2 = sum(v * v for v in vec)
-            st = commsim.ExactState(re, None, 1)
-            op = ("flip_on_projector", 3, (1, 0), vec)
-            st = commsim._apply_protocol_op(st, 4, op)
+            st = ExactState(re, None, 1)
+            gate = FlipOnProjector(3, (1, 0), vec)
+            st = apply_gate(st, 4, gate)
             assert st.norm2() == sum(v * v for v in re)
-            st = commsim._apply_protocol_op(st, 4, op)
+            st = apply_gate(st, 4, gate)
             assert st.re == [v * norm2 * norm2 for v in re]
             assert st.scale2 == norm2 ** 4
 
     @pytest.mark.parametrize("ops, match", [
-        ((("prep_state", (0,), [1, 1]), ("prep_state", (0,), [1, 1])),
-         "register in"),
-        ((("prep_state", (0,), [1, 1, 1]),), "fits"),
-        ((("flip_on_projector", 0, (0, 1), [1]),), "target"),
-        ((("flip_on_projector", 0, (1,), [0, 0]),), "nonzero"),
+        ((PrepState((0,), [1, 1]), PrepState((0,), [1, 1])), "register in"),
+        ((PrepState((0,), [1, 1, 1]),), "fits"),
+        ((FlipOnProjector(0, (1,), [1, 1, 1]),), "fits"),
+        ((FlipOnProjector(0, (1,), [0, 0]),), "nonzero"),
     ])
     def test_projector_ops_reject_bad_input(self, ops, match):
         spec = ProtocolSpec(alice_qubits=0, channel_qubits=2, bob_qubits=0,
@@ -427,7 +427,7 @@ class TestProtocolModel:
         # the projector ops need a real state: a complex round first
         identity = ScaledMatrix(((1, 0), (0, 1)), ((0, 0), (0, 0)), 1)
         complex_spec = dataclasses.replace(spec, rounds=(Round(
-            "A", 2, lambda v: (("matrix", (0,), identity),) + ops),))
+            "A", 2, lambda v: (Unitary((0,), identity),) + ops),))
         with pytest.raises(ValueError, match="real states only"):
             run_protocol(complex_spec, 0, 0)
 
@@ -438,10 +438,27 @@ class TestProtocolModel:
                 (ScaledMatrix(((1, 1), (0, 1)), None, 1), "non-unitary")):
             spec = ProtocolSpec(
                 alice_qubits=0, channel_qubits=1, bob_qubits=0,
-                rounds=(Round("A", 1, lambda v, m=mat: (("matrix", (0,), m),)),),
+                rounds=(Round("A", 1, lambda v, m=mat: (Unitary((0,), m),)),),
                 cost=1)
             with pytest.raises(ValueError, match=match):
                 run_protocol(spec, 0, 0)
+
+    @pytest.mark.parametrize("gate", [
+        Unitary((0, 0), ScaledMatrix(tuple(tuple(int(r == c) for c in range(4))
+                                           for r in range(4)), None, 1)),
+        Swap(0, 0),
+        PrepState((0, 0), [1, 1, 1]),
+        FlipOnProjector(1, (0, 0), [1, 1]),
+        FlipOnProjector(0, (0, 1), [1]),
+    ], ids=["unitary", "swap", "prep-state", "flip-on-projector",
+            "flip-target-in-register"])
+    def test_repeated_qubit_rejected(self, gate):
+        # every protocol gate is checked through its `qubits`, before it
+        # reads the state
+        spec = ProtocolSpec(alice_qubits=0, channel_qubits=2, bob_qubits=0,
+                            rounds=(Round("A", 2, lambda v: (gate,)),), cost=2)
+        with pytest.raises(ValueError, match="repeats a qubit"):
+            run_protocol(spec, 0, 0)
 
 
 class TestNeProtocol:
@@ -483,9 +500,7 @@ class TestNeProtocol:
         assert spec.cost == 2
         for x in (0, 3, 9):
             for y in (0, 5, 15):
-                acc, tr = run_protocol(spec, x, y)
-                assert acc == ne_protocol(4, x, y)
-                assert tr.cost == 2
+                assert run_protocol(spec, x, y) == ne_protocol(4, x, y)
 
     def test_ne_matrix_rank_2_and_pattern(self):
         for n in (2, 3, 4):
@@ -791,6 +806,16 @@ class TestVectorFamilies:
                     for k, v in enumerate(b_f[i][y]):
                         total[k] += coef * v
                 assert (all(v == 0 for v in total)) == (f.value(x, y) == 0)
+
+    def test_complex_amplitudes_rejected(self):
+        # families are real numerators; a round that leaves an imaginary
+        # part must not be read through its real part alone
+        i_gate = ScaledMatrix(((0, 0), (0, 0)), ((1, 0), (0, 1)), 1)
+        spec = dataclasses.replace(ne_protocol_spec(1), rounds=(
+            Round("A", 1, lambda x: (Unitary((0,), i_gate),)),
+            ne_protocol_spec(1).rounds[1]))
+        with pytest.raises(ValueError, match="complex"):
+            final_state_families(spec, 1)
 
 
 class TestMatrixFiles:

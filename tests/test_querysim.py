@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ndqc
-from ndqc import querysim
+from ndqc import querysim, statevec
 from ndqc.boolfn import TruthTable, make_named, random_table
 from ndqc.polys import (MONOMIAL, InvalidWitness, MultilinearPoly,
                         RetryCapExceeded, format_poly, ndeg, to_fourier, verify_ndet,
@@ -476,9 +476,9 @@ def _flip_algo():
 
 
 _FAULT_UNDER_O = """
-from ndqc import querysim
+from ndqc import querysim, statevec
 from test_querysim import _duplicate_label_0, _flip_algo
-querysim.apply_label_map = _duplicate_label_0(querysim.apply_label_map)
+statevec.apply_label_map = _duplicate_label_0(statevec.apply_label_map)
 try:
     querysim.simulate(_flip_algo(), 0)
 except querysim.NormNotPreserved:
@@ -487,8 +487,9 @@ except querysim.NormNotPreserved:
 
 
 def test_norm_check_catches_duplicated_label(monkeypatch):
-    monkeypatch.setattr(querysim, "apply_label_map",
-                        _duplicate_label_0(querysim.apply_label_map))
+    # FlipOnZero reads no input, so statevec.apply_gate applies it
+    monkeypatch.setattr(statevec, "apply_label_map",
+                        _duplicate_label_0(statevec.apply_label_map))
     with pytest.raises(NormNotPreserved):
         simulate(_flip_algo(), 0)
     # the same fault under python -O, which strips assert statements
