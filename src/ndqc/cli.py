@@ -65,7 +65,7 @@ def cmd_analyze(args) -> int:
         return 2
     config = {"mode": args.mode, "source": source}
     rep = report.build_measure_report(f, args.seed, config)
-    return _emit(report.dump_report(rep), args.out, "analyze",
+    return _emit(report.report(rep, args.format), args.out, "analyze",
                  0 if report.report_all_pass(rep) else 1)
 
 
@@ -160,7 +160,7 @@ def cmd_theorems(args) -> int:
         "results": results,
         "all_pass": all_pass,
     }
-    return _emit(report.dump_report(rep), args.out, "theorems",
+    return _emit(report.report(rep, args.format), args.out, "theorems",
                  0 if all_pass else 1)
 
 
@@ -335,7 +335,7 @@ def cmd_separation(args) -> int:
         "checks": checks,
         "all_pass": all_pass,
     }
-    return _emit(report.dump_report(rep), args.out,
+    return _emit(report.report(rep, args.format), args.out,
                  f"separation {args.which}", 0 if all_pass else 1)
 
 
@@ -348,28 +348,12 @@ def cmd_export(args) -> int:
         with open(args.report) as fh:
             text = fh.read()
         data = json.loads(text)
-    except (OSError, json.JSONDecodeError) as e:
+        if isinstance(data, dict) and set(data) == report.REPORT_KEYS:
+            report.load_measure_report(text)
+        text = report.report(data, args.format)
+    except (OSError, ValueError) as e:
         _status(f"export: {e}")
         return 2
-    try:
-        if not isinstance(data, dict):
-            raise ValueError("a report is a JSON object")
-        if set(data) == report.REPORT_KEYS:
-            data = report.load_measure_report(text)
-            csv_lines = report.measure_report_csv_lines(data)
-        elif "results" in data:
-            csv_lines = report.suite_report_csv_lines(data)
-        elif "checks" in data:
-            csv_lines = report.checks_report_csv_lines(data)
-        else:
-            raise ValueError("unrecognized report shape")
-    except ValueError as e:
-        _status(f"export: {e}")
-        return 2
-    if args.format == "csv":
-        text = "\n".join(csv_lines) + "\n"
-    else:
-        text = report.dump_report(data)
     return _emit(text, args.out, "export", 0)
 
 

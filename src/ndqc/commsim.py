@@ -10,26 +10,24 @@ alternate starting with Alice and the cost is the total message qubits.
 
 from __future__ import annotations
 
-import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .boolfn import CapExceeded
-from .linalg import int_rank, nullspace, rows_to_int
+from .linalg import nullspace, rows_to_int
 from .polys import MultilinearPoly, _resample, parse_rational
-from .statevec import (FlipOnProjector, PrepState, ScaledMatrix, Swap,
-                       Unitary, _check_qubits, acceptance, apply_gate,
-                       basis_state)
+from .statevec import (DIM_CAP, FlipOnProjector, PrepState, ScaledMatrix,
+                       Swap, Unitary, _all_rational, _check_qubits,
+                       acceptance, apply_gate, basis_state)
 # no caller here: kept as names the perfbench tracer requires to rebind
 # (perfbench/tracer.py MUST_REBIND)
+from .linalg import int_rank  # noqa: F401
 from .statevec import apply_matrix_float, apply_scaled_matrix  # noqa: F401
 
 PAIR_CAP = 10
-FULL_RANK_CAP = 8
 COVER_CAP = 3
-PROTOCOL_DIM_CAP = 1 << 20
 
 PAIR_FAMILIES = ("EQ", "NE", "DISJ", "INTERSECT_NOT_ONE")
 
@@ -148,7 +146,9 @@ def make_pair_function(family: str, n: int) -> PairTable:
 @dataclass(frozen=True)
 class NondetMatrix:
     """2^n x 2^n matrix of exact rationals whose nonzero pattern is exactly
-    the 1-set of target."""
+    the 1-set of target.  The constructor stores each entry as an int when
+    it is integral, else as a Fraction, and rejects any entry that is not a
+    `numbers.Rational` (floats, complex numbers, numpy floats)."""
 
     n: int
     entries: tuple
@@ -161,33 +161,30 @@ class NondetMatrix:
         if len(self.entries) != size or any(len(r) != size
                                             for r in self.entries):
             raise ValueError("matrix shape mismatch")
-        for x in range(size):
-            for y in range(size):
-                if bool(self.entries[x][y]) != bool(self.target.value(x, y)):
-                    raise PatternMismatch(
-                        f"entry ({x},{y}) breaks the nonzero pattern")
+        rows = []
+        for x, row in enumerate(self.entries):
+            if not _all_rational(row):
+                raise ValueError(f"row {x}: entries must be exact rationals")
+            row = tuple(v if type(v) is int else int(v) if v.denominator == 1
+                        else Fraction(v) for v in row)
+            pattern = sum(1 << y for y, v in enumerate(row) if v)
+            wrong = pattern ^ self.target.rows[x]
+            if wrong:
+                y = (wrong & -wrong).bit_length() - 1
+                raise PatternMismatch(
+                    f"entry ({x},{y}) breaks the nonzero pattern")
+            rows.append(row)
+        object.__setattr__(self, "entries", tuple(rows))
 
     def rank(self) -> int:
-        return int_rank([list(r) for r in self.entries], 1 << self.n)
+        """The pivot count of the cached rank factorization."""
+        return len(self._factors[0][0])
 
     @cached_property
     def _factors(self):
-        """`_rank_factors(self)`, computed once per matrix for the protocol
-        and its acceptance sweep."""
+        """`_rank_factors(self)`, computed once per matrix for its rank, the
+        protocol and its acceptance sweep."""
         return _rank_factors(self)
-
-
-def exact_matrix(n, entries, target) -> NondetMatrix:
-    """Rational entries, integral ones stored as ints."""
-    return NondetMatrix(n, tuple(tuple(map(_exact_entry, row))
-                                 for row in entries), target)
-
-
-def _exact_entry(v):
-    if type(v) is int:
-        return v
-    v = Fraction(v)
-    return int(v.numerator) if v.denominator == 1 else v
 
 
 def matrix_from_poly(p: MultilinearPoly, f: PairTable) -> NondetMatrix:
@@ -195,10 +192,11 @@ def matrix_from_poly(p: MultilinearPoly, f: PairTable) -> NondetMatrix:
     single-argument function, i.e. the pattern check must pass."""
     if p.n != f.n:
         raise ValueError("arity mismatch")
-    vals = [_exact_entry(v) for v in p.values()]
+    nums, den = p._int_values()
+    vals = [v // den if v % den == 0 else Fraction(v, den) for v in nums]
     size = 1 << f.n
-    entries = [[vals[x & y] for y in range(size)] for x in range(size)]
-    return exact_matrix(f.n, entries, f)
+    return NondetMatrix(f.n, tuple(tuple(vals[x & y] for y in range(size))
+                                   for x in range(size)), f)
 
 
 # ---------------------------------------------------------------------------
@@ -217,60 +215,30 @@ def full_rank_check(f: PairTable) -> FullRankEvidence:
     """Structural proof that every nondeterministic matrix for f has full
     rank: DIAGONAL if the pattern is the identity, TRIANGULAR if some
     row/column ordering puts the pattern in triangular form with a nonzero
-    diagonal (plain column reversal is tried first, then a greedy peeling
-    that is complete for this property); NONE otherwise.
+    diagonal (found by peeling the first live row with one live nonzero,
+    which is complete: a triangularizable pattern always has such a row, its
+    last, and peeling one keeps the rest triangularizable); NONE otherwise.
     """
-    if f.n > FULL_RANK_CAP:
-        raise CapExceeded(f"full rank check capped at n<={FULL_RANK_CAP}")
     size = 1 << f.n
     if all(f.rows[x] == (1 << x) for x in range(size)):
         order = tuple(range(size))
         return FullRankEvidence("DIAGONAL", order, order, size)
-    # cheap certificate first: reversing the column order triangularizes
-    # disjointness-shaped patterns
-    rev = tuple(size - 1 - y for y in range(size))
-    if _is_upper_triangular(f, tuple(range(size)), rev):
-        return FullRankEvidence("TRIANGULAR", tuple(range(size)), rev, size)
-    peeled = _greedy_triangular(f)
-    if peeled is not None:
-        return FullRankEvidence("TRIANGULAR", peeled[0], peeled[1], size)
-    return FullRankEvidence("NONE", None, None, None)
-
-
-def _is_upper_triangular(f, row_order, col_order):
-    m = len(row_order)
-    for i in range(m):
-        if not f.value(row_order[i], col_order[i]):
-            return False
-        for j in range(i):
-            if f.value(row_order[i], col_order[j]):
-                return False
-    return True
-
-
-def _greedy_triangular(f):
-    """Repeatedly peel a live row with exactly one live nonzero; complete:
-    a triangularizable pattern always has such a row (its last), and peeling
-    any single-nonzero row preserves triangularizability."""
-    size = 1 << f.n
     live_cols = (1 << size) - 1
-    live_rows = set(range(size))
+    live_rows = list(range(size))
     rows_rev, cols_rev = [], []
     while live_rows:
-        pick = None
-        for x in sorted(live_rows):
+        for x in live_rows:
             alive = f.rows[x] & live_cols
             if alive and alive & (alive - 1) == 0:
-                pick = (x, alive.bit_length() - 1)
                 break
-        if pick is None:
-            return None
-        x, y = pick
-        rows_rev.append(x)
-        cols_rev.append(y)
+        else:
+            return FullRankEvidence("NONE", None, None, None)
         live_rows.remove(x)
-        live_cols &= ~(1 << y)
-    return tuple(reversed(rows_rev)), tuple(reversed(cols_rev))
+        rows_rev.append(x)
+        cols_rev.append(alive.bit_length() - 1)
+        live_cols ^= alive
+    return FullRankEvidence("TRIANGULAR", tuple(reversed(rows_rev)),
+                            tuple(reversed(cols_rev)), size)
 
 
 def nrank_lower_bound(f: PairTable) -> int:
@@ -340,7 +308,7 @@ class ProtocolSpec:
 def run_protocol(spec: ProtocolSpec, x: int, y: int) -> Fraction:
     """Simulate the protocol on an ExactState; returns the acceptance as an
     exact Fraction."""
-    if (1 << spec.num_qubits) > PROTOCOL_DIM_CAP:
+    if (1 << spec.num_qubits) > DIM_CAP:
         raise CapExceeded("protocol state dimension above 2^20")
     state = basis_state(spec.num_qubits)
     for rnd in spec.rounds:
@@ -370,7 +338,7 @@ def svd_protocol(M: NondetMatrix) -> ProtocolSpec:
     c_x^2 d_y^2 M_xy^2 exactly, positive iff M_xy != 0; a zero column has
     b_y = 0 and no flip.
     """
-    a, b = M._factors
+    a, b = _protocol_factors(M)
     n = M.n
     msg = (len(a[0]) - 1).bit_length()  # ceil(log2 r)
     chan = max(msg, 1)
@@ -405,9 +373,6 @@ def _rank_factors(M: NondetMatrix):
     """
     size = 1 << M.n
     ints = rows_to_int(M.entries)
-    for x, row in enumerate(ints):
-        if not any(row):
-            raise ZeroRow(f"row {x} is zero; c_x undefined")
     free = dict(nullspace(ints, size))
     pivots = [y for y in range(size) if y not in free]
     a = [[row[p] for p in pivots] for row in ints]
@@ -416,10 +381,20 @@ def _rank_factors(M: NondetMatrix):
     return a, b
 
 
+def _protocol_factors(M: NondetMatrix):
+    """M's cached rank factors; ZeroRow where c_x ~ 1/|a_x| is undefined
+    (a_x is zero exactly when row x of M is)."""
+    a, b = M._factors
+    for x, row in enumerate(a):
+        if not any(row):
+            raise ZeroRow(f"row {x} is zero; c_x undefined")
+    return a, b
+
+
 def svd_acceptance_sweep(M: NondetMatrix):
     """Exact acceptance over all 2^{2n} pairs, from the protocol's integer
     factors: [x][y] = (a_x.b_y)^2 / (|a_x|^2 |b_y|^2) as a Fraction."""
-    a, b = M._factors
+    a, b = _protocol_factors(M)
     b_norm2 = [sum(v * v for v in col) for col in b]
     b_rows = list(zip(*b))
     zero = Fraction(0)
@@ -533,8 +508,8 @@ def ne_matrix(n: int) -> NondetMatrix:
     sign(x - y) * b_|x-y|, nonzero exactly off the diagonal."""
     f = make_pair_function("NE", n)
     z = [_rotation_power(k) for k in range(f.size)]
-    return exact_matrix(n, [[bx * ay - ax * by for ay, by in z]
-                            for ax, bx in z], f)
+    return NondetMatrix(n, tuple(tuple(bx * ay - ax * by for ay, by in z)
+                                 for ax, bx in z), f)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +659,8 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
     d_b = len(next(iter(b_fams[0].values())))
     a_vecs = [[fam[x] for fam in a_fams] for x in range(size)]
     b_vecs = [[fam[y] for fam in b_fams] for y in range(size)]
-    if not all(isinstance(v, numbers.Rational) for vecs in (a_vecs, b_vecs)
-               for per_input in vecs for vec in per_input for v in vec):
+    if not all(_all_rational(vec) for vecs in (a_vecs, b_vecs)
+               for per_input in vecs for vec in per_input):
         raise ValueError("family entries must be exact rationals")
     # indices i with A_i(x) nonzero; zero summands never flip the pattern
     a_live = [[i for i in range(m) if any(a_vecs[x][i])]
@@ -715,7 +690,7 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
                  for x in range(size) for y in range(size))
         return entries if ok else None
 
-    mat = exact_matrix(f.n, _resample(attempt, "family collapse")[0], f)
+    mat = NondetMatrix(f.n, _resample(attempt, "family collapse")[0], f)
     if mat.rank() > m:
         raise RankBoundViolation(f"collapsed rank exceeds {m}")
     return mat
@@ -728,7 +703,7 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
 def matrix_to_csv_lines(M: NondetMatrix) -> list:
     lines = [f"n,{M.n},mode,exact"]
     for row in M.entries:
-        lines.append(",".join(str(Fraction(v)) for v in row))
+        lines.append(",".join(map(str, row)))
     return lines
 
 
@@ -743,11 +718,10 @@ def matrix_from_csv_lines(lines) -> NondetMatrix:
     body = [line.strip().split(",") for line in lines[1:] if line.strip()]
     if len(body) != size or any(len(r) != size for r in body):
         raise ValueError("matrix body shape mismatch")
-    entries = [[parse_rational(v) for v in row] for row in body]
+    entries = tuple(tuple(parse_rational(v) for v in row) for row in body)
     rows = tuple(sum((1 << y) for y in range(size) if entries[x][y])
                  for x in range(size))
-    return NondetMatrix(n, tuple(tuple(r) for r in entries),
-                        PairTable(n, rows))
+    return NondetMatrix(n, entries, PairTable(n, rows))
 
 
 def protocol_to_lines(spec: ProtocolSpec) -> list:

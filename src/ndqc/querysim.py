@@ -20,15 +20,15 @@ import numpy as np
 from .boolfn import CapExceeded, TruthTable
 from .polys import (MONOMIAL, InvalidWitness, MultilinearPoly, _combine,
                     _resample, parse_rational, to_fourier, verify_ndet)
-from .statevec import (HADAMARD, ExactState, FlipOnZero, ScaledMatrix,
-                       Unitary, _check_qubits, _fixed_flip, _flip_labels,
-                       acceptance, apply_gate, apply_label_map, basis_state,
+from .statevec import (DIM_CAP, HADAMARD, ExactState, FlipOnZero,
+                       ScaledMatrix, Swap, Unitary, _all_rational,
+                       _check_qubits, _fixed_flip, _flip_labels, acceptance,
+                       apply_gate, apply_label_map, basis_state,
                        register_values, subset_index_maps)
 # no caller here: kept as names the perfbench tracer requires to rebind
 # (perfbench/tracer.py MUST_REBIND)
 from .statevec import apply_matrix_float, apply_scaled_matrix  # noqa: F401
 
-DIM_CAP = 1 << 20
 SYMBOLIC_DIM_CAP = 1 << 14
 FLOAT_NORM_TOL = 1e-12
 VERIFIER_N_CAP = 4
@@ -109,17 +109,18 @@ class InputGate:
 
 @dataclass(frozen=True)
 class StatePrep:
-    """Initial state: amplitudes (re + i*im) / sqrt(scale2), unit norm."""
+    """Initial state: amplitudes (re + i*im) / sqrt(scale2), unit norm, all
+    exact rationals."""
 
     re: tuple
     im: tuple | None
     scale2: object
 
     def __post_init__(self):
-        s = sum(v * v for v in self.re)
-        if self.im is not None:
-            s += sum(v * v for v in self.im)
-        if Fraction(s, 1) != Fraction(self.scale2, 1):
+        if not all(map(_all_rational, (self.re, self.im or (),
+                                       (self.scale2,)))):
+            raise ValueError("initial state must be exact rationals")
+        if not self.scale2 > 0 or self.to_exact().norm2() != 1:
             raise ValueError("initial state must have unit norm")
 
     @property
@@ -155,6 +156,11 @@ class QueryAlgorithm:
             _check_qubits(g, range(self.num_qubits))
             if isinstance(g, PhaseOracle) and len(g.qubits) > self.n:
                 raise ValueError("phase oracle register wider than n")
+            if isinstance(g, InputGate):
+                for x in range(1 << self.n):
+                    if x not in g.matrices:
+                        raise ValueError(f"input gate has no matrix for {x}")
+                    Unitary(g.qubits, g.matrices[x])
             total += g.cost
         if total != self.query_cost:
             raise ValueError("declared query cost must equal summed gate costs")
@@ -305,7 +311,7 @@ def symbolic_simulate(algo: QueryAlgorithm) -> SymbolicState:
                 raise ValueError("irrational/complex gate in symbolic mode")
             amps = _symbolic_unitary(amps, gate, algo.num_qubits, n)
             scale2 = scale2 * gate.matrix.scale2
-        elif isinstance(gate, FlipOnZero):
+        elif isinstance(gate, (FlipOnZero, Swap)):
             perm = _fixed_flip(algo.num_qubits, gate).tolist()
             amps = {perm[label]: poly for label, poly in amps.items()}
         elif isinstance(gate, BitOracle):
@@ -553,7 +559,8 @@ def circuit_to_lines(algo: QueryAlgorithm) -> list:
 
 def circuit_from_lines(lines) -> QueryAlgorithm:
     try:
-        records = [json.loads(line) for line in lines if line.strip()]
+        records = [json.loads(line, parse_float=parse_rational)
+                   for line in lines if line.strip()]
         if not records or records[0]["gate"] != "PREP":
             raise ValueError("circuit file must start with a PREP record")
         head = records[0]["data"]

@@ -21,6 +21,22 @@ def dump_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def report(data, fmt: str = "json") -> str:
+    """A measure, theorem-suite or separation report as canonical JSON or
+    as its shape's CSV view.  The view is built in both formats, so a
+    report of no known shape, or with malformed rows, is a ValueError
+    either way."""
+    if not isinstance(data, dict):
+        raise ValueError("a report is a JSON object")
+    view = (measure_report_csv_lines if set(data) == REPORT_KEYS
+            else suite_report_csv_lines if "results" in data
+            else checks_report_csv_lines if "checks" in data else None)
+    if view is None:
+        raise ValueError("unrecognized report shape")
+    lines = view(data)
+    return "\n".join(lines) + "\n" if fmt == "csv" else dump_report(data)
+
+
 def _measure(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)

@@ -24,12 +24,21 @@ ints or Fractions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .boolfn import CapExceeded
+
+# the largest exact state either simulator runs
+DIM_CAP = 1 << 20
+
+
+def _all_rational(values) -> bool:
+    """Every value is a `numbers.Rational`; the test runs once per type."""
+    return all(issubclass(t, numbers.Rational) for t in set(map(type, values)))
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,9 @@ class ScaledMatrix:
         if self.im is not None and (len(self.im) != k or
                                     any(len(row) != k for row in self.im)):
             raise ValueError("imaginary part shape mismatch")
+        if not all(_all_rational(row) for part in (self.re, self.im or ())
+                   for row in part):
+            raise ValueError("matrix entries must be exact rationals")
         if not (isinstance(self.scale2, (int, Fraction)) and self.scale2 > 0):
             raise ValueError("scale2 must be a positive rational")
 
@@ -304,6 +316,8 @@ class Swap:
     a: int
     b: int
 
+    cost = 0
+
     @property
     def qubits(self):
         return (self.a, self.b)
@@ -317,6 +331,8 @@ class PrepState:
 
     register: tuple
     vec: tuple
+
+    cost = 0
 
     @property
     def qubits(self):
@@ -332,6 +348,8 @@ class FlipOnProjector:
     target: int
     register: tuple
     vec: tuple
+
+    cost = 0
 
     @property
     def qubits(self):

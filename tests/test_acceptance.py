@@ -167,7 +167,7 @@ def test_criterion_06_eq_disj_characterization():
     for n in range(1, 9):
         f = commsim.make_pair_function("EQ", n)
         size = 1 << n
-        m = commsim.exact_matrix(
+        m = commsim.NondetMatrix(
             n, [[1 if x == y else 0 for y in range(size)]
                 for x in range(size)], f)
         spec = commsim.svd_protocol(m)
@@ -257,7 +257,7 @@ def test_criterion_09_lemma_extraction():
     for n in (2, 3, 4):
         f = commsim.make_pair_function("EQ", n)
         size = 1 << n
-        m = commsim.exact_matrix(
+        m = commsim.NondetMatrix(
             n, [[1 if x == y else 0 for y in range(size)]
                 for x in range(size)], f)
         spec = commsim.svd_protocol(m)

@@ -444,6 +444,29 @@ class TestExport:
         assert capsys.readouterr().err.splitlines()[-1].startswith("export: ")
 
 
+@pytest.mark.parametrize("flag_first", [True, False],
+                         ids=["flag-first", "flag-last"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "OR", "--n", "3"],
+    ["theorems", "--n", "2", "--samples", "3"],
+    ["separation", "query", "--n", "3"],
+    ["separation", "comm", "--n", "2"],
+    ["separation", "ne", "--n", "2"],
+])
+def test_csv_format_matches_export(argv, flag_first, tmp_path, capsys):
+    # --format is global: every command's CSV is the export of its JSON
+    p = tmp_path / "r.json"
+    code = cli.main(["--out", str(p)] + argv)
+    capsys.readouterr()
+    flag = ["--format", "csv"]
+    got = run_cli(flag + argv if flag_first else argv + flag, capsys)
+    assert got == (code, run_cli(["export", str(p), "--format", "csv"],
+                                 capsys)[1])
+    assert got[1].split("\n", 1)[0] in ("key,value", "check,pass,details",
+                                        "function,inequality,pass")
+    assert json.loads(p.read_text())  # the default stays JSON
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--family", "OR", "--n", "3"],
     ["theorems", "--n", "1", "--exhaustive"],

@@ -11,7 +11,7 @@ import pytest
 
 from ndqc import commsim
 from ndqc.boolfn import CapExceeded, make_named
-from ndqc.linalg import int_rank
+from ndqc.linalg import int_rank, rows_to_int
 from ndqc.polys import (MONOMIAL, MultilinearPoly, RetryCapExceeded,
                         weight_offset_poly)
 from ndqc.statevec import (ExactState, FlipOnProjector, PrepState,
@@ -21,7 +21,7 @@ from ndqc.commsim import (PAIR_FAMILIES, HypothesisViolated, NondetMatrix,
                           ProtocolSpec,
                           RankBoundViolation, Rectangle,
                           Round, ZeroRow, closed_one_rectangles, cover_number,
-                          exact_matrix, fooling_set_check, full_rank_check,
+                          fooling_set_check, full_rank_check,
                           intersect_complement_fooling_set, final_state_families,
                           make_pair_function, matrix_from_csv_lines,
                           matrix_from_poly, matrix_from_vector_families,
@@ -39,7 +39,7 @@ F = Fraction
 def identity_matrix(n):
     f = make_pair_function("EQ", n)
     size = 1 << n
-    return exact_matrix(n, [[1 if x == y else 0 for y in range(size)]
+    return NondetMatrix(n, [[1 if x == y else 0 for y in range(size)]
                             for x in range(size)], f)
 
 
@@ -96,7 +96,41 @@ class TestNondetMatrix:
     def test_pattern_enforced(self):
         f = make_pair_function("EQ", 1)
         with pytest.raises(PatternMismatch):
-            exact_matrix(1, [[1, 1], [0, 1]], f)
+            NondetMatrix(1, [[1, 1], [0, 1]], f)
+
+    @pytest.mark.parametrize("entry", [0.5, 1.0, 1 + 0j, np.float64(1.0)],
+                             ids=["float", "integral-float", "complex",
+                                  "np.float64"])
+    def test_inexact_entries_rejected(self, entry):
+        f = PairTable(1, (3, 3))
+        with pytest.raises(ValueError, match="exact rationals"):
+            NondetMatrix(1, [[1, 2], [3, entry]], f)
+
+    def test_entries_stored_canonically(self):
+        # one exact form: int when integral, else a reduced Fraction
+        f = PairTable(1, (3, 3))
+        m = NondetMatrix(1, [[F(4, 2), np.int64(-3)], [True, F(2, 6)]], f)
+        assert m.entries == ((2, -3), (1, F(1, 3)))
+        assert [type(v) for row in m.entries for v in row] == \
+            [int, int, int, F]
+
+    def test_rank_with_zero_row_is_int_rank(self):
+        # the rank reads the cached factors; only c_x needs a nonzero row
+        rng = random.Random(41)
+        for n in (1, 2, 3):
+            size = 1 << n
+            for _ in range(5):
+                entries = [[rng.choice([0, 1, -2, F(1, 3)])
+                            for _ in range(size)] for _ in range(size)]
+                entries[rng.randrange(size)] = [0] * size
+                f = PairTable(n, tuple(sum(1 << y for y, v in enumerate(row)
+                                           if v) for row in entries))
+                m = NondetMatrix(n, entries, f)
+                assert m.rank() == int_rank(rows_to_int(m.entries), size)
+                with pytest.raises(ZeroRow):
+                    svd_protocol(m)
+        zero = NondetMatrix(1, [[0, 0], [0, 0]], PairTable(1, (0, 0)))
+        assert zero.rank() == 0
 
     def test_eq1_matrix_rank(self):
         m = identity_matrix(1)
@@ -167,6 +201,18 @@ def brute_force_triangularizable(f):
     return False
 
 
+def assert_triangular_form(f, ev):
+    """ev's orders are permutations putting f's pattern in upper triangular
+    form with a nonzero diagonal."""
+    size = 1 << f.n
+    assert ev.kind in ("DIAGONAL", "TRIANGULAR") and ev.nrank == size
+    rows, cols = ev.row_order, ev.col_order
+    assert sorted(rows) == sorted(cols) == list(range(size))
+    for i in range(size):
+        assert f.value(rows[i], cols[i])
+        assert not any(f.value(rows[i], cols[j]) for j in range(i))
+
+
 class TestFullRank:
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_eq_diagonal(self, n):
@@ -178,9 +224,29 @@ class TestFullRank:
         ev = full_rank_check(make_pair_function("DISJ", n))
         assert ev.kind == "TRIANGULAR" and ev.nrank == 1 << n
 
-    def test_disj2_column_reversal(self):
-        ev = full_rank_check(make_pair_function("DISJ", 2))
-        assert ev.col_order == (3, 2, 1, 0)
+    @pytest.mark.parametrize("n", [1, 2, 3, 10])
+    def test_disj_orders_triangularize(self, n):
+        f = make_pair_function("DISJ", n)
+        assert_triangular_form(f, full_rank_check(f))
+
+    def test_random_orders_triangularize(self):
+        # a random triangular pattern with a nonzero diagonal, its rows and
+        # columns shuffled: peeling must find some triangular order
+        rng = random.Random(43)
+        for n in (1, 2, 3, 4, 5):
+            size = 1 << n
+            for _ in range(8):
+                rows, cols = list(range(size)), list(range(size))
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+                table = [0] * size
+                for i in range(size):
+                    table[rows[i]] = 1 << cols[i]
+                    for j in range(i + 1, size):
+                        if rng.random() < 0.5:
+                            table[rows[i]] |= 1 << cols[j]
+                f = PairTable(n, tuple(table))
+                assert_triangular_form(f, full_rank_check(f))
 
     def test_all_ones_none(self):
         ev = full_rank_check(PairTable(1, (3, 3)))
@@ -208,7 +274,7 @@ class TestFullRank:
             f = PairTable(2, tuple(rng.randrange(16) for _ in range(4)))
             ev = full_rank_check(f)
             if ev.kind != "NONE":
-                m = exact_matrix(2, [[f.value(x, y) for y in range(4)]
+                m = NondetMatrix(2, [[f.value(x, y) for y in range(4)]
                                      for x in range(4)], f)
                 assert m.rank() == 4
 
@@ -218,7 +284,7 @@ class TestSvdProtocol:
     def test_identity_exact(self, n):
         # diagonal 1, -2, 3, -4, ...: the signs ride on Alice's message
         size = 1 << n
-        signed = exact_matrix(n, [[(-1) ** x * (x + 1) if x == y else 0
+        signed = NondetMatrix(n, [[(-1) ** x * (x + 1) if x == y else 0
                                    for y in range(size)]
                                   for x in range(size)],
                               make_pair_function("EQ", n))
@@ -262,15 +328,22 @@ class TestSvdProtocol:
                    for x in range(size) for y in range(size))
 
     def test_factors_computed_once_per_matrix(self, monkeypatch):
-        calls = []
+        # the rank, the protocol and its sweep share one elimination
+        calls, eliminations = [], []
         real = commsim._rank_factors
         monkeypatch.setattr(commsim, "_rank_factors",
                             lambda M: calls.append(M) or real(M))
+
+        def counted(fn):
+            return lambda *args: eliminations.append(fn) or fn(*args)
+        for name in ("nullspace", "int_rank"):
+            monkeypatch.setattr(commsim, name, counted(getattr(commsim, name)))
         m = matrix_from_poly(weight_offset_poly(3, 1),
                              make_pair_function("INTERSECT_NOT_ONE", 3))
+        assert m.rank() == 4
         svd_protocol(m)
         svd_acceptance_sweep(m)
-        assert calls == [m]
+        assert calls == [m] and len(eliminations) == 1
 
     def test_cost_formula(self):
         assert svd_protocol_cost(1) == 1
@@ -359,7 +432,7 @@ class TestSvdProtocol:
 
     def test_all_ones_cost_1(self):
         f = PairTable(1, (3, 3))
-        m = exact_matrix(1, [[1, 1], [1, 1]], f)
+        m = NondetMatrix(1, [[1, 1], [1, 1]], f)
         spec = svd_protocol(m)
         assert spec.cost == 1
         for x in range(2):
@@ -852,9 +925,14 @@ class TestMatrixFiles:
         with pytest.raises(ValueError):
             matrix_from_csv_lines(["n,1,mode,exact", f"{entry},0", "0,1"])
 
+    def test_integral_entries_read_as_ints(self):
+        m = matrix_from_csv_lines(["n,1,mode,exact", "2,4/2", "1/3,0.5"])
+        assert m.entries == ((2, 2), (F(1, 3), F(1, 2)))
+        assert type(m.entries[0][0]) is int and type(m.entries[0][1]) is int
+
     def test_rational_entries_preserved(self):
         f = PairTable(1, (3, 3))
-        m = exact_matrix(1, [[F(1, 3), F(-2, 7)], [F(5), F(1)]], f)
+        m = NondetMatrix(1, [[F(1, 3), F(-2, 7)], [F(5), F(1)]], f)
         m2 = matrix_from_csv_lines(matrix_to_csv_lines(m))
         assert m2.entries == m.entries
 
@@ -899,7 +977,7 @@ def test_nrank_lower_bound_valid():
         if not any(f.rows):
             continue
         lb = nrank_lower_bound(f)
-        m = exact_matrix(2, [[f.value(x, y) for y in range(4)]
+        m = NondetMatrix(2, [[f.value(x, y) for y in range(4)]
                              for x in range(4)], f)
         assert lb <= m.rank()
 

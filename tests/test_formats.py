@@ -30,7 +30,7 @@ def _lines(parse):
 def _corpus():
     or2 = make_named("OR", 2)
     eq1 = commsim.make_pair_function("EQ", 1)
-    ident = commsim.exact_matrix(1, [[1, 0], [0, 1]], eq1)
+    ident = commsim.NondetMatrix(1, [[1, 0], [0, 1]], eq1)
     algo = querysim.compile_from_ndet_poly(polys.weight_offset_poly(2), or2)
     rational = polys.MultilinearPoly.make(
         2, polys.MONOMIAL, {0: Fraction(-3, 7), 3: Fraction(2)})

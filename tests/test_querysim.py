@@ -19,14 +19,14 @@ from ndqc.polys import (MONOMIAL, InvalidWitness, MultilinearPoly,
 from ndqc.querysim import (BitOracle, DegreeBoundViolation, EmptyOneSet,
                            FlipOnZero, InputGate,
                            NormNotPreserved, NotNondeterministic,
-                           PhaseOracle, QueryAlgorithm,
+                           PhaseOracle, QueryAlgorithm, StatePrep,
                            Unitary, VerifierClauseViolation, VerifierSpec,
                            basis_prep, circuit_from_lines, circuit_to_lines,
                            compile_from_ndet_poly, extract_ndet_poly,
                            extract_ndet_poly_stats, simulate,
                            symbolic_simulate, verifier_to_ndet)
-from ndqc.statevec import HADAMARD, ScaledMatrix, rational_rotation, \
-    scaled_real
+from ndqc.statevec import HADAMARD, PrepState, ScaledMatrix, Swap, \
+    rational_rotation, scaled_real
 
 F = Fraction
 
@@ -147,6 +147,85 @@ class TestSimulate:
             _, acc = simulate(algo, x)
             _, accf = simulate(algo, x, mode="float")
             assert abs(accf - float(acc)) < 1e-9
+
+
+class TestInputFreeGates:
+    def test_swap_agrees_in_every_mode(self):
+        # H on the index qubit, x_1 or x_2 into qubit 2, swapped onto the
+        # output qubit 1: acceptance (x_1 + x_2) / 2
+        algo = QueryAlgorithm(n=2, num_qubits=3, prep=basis_prep(3),
+                              gates=(Unitary((0,), HADAMARD),
+                                     BitOracle((0,), 2), Swap(2, 1)),
+                              query_cost=1, output_qubit=1)
+        accs = symbolic_simulate(algo).acceptance_polynomial().values()
+        for x in range(4):
+            want = F((x & 1) + (x >> 1), 2)
+            assert simulate(algo, x)[1] == want == accs[x]
+            assert abs(simulate(algo, x, mode="float")[1] - want) < 1e-12
+
+    def test_prep_state_has_no_symbolic_form(self):
+        algo = QueryAlgorithm(n=1, num_qubits=1, prep=basis_prep(1),
+                              gates=(PrepState((0,), (3, 4)),),
+                              query_cost=0, output_qubit=0)
+        assert simulate(algo, 1)[1] == F(16, 25)
+        with pytest.raises(ValueError, match="has no symbolic form"):
+            symbolic_simulate(algo)
+
+
+class TestInputGateChecked:
+    def _algo(self, matrices):
+        return QueryAlgorithm(n=1, num_qubits=1, prep=basis_prep(1),
+                              gates=(InputGate((0,), matrices, 1),),
+                              query_cost=1, output_qubit=0)
+
+    @pytest.mark.parametrize("matrices, message", [
+        ({0: HADAMARD}, "no matrix for 1"),
+        ({0: HADAMARD, 1: scaled_real(((1, 1), (0, 1)))}, "non-unitary"),
+        ({0: HADAMARD, 1: scaled_real(((1, 0, 0, 0), (0, 1, 0, 0),
+                                       (0, 0, 1, 0), (0, 0, 0, 1)))},
+         "dimension"),
+        ({0: HADAMARD, 1: np.eye(2)}, "ScaledMatrix"),
+    ], ids=["missing-input", "non-unitary", "wrong-size", "ndarray"])
+    def test_bad_matrices_rejected_when_built(self, matrices, message):
+        with pytest.raises(ValueError, match=message):
+            self._algo(matrices)
+
+
+class TestExactNumbers:
+    @pytest.mark.parametrize("v", [0.6, np.float64(0.6), 0.6 + 0j],
+                             ids=["float", "np.float64", "complex"])
+    def test_inexact_matrix_entries_rejected(self, v):
+        with pytest.raises(ValueError, match="exact rationals"):
+            Unitary((0,), ScaledMatrix(((v, -0.8), (0.8, v)), None, 1))
+        with pytest.raises(ValueError, match="exact rationals"):
+            ScaledMatrix(((F(3, 5), 0), (0, F(3, 5))), ((0, v), (v, 0)), 1)
+
+    @pytest.mark.parametrize("re, im, scale2", [
+        ((0.6, 0.8), None, 1),
+        ((F(3, 5), np.float64(0.8)), None, 1),
+        ((1, 0), (0.0, 0), 1),
+        ((1, 0), None, 1.0),
+    ], ids=["float", "np.float64", "float-im", "float-scale"])
+    def test_inexact_prep_rejected(self, re, im, scale2):
+        with pytest.raises(ValueError, match="exact rationals"):
+            StatePrep(re, im, scale2)
+
+    def _prep_line(self, re):
+        return ('{"gate":"PREP","qubits":[0],"data":{"n":1,"query_cost":0,'
+                f'"output_qubit":0,"re":{re},"im":null,"scale2":"1"}}}}')
+
+    def test_json_decimals_read_exactly(self):
+        rotation = ('{"gate":"UNITARY","qubits":[0],"data":{"re":'
+                    '[[0.6,-0.8],[0.8,0.6]],"im":null,"scale2":1}}')
+        algo = circuit_from_lines([self._prep_line("[0.6, 0.8]"), rotation])
+        assert algo.prep.re == (F(3, 5), F(4, 5))
+        # R(theta) (cos theta, sin theta) = (cos 2 theta, sin 2 theta)
+        assert simulate(algo, 0)[1] == F(24, 25) ** 2
+
+    @pytest.mark.parametrize("re", ["[1e5, 0]", "[1E0, 0]", "[0.6e0, 0.8]"])
+    def test_json_exponent_rejected(self, re):
+        with pytest.raises(ValueError, match="exponent"):
+            circuit_from_lines([self._prep_line(re)])
 
 
 class TestCompiler:

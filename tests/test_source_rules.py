@@ -1,0 +1,18 @@
+"""Rules on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "ndqc")
+             .glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert statements, so no check may rely on one
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"
