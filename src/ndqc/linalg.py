@@ -1,8 +1,10 @@
 """Exact integer linear algebra: fraction-free elimination, rank, nullspaces.
 
-All ground-truth computations here are over the integers/rationals with
-arbitrary precision.  The one modular computation is one-sided: `nullspace`
-may prove an empty nullspace by full column rank modulo a prime.
+All ground-truth computations here are over the integers/rationals and
+exact.  Large nullspace systems run in numpy int64 rather than Python ints:
+before every step a bound proves that no value can wrap, and from the
+first step where it cannot, the work goes on in Python ints, so the result
+is the same.
 """
 
 from fractions import Fraction
@@ -10,11 +12,10 @@ from math import gcd, lcm
 
 import numpy as np
 
-# The largest prime below 2^15: residues are < _P, so every product of two
-# residues is < 2^30 and elimination runs in int32 without overflow.
-_P = 32749
 # Below this many cells numpy's fixed cost exceeds the Bareiss time saved.
-_CERT_MIN_CELLS = 4096
+_INT64_MIN_CELLS = 4096
+# An int64 step is run only when every value it forms is below this bound.
+_INT64_SAFE = 1 << 62
 
 
 def rows_to_int(rows):
@@ -34,7 +35,7 @@ def rows_to_int(rows):
     return out
 
 
-def _echelon_ff(rows, ncols):
+def _echelon_ff(rows, ncols, start=None):
     """Fraction-free (Bareiss) row echelon with left-to-right column pivoting.
 
     Returns (echelon_rows, pivots) where pivots is a list of (row, col) with
@@ -45,14 +46,18 @@ def _echelon_ff(rows, ncols):
     date by one exact multiply-divide when it is next used.  Rows still
     stale at the end are zero, so the result equals plain Bareiss entry for
     entry.
+
+    start = (pc, prev) goes on with a plain Bareiss run that stopped before
+    column pc: rows are the ones not yet used as pivot rows, zero left of
+    pc, and current for the pivot value `prev`.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
-    scaled = [1] * nrows
+    first, prev = start or (0, 1)
+    scaled = [prev] * nrows
     pivots = []
-    prev = 1
     pr = 0
-    for pc in range(ncols):
+    for pc in range(first, ncols):
         if pr >= nrows:
             break
         # locate a pivot in column pc at or below row pr
@@ -110,17 +115,33 @@ def nullspace(rows, ncols):
     integers: before solving for a pivot variable the partial vector is
     scaled by just enough to make that entry integral.
 
-    A tall system (at least ncols rows, at least _CERT_MIN_CELLS cells) is
-    first eliminated modulo _P.  Rank ncols there proves rank ncols over
-    the rationals, since a minor that is nonzero mod _P is a nonzero
-    integer, so the empty basis is returned at once; any other outcome
-    falls through to the exact elimination.
+    A system of at least _INT64_MIN_CELLS cells whose entries fit in int64
+    takes the same steps on numpy int64 arrays (`_nullspace_int64`), each
+    step run only when a bound shows it cannot overflow; at the first step
+    that fails the bound the work so far is handed to the Python-int loops.
+    Both paths return the same basis.
     """
-    ints = rows_to_int(rows)
-    if (len(ints) >= ncols and len(ints) * ncols >= _CERT_MIN_CELLS
-            and _full_rank_mod_p(ints, ncols)):
-        return []
-    ech, pivots = _echelon_ff(ints, ncols)
+    if len(rows) * ncols >= _INT64_MIN_CELLS:
+        # integer rows go in as they are, since scaling a row leaves the
+        # nullspace alone; numpy would truncate a Fraction or keep a float,
+        # so other rows are made integers first
+        m = np.array(rows)
+        if m.dtype.kind != "i":
+            m = np.array(rows_to_int(rows))
+        if m.dtype.kind == "i":     # else an entry is beyond int64
+            return _nullspace_int64(m.astype(np.int64, copy=False), ncols)
+    return _back_substitute(*_echelon_ff(rows_to_int(rows), ncols), ncols)
+
+
+def _back_substitute(ech, pivots, ncols):
+    """`nullspace`'s basis from Bareiss echelon rows, one free column at a
+    time in Python ints.
+
+    Each step keeps the vector primitive, so none is divided out at the
+    end: a step maps v to k * v plus the entry -+s / g, with g = gcd(s, p)
+    and k = |p| / g, and gcd(k * v, s / g) = gcd(k, s / g) = 1 when
+    gcd(v) = 1.
+    """
     pivot_set = {pc for _, pc in pivots}
     basis = []
     for j in range(ncols):
@@ -142,43 +163,90 @@ def nullspace(rows, ncols):
             if k > 1:
                 vec[pc + 1:j + 1] = [v * k for v in vec[pc + 1:j + 1]]
             vec[pc] = -s // g if p > 0 else s // g
-        g = gcd(*vec)
-        if g > 1:
-            vec = [v // g for v in vec]
         basis.append((j, tuple(vec)))
     return basis
 
 
-def _full_rank_mod_p(ints, ncols):
-    """True when the integer rows have rank ncols modulo _P.
+def _nullspace_int64(m, ncols):
+    """`nullspace` of an int64 matrix, which is eliminated in place.
 
-    Gaussian elimination in one int32 array, updated in place through one
-    preallocated scratch buffer.  Returns False at the first column without
-    a pivot, and also when an entry does not fit in int32 (the exact path
-    then decides).
+    Plain Bareiss with one block update per pivot, taking the pivots that
+    `_echelon_ff` takes.  The update (a * piv - t * b) // prev reads only
+    entries of the active block, so no value it forms exceeds 2 * big^2,
+    big being the block's largest magnitude.  numpy wraps int64 without a
+    warning, so 2 * big^2 < _INT64_SAFE is checked before every update.
+    When the check fails, the rows below the pivot rows go to `_echelon_ff`
+    with the column and `prev`, and it goes on from there in Python ints.
     """
-    try:
-        a = np.array(ints, dtype=np.int32)
-    except OverflowError:
-        return False
-    a %= _P
-    buf = np.empty((len(ints) - 1) * (ncols - 1), dtype=np.int32)
-    for c in range(ncols):
-        nz = np.flatnonzero(a[c:, c])
+    nrows = len(m)
+    pivots = []
+    prev = 1
+    pr = 0
+    for pc in range(ncols):
+        if pr >= nrows:
+            break
+        nz = np.flatnonzero(m[pr:, pc])
         if not nz.size:
-            return False
-        r = c + int(nz[0])
-        if r != c:
-            a[[c, r]] = a[[r, c]]
-        row = a[c, c + 1:]
-        row *= pow(int(a[c, c]), -1, _P)
-        row %= _P
-        below = a[c + 1:, c + 1:]
-        t = buf[:below.size].reshape(below.shape)
-        np.multiply(a[c + 1:, c, None], row, out=t)
-        below -= t
-        below %= _P
-    return True
+            continue
+        active = m[pr:, pc:]
+        big = max(int(active.max()), -int(active.min()))
+        if 2 * big * big >= _INT64_SAFE:
+            tail, more = _echelon_ff(m[pr:].tolist(), ncols, (pc, prev))
+            pivots += [(pr + r, c) for r, c in more]
+            if len(pivots) == ncols:    # no free column: skip converting
+                return []
+            return _back_substitute(m[:pr].tolist() + tail, pivots, ncols)
+        sel = pr + int(nz[0])
+        if sel != pr:
+            m[[pr, sel]] = m[[sel, pr]]
+        piv = int(m[pr, pc])
+        below = m[pr + 1:, pc + 1:]
+        below *= piv
+        below -= np.multiply.outer(m[pr + 1:, pc], m[pr, pc + 1:])
+        if prev != 1:
+            below //= prev
+        m[pr + 1:, pc] = 0
+        pivots.append((pr, pc))
+        prev = piv
+        pr += 1
+    basis = _back_substitute_int64(m, pivots, ncols)
+    if basis is None:
+        return _back_substitute(m.tolist(), pivots, ncols)
+    return basis
+
+
+def _back_substitute_int64(ech, pivots, ncols):
+    """`_back_substitute` for all free columns at once in int64, or None
+    when a step could overflow.
+
+    Column f of x holds the vector of free column free[f].  The step for a
+    pivot row forms s = row . x for every column, then scales each column
+    by |p| / gcd(s, p) and sets its pivot entry, as the per-column loop
+    does (a column with s = 0 is scaled by 1 and gets 0 there).  No value
+    formed exceeds the row's length times its largest magnitude times the
+    largest magnitude in x, and that bound is checked before the step.
+    """
+    pivot_set = {pc for _, pc in pivots}
+    free = [j for j in range(ncols) if j not in pivot_set]
+    if not free:
+        return []
+    x = np.zeros((ncols, len(free)), dtype=np.int64)
+    x[free, np.arange(len(free))] = 1
+    col_max = np.ones(len(free), dtype=np.int64)
+    for pr, pc in reversed(pivots):
+        row = ech[pr, pc:]
+        big = max(int(row.max()), -int(row.min()))
+        if len(row) * big * int(col_max.max()) >= _INT64_SAFE:
+            return None
+        s = row[1:] @ x[pc + 1:]
+        p = int(row[0])
+        g = np.gcd(s, p)
+        k = abs(p) // g
+        x[pc + 1:] *= k
+        x[pc] = s // g if p < 0 else -(s // g)
+        col_max *= k
+        np.maximum(col_max, np.abs(x[pc]), out=col_max)
+    return list(zip(free, map(tuple, x.T.tolist())))
 
 
 def staircase_column(rows, ncols, v):

@@ -22,9 +22,9 @@ from .polys import (MONOMIAL, InvalidWitness, MultilinearPoly, _combine,
                     _resample, parse_rational, to_fourier, verify_ndet)
 from .statevec import (DIM_CAP, HADAMARD, ExactState, FlipOnZero,
                        ScaledMatrix, Swap, Unitary, _all_rational,
-                       _check_qubits, _fixed_flip, _flip_labels, acceptance,
-                       apply_gate, apply_label_map, basis_state,
-                       register_values, subset_index_maps)
+                       _apply_unitary, _check_qubits, _fixed_flip,
+                       _flip_labels, acceptance, apply_gate, apply_label_map,
+                       basis_state, register_values, subset_index_maps)
 # no caller here: kept as names the perfbench tracer requires to rebind
 # (perfbench/tracer.py MUST_REBIND)
 from .statevec import apply_matrix_float, apply_scaled_matrix  # noqa: F401
@@ -175,7 +175,8 @@ def _apply_gate(state, algo, gate, x):
     every other gate goes to statevec.apply_gate."""
     nq, n = algo.num_qubits, algo.n
     if isinstance(gate, InputGate):
-        gate = Unitary(gate.qubits, gate.matrices[x])
+        # QueryAlgorithm checked every gate.matrices[x] unitary when built
+        return _apply_unitary(state, nq, gate.qubits, gate.matrices[x])
     if isinstance(gate, BitOracle):
         # x_{i+1} for each index value i; values >= n read 0 (identity), and
         # a table lookup keeps x out of numpy shifts
@@ -557,6 +558,20 @@ def circuit_to_lines(algo: QueryAlgorithm) -> list:
     return lines
 
 
+def _int_field(v):
+    """An integer field of a circuit record.  JSON true and false are not
+    integers here, nor is 1.0, which reads as a Fraction."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _qubit_list(v):
+    if type(v) is not list:
+        raise ValueError(f"expected a list of qubits, got {v!r}")
+    return tuple(map(_int_field, v))
+
+
 def circuit_from_lines(lines) -> QueryAlgorithm:
     try:
         records = [json.loads(line, parse_float=parse_rational)
@@ -573,7 +588,8 @@ def circuit_from_lines(lines) -> QueryAlgorithm:
             kind, data = rec["gate"], rec["data"]
             if kind == "UNITARY" and "flip_on_zero" in data:
                 fz = data["flip_on_zero"]
-                gates.append(FlipOnZero(tuple(fz["controls"]), fz["target"]))
+                gates.append(FlipOnZero(_qubit_list(fz["controls"]),
+                                        _int_field(fz["target"])))
             elif kind == "UNITARY":
                 mat = ScaledMatrix(
                     tuple(tuple(parse_rational(v) for v in row)
@@ -582,19 +598,19 @@ def circuit_from_lines(lines) -> QueryAlgorithm:
                           for row in data["im"])
                     if data["im"] is not None else None,
                     parse_rational(data["scale2"]))
-                gates.append(Unitary(tuple(rec["qubits"]), mat))
+                gates.append(Unitary(_qubit_list(rec["qubits"]), mat))
             elif kind == "ORACLE":
-                gates.append(BitOracle(tuple(data["index_qubits"]),
-                                       data["target"]))
+                gates.append(BitOracle(_qubit_list(data["index_qubits"]),
+                                       _int_field(data["target"])))
             elif kind == "PHASE_F":
-                gates.append(PhaseOracle(tuple(rec["qubits"]),
-                                         data["degree_bound"]))
+                gates.append(PhaseOracle(_qubit_list(rec["qubits"]),
+                                         _int_field(data["degree_bound"])))
             else:
                 raise ValueError(f"unknown record {kind!r}")
-        num_qubits = len(records[0]["qubits"])
-        return QueryAlgorithm(n=head["n"], num_qubits=num_qubits, prep=prep,
-                              gates=tuple(gates),
-                              query_cost=head["query_cost"],
-                              output_qubit=head["output_qubit"])
+        num_qubits = len(_qubit_list(records[0]["qubits"]))
+        return QueryAlgorithm(n=_int_field(head["n"]), num_qubits=num_qubits,
+                              prep=prep, gates=tuple(gates),
+                              query_cost=_int_field(head["query_cost"]),
+                              output_qubit=_int_field(head["output_qubit"]))
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed circuit record: {e!r}") from e

@@ -356,16 +356,21 @@ class FlipOnProjector:
         return (self.target,) + tuple(self.register)
 
 
+def _apply_unitary(state, num_qubits: int, qubits, matrix: ScaledMatrix):
+    """Apply a matrix already known to be unitary (a `Unitary`'s, or an
+    `InputGate`'s, checked when its algorithm was built) on the qubits."""
+    if isinstance(state, ExactState):
+        apply_scaled_matrix(state, qubits, matrix)
+        return state
+    return apply_matrix_float(state, num_qubits, qubits, matrix.to_ndarray())
+
+
 def apply_gate(state, num_qubits: int, gate):
     """Apply one gate: an ExactState in place, or a float vector into a new
     array; returns the state."""
     exact = isinstance(state, ExactState)
     if isinstance(gate, Unitary):
-        if exact:
-            apply_scaled_matrix(state, gate.qubits, gate.matrix)
-            return state
-        return apply_matrix_float(state, num_qubits, gate.qubits,
-                                  gate.matrix.to_ndarray())
+        return _apply_unitary(state, num_qubits, gate.qubits, gate.matrix)
     if isinstance(gate, (FlipOnZero, Swap)):
         return apply_label_map(state, _fixed_flip(num_qubits, gate))
     if not isinstance(gate, (PrepState, FlipOnProjector)):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from ndqc import linalg
 from ndqc.querysim import VerifierSpec, basis_prep
 from ndqc.statevec import scaled_real
 
@@ -36,3 +37,37 @@ def sin2_table(size):
         out.append(Fraction(s * s, 25 ** d))
         s, s_next = s_next, 6 * s_next - 25 * s
     return out
+
+
+def spy_nullspace_paths(monkeypatch):
+    """Record which paths `linalg.nullspace` takes.
+
+    "int64": calls of the int64 kernel; "handoff": for each elimination it
+    handed to Python ints, the column it stopped at; "trip": int64
+    back-substitutions refused by their overflow bound; "bareiss": Python
+    eliminations from the first column.
+    """
+    paths = {"int64": 0, "handoff": [], "trip": 0, "bareiss": 0}
+    kernel, echelon = linalg._nullspace_int64, linalg._echelon_ff
+    back = linalg._back_substitute_int64
+
+    def spy_kernel(m, ncols):
+        paths["int64"] += 1
+        return kernel(m, ncols)
+
+    def spy_echelon(rows, ncols, start=None):
+        if start is None:
+            paths["bareiss"] += 1
+        else:
+            paths["handoff"].append(start[0])
+        return echelon(rows, ncols, start)
+
+    def spy_back(ech, pivots, ncols):
+        out = back(ech, pivots, ncols)
+        paths["trip"] += out is None
+        return out
+
+    monkeypatch.setattr(linalg, "_nullspace_int64", spy_kernel)
+    monkeypatch.setattr(linalg, "_echelon_ff", spy_echelon)
+    monkeypatch.setattr(linalg, "_back_substitute_int64", spy_back)
+    return paths

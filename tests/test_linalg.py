@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from ndqc import linalg
 from ndqc.linalg import (_echelon_ff, _residual, dot, int_rank, nullspace,
                          rows_to_int, staircase_column)
+
+from helpers import spy_nullspace_paths
 
 
 def matrices(entries, max_rows=5, max_cols=5):
@@ -39,25 +42,24 @@ def reference_nullspace(rows, ncols):
             continue
         m[r], m[sel] = m[sel], m[r]
         for i in range(r + 1, len(m)):
-            k = m[i][c] / m[r][c]
-            m[i] = [a - k * b for a, b in zip(m[i], m[r])]
+            if m[i][c]:
+                k = m[i][c] / m[r][c]
+                m[i] = [a - k * b for a, b in zip(m[i], m[r])]
         pivots.append((r, c))
     pivot_set = {pc for _, pc in pivots}
     basis = []
     for j in range(ncols):
         if j in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
+        vec = {j: Fraction(1)}      # column -> value, set entries only
         for pr, pc in reversed(pivots):
             if pc > j:
                 continue
             row = m[pr]
-            s = sum((row[c] * vec[c] for c in range(pc + 1, ncols)),
-                    Fraction(0))
+            s = sum((row[c] * v for c, v in vec.items()), Fraction(0))
             vec[pc] = -s / row[pc]
-        den = lcm(*(v.denominator for v in vec))
-        ints_vec = [int(v * den) for v in vec]
+        den = lcm(*(v.denominator for v in vec.values()))
+        ints_vec = [int(vec.get(c, 0) * den) for c in range(ncols)]
         g = gcd(*ints_vec)
         basis.append((j, tuple(v // g for v in ints_vec)))
     return basis
@@ -219,7 +221,7 @@ def test_echelon_matches_plain_bareiss(rows):
 
 
 # ---------------------------------------------------------------------------
-# the full-rank certificate mod a prime, ahead of Bareiss in `nullspace`
+# the int64 kernel behind `nullspace` for systems of _INT64_MIN_CELLS cells
 
 
 def primal_rows(n, d, seed):
@@ -232,120 +234,193 @@ def primal_rows(n, d, seed):
     return [[1 if m & x == m else 0 for m in cols] for x in zeros]
 
 
-def rank_mod_p(rows, ncols, p):
-    """Rank mod p by plain Python Gaussian elimination."""
-    m = [[v % p for v in row] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        sel = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        for i in range(rank + 1, len(m)):
-            k = m[i][c] * inv % p
-            if k:
-                m[i] = [(a - k * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 @pytest.fixture
-def certificate_calls(monkeypatch):
-    """Record each verdict of the certificate and each Bareiss run."""
-    calls = {"certificate": [], "bareiss": 0}
-    cert, echelon = linalg._full_rank_mod_p, linalg._echelon_ff
+def paths(monkeypatch):
+    return spy_nullspace_paths(monkeypatch)
 
-    def spy_cert(ints, ncols):
-        out = cert(ints, ncols)
-        calls["certificate"].append(out)
-        return out
 
-    def spy_echelon(rows, ncols):
-        calls["bareiss"] += 1
-        return echelon(rows, ncols)
-
-    monkeypatch.setattr(linalg, "_full_rank_mod_p", spy_cert)
-    monkeypatch.setattr(linalg, "_echelon_ff", spy_echelon)
-    return calls
+INT64_ONLY = {"int64": 1, "handoff": [], "trip": 0, "bareiss": 0}
 
 
 @pytest.mark.parametrize("n,d,seed", [(8, 3, 1), (8, 3, 2), (8, 2, 3),
                                       (9, 2, 4)])
-def test_certificate_full_rank_primal(n, d, seed, certificate_calls):
+def test_certificate_full_rank_primal(n, d, seed, paths):
     rows = primal_rows(n, d, seed)
     ncols = len(rows[0])
-    assert len(rows) * ncols >= 4096
+    assert len(rows) * ncols >= linalg._INT64_MIN_CELLS
     assert nullspace(rows, ncols) == []
-    assert certificate_calls == {"certificate": [True], "bareiss": 0}
+    assert paths == INT64_ONLY
     assert int_rank(rows, ncols) == ncols
 
 
 @pytest.mark.parametrize("n,d,seed,i,j,k", [(8, 2, 5, 0, 3, 20),
                                             (8, 2, 6, 36, 9, 10),
                                             (7, 3, 7, 63, 1, 40)])
-def test_certificate_planted_dependency(n, d, seed, i, j, k,
-                                        certificate_calls):
+def test_certificate_planted_dependency(n, d, seed, i, j, k, paths):
     # column i becomes the sum of columns j and k: nullity at least 1
     rows = primal_rows(n, d, seed)
     for row in rows:
         row[i] = row[j] + row[k]
     ncols = len(rows[0])
-    assert len(rows) * ncols >= 4096
+    assert len(rows) * ncols >= linalg._INT64_MIN_CELLS
     basis = nullspace(rows, ncols)
     assert basis and basis == reference_nullspace(rows, ncols)
-    assert certificate_calls == {"certificate": [False], "bareiss": 1}
-
-
-def test_certificate_rank_drops_mod_p(certificate_calls):
-    # full rank over Q, but the diagonal entry 32749 vanishes mod the prime
-    rng = random.Random(8)
-    size = 64
-    rows = [[rng.randint(-3, 3) if c > r else 0 for c in range(size)]
-            for r in range(size)]
-    for r in range(size):
-        rows[r][r] = 1
-    rows[size // 2][size // 2] = 32749
-    assert linalg._P == 32749
-    assert nullspace(rows, size) == []
-    assert certificate_calls == {"certificate": [False], "bareiss": 1}
-    assert int_rank(rows, size) == size
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_certificate_matches_python_rank_mod_p(seed):
-    # residues spread over [0, p) make every int32 product large, so an
-    # overflowing prime or a wrong update shows as a different verdict
-    p = linalg._P
-    assert (p - 1) ** 2 < 1 << 31
-    rng = random.Random(seed)
-    nrows, ncols = rng.choice([(64, 64), (80, 60), (100, 41)])
-    rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
-    if seed % 2:
-        for row in rows:
-            row[seed] = row[seed + 1] + 3 * row[seed + 2]
-    full = rank_mod_p(rows, ncols, p) == ncols
-    assert full != bool(seed % 2)
-    assert linalg._full_rank_mod_p(rows_to_int(rows), ncols) == full
-    assert len(nullspace(rows, ncols)) == ncols - int_rank(rows, ncols)
-
-
-def test_certificate_skips_entries_beyond_int32(certificate_calls):
-    rows = primal_rows(8, 2, 9)
-    rows[-1][0] = 1 << 40    # a row with other ones, so it stays primitive
-    assert nullspace(rows, len(rows[0])) == []
-    assert certificate_calls == {"certificate": [False], "bareiss": 1}
+    assert paths == INT64_ONLY
 
 
 @pytest.mark.parametrize("nrows,ncols,gated", [
     (64, 64, True),      # exactly at the cell threshold
     (65, 63, False),     # 4095 cells
-    (63, 65, False),     # enough cells, fewer rows than columns
-    (93, 128, False),    # the wide dual shape of an n = 8 table
+    (63, 65, False),     # 4095 cells
+    (93, 128, True),     # the wide dual shape of an n = 8 table
     (128, 93, True)])
-def test_certificate_gate(nrows, ncols, gated, certificate_calls):
+def test_certificate_gate(nrows, ncols, gated, paths):
     rng = random.Random(nrows * ncols)
     rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
     basis = nullspace(rows, ncols)
     assert len(basis) == ncols - int_rank(rows, ncols)
-    assert (len(certificate_calls["certificate"]) == 1) == gated
+    assert paths["int64"] == gated
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["zero-one", "small-int",
+                                             "rational"]))
+def test_int64_kernel_matches_fraction_reference(data, kind):
+    """Random systems above the size gate.  The 0/1 kind is a primal-style
+    system on n = 7 (a row per sampled input x, a column per monomial m,
+    entry [m subset of x]); the other kinds are a random rank-r product of
+    small integers or rationals, r <= 10 keeping the Fraction reference
+    quick."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    if kind == "zero-one":
+        nrows = data.draw(st.integers(min_value=32, max_value=40),
+                          label="nrows")
+        cols = sorted(range(128), key=lambda m: (m.bit_count(), m))
+        rows = [[1 if m & x == m else 0 for m in cols]
+                for x in rng.sample(range(128), nrows)]
+        ncols = len(cols)
+    else:
+        nrows = data.draw(st.integers(min_value=8, max_value=64),
+                          label="nrows")
+        ncols = -(-linalg._INT64_MIN_CELLS // nrows)
+        rank = data.draw(st.integers(min_value=1, max_value=10),
+                         label="rank")
+
+        def entry():
+            v = rng.randint(-6, 6)
+            return v if kind == "small-int" else Fraction(v,
+                                                          rng.randint(1, 6))
+        left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(a * right[k][c] for k, a in enumerate(row))
+                 for c in range(ncols)] for row in left]
+    assert len(rows) * ncols >= linalg._INT64_MIN_CELLS
+    assert_matches_reference(rows, ncols)
+
+
+def test_handoff_mid_elimination(paths, monkeypatch):
+    # entries in [-3, 3] and eight columns that are combinations of the
+    # others: Bareiss entries pass the int64 bound after about a dozen
+    # pivots, well before the rank of 56
+    rng = random.Random(5)
+    nrows, ncols, rank = 64, 64, 56
+    coeffs = [[rng.randint(-2, 2) for _ in range(rank)]
+              for _ in range(ncols - rank)]
+    rows = []
+    for _ in range(nrows):
+        row = [rng.randint(-3, 3) for _ in range(rank)]
+        rows.append(row + [dot(k, row) for k in coeffs])
+    resumed = []
+    echelon = linalg._echelon_ff
+
+    def keep(rows, ncols, start=None):
+        resumed.append(echelon(rows, ncols, start))
+        return resumed[-1]
+
+    monkeypatch.setattr(linalg, "_echelon_ff", keep)
+    basis = nullspace(rows, ncols)
+    # the Python rows carry on plain Bareiss entry for entry
+    [(tail, more)] = resumed
+    ech, pivots = reference_bareiss(rows, ncols)
+    done = nrows - len(tail)
+    assert tail == ech[done:]
+    assert [(done + r, c) for r, c in more] == pivots[done:]
+    assert basis == reference_nullspace(rows, ncols)
+    # column rank + t minus its combination of the first columns is null
+    planted = []
+    for t, k in enumerate(coeffs):
+        tail = [0] * (ncols - rank)
+        tail[t] = 1
+        planted.append((rank + t, tuple(-c for c in k) + tuple(tail)))
+    assert basis == planted
+    assert paths["int64"] == 1 and paths["trip"] == 0
+    [found] = paths["handoff"]
+    assert 0 < found < rank
+
+
+def test_handoff_before_first_update(paths):
+    # an entry of 2^40 fits in int64, but its square does not
+    rows = primal_rows(8, 2, 9)
+    rows[-1][0] = 1 << 40
+    assert nullspace(rows, len(rows[0])) == []
+    assert paths["handoff"] == [0]
+
+
+def test_back_substitution_trip(paths):
+    # x_i = 2 x_(i+1): elimination keeps entries 1 and -2, but the basis
+    # vector (2^64, ..., 2, 1) does not fit in int64
+    size = 64
+    rows, _ = bidiagonal(size, 1, -2)
+    basis = nullspace(rows, size + 1)
+    assert basis == [(size, tuple(2 ** (size - c) for c in range(size + 1)))]
+    assert basis == reference_nullspace(rows, size + 1)
+    assert paths == {"int64": 1, "handoff": [], "trip": 1, "bareiss": 0}
+
+
+def bidiagonal(size, pivot, off):
+    """Echelon rows pivot * x_r + off * x_(r+1) = 0 for r < size, with their
+    pivots: the one free column is the last, and the basis vector has
+    entries (-pivot / off)^c up to a scale."""
+    rows = [[pivot if c == r else off if c == r + 1 else 0
+             for c in range(size + 1)] for r in range(size)]
+    return rows, [(r, r) for r in range(size)]
+
+
+@pytest.mark.parametrize("pivot,off", [(1, -2), (3, -1)],
+                         ids=["new-entries", "column-scaling"])
+def test_int64_back_substitution_refuses_growth(pivot, off):
+    # the vector grows through the entries each step sets (1, -2) or
+    # through the scaling of the entries already set (3, -1); either way it
+    # passes 2^63 within 64 rows, and the bound must refuse before it wraps
+    rows, pivots = bidiagonal(64, pivot, off)
+    [(_, vec)] = linalg._back_substitute(rows, pivots, 65)
+    assert max(map(abs, vec)) >= 1 << 63
+    assert linalg._back_substitute_int64(np.array(rows), pivots, 65) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_int64_back_substitution_matches_loop(data):
+    # any echelon rows will do: nonzero pivots in increasing columns, random
+    # entries right of them
+    ncols = data.draw(st.integers(min_value=1, max_value=24))
+    cols = sorted(data.draw(st.sets(st.integers(0, ncols - 1), min_size=1,
+                                    max_size=12)))
+    pivot = st.integers(-5, 5).filter(bool)
+    rows = [[0] * c + [data.draw(pivot)]
+            + data.draw(st.lists(st.integers(-5, 5), min_size=ncols - c - 1,
+                                 max_size=ncols - c - 1)) for c in cols]
+    pivots = list(enumerate(cols))
+    got = linalg._back_substitute_int64(np.array(rows), pivots, ncols)
+    assert got == linalg._back_substitute(rows, pivots, ncols)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, 1 << 63],
+                         ids=["fraction", "float", "2^63"])
+def test_int64_input_never_cast(bad):
+    # numpy would turn Fraction(1, 2) into 0 and 2^63 into uint64; these
+    # rows must be scaled exactly, or leave the int64 path
+    rng = random.Random(11)
+    rows = [[rng.randint(0, 1) for _ in range(64)] for _ in range(64)]
+    rows[3][5] = bad
+    assert_matches_reference(rows, 64)

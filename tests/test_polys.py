@@ -27,6 +27,8 @@ from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
                         _ndeg_decide_dual, _ndeg_decide_primal,
                         _masks_by_degree, _sample_combination)
 
+from helpers import spy_nullspace_paths
+
 F = Fraction
 
 
@@ -406,28 +408,23 @@ class TestNdeg:
                     exact_poly(f).degree
 
     # Degree and sha256 of format_poly(witness), recorded before `nullspace`
-    # proved empty nullspaces by a rank certificate mod a prime.  The first
-    # three tables have probes above the certificate's size gate; the 7/8
-    # table's primal systems have 64 rows and never reach it.
-    @pytest.mark.parametrize("n,eighths,seed,degree,digest,gated", [
+    # had an int64 path.  The first three tables have probes above its size
+    # gate, and one probe of the n = 9 half-ones table hands its elimination
+    # to Python ints after 216 pivots.  The 7/8 table's primal systems have
+    # 64 rows, so only its degree-3 probe (64 x 130) reaches the gate.
+    @pytest.mark.parametrize("n,eighths,seed,degree,digest,int64,handoffs", [
         (8, 4, 81, 4, "04d13697837357b668d862dd85ff9523"
-                      "e06dfb9469935d824d43b112dccd5a80", 2),
+                      "e06dfb9469935d824d43b112dccd5a80", 3, []),
         (9, 1, 91, 6, "ff5dba3bccb3e2a138248e3dd83db0b4"
-                      "a8ff8c67e5a2423b8c062c819ecd7a94", 5),
+                      "a8ff8c67e5a2423b8c062c819ecd7a94", 5, []),
         (9, 4, 94, 5, "c9727b84b50a40831bc11ea9a4b5e7f4"
-                      "9431c02926e7fbd62a1ee4f30ba154d7", 3),
+                      "9431c02926e7fbd62a1ee4f30ba154d7", 4, [216]),
         (9, 7, 97, 3, "e458839e1b1a05cc51320711e6470537"
-                      "da162e1769d2290fe523e0474c5298fd", 0)])
+                      "da162e1769d2290fe523e0474c5298fd", 1, [])])
     def test_outputs_pinned_across_certificate_gate(
-            self, n, eighths, seed, degree, digest, gated, monkeypatch):
-        verdicts = []
-        kernel = linalg._full_rank_mod_p
-
-        def spy(ints, ncols):
-            verdicts.append(kernel(ints, ncols))
-            return verdicts[-1]
-
-        monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
+            self, n, eighths, seed, degree, digest, int64, handoffs,
+            monkeypatch):
+        paths = spy_nullspace_paths(monkeypatch)
         rng = random.Random(seed)
         size = 1 << n
         f = TruthTable(n, sum(1 << x for x in
@@ -436,7 +433,8 @@ class TestNdeg:
         text = format_poly(cert.witness)
         assert d == degree
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-        assert verdicts == [True] * gated
+        assert (paths["int64"], paths["handoff"], paths["trip"]) == \
+            (int64, handoffs, 0)
 
 
 class TestVerifyNdet:

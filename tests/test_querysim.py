@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -189,6 +190,22 @@ class TestInputGateChecked:
     def test_bad_matrices_rejected_when_built(self, matrices, message):
         with pytest.raises(ValueError, match=message):
             self._algo(matrices)
+
+
+    def test_simulate_does_not_recheck_unitarity(self, monkeypatch):
+        algo = verifier_to_ndet(or2_verifier(), make_named("OR", 2))
+        calls = []
+        check = ScaledMatrix.is_unitary
+
+        def spy(self):
+            calls.append(self)
+            return check(self)
+
+        monkeypatch.setattr(ScaledMatrix, "is_unitary", spy)
+        for x in range(4):
+            assert (simulate(algo, x)[1] > 0) == (x != 0)
+            assert (simulate(algo, x, mode="float")[1] > 1e-9) == (x != 0)
+        assert calls == []
 
 
 class TestExactNumbers:
@@ -621,6 +638,45 @@ class TestCircuitFile:
     def test_malformed_input_raises_value_error(self, lines):
         with pytest.raises(ValueError):
             circuit_from_lines(lines)
+
+    # (record, key path) of every integer field, on a circuit holding one
+    # gate of each serialized kind
+    INTEGER_FIELDS = [(0, ("data", "n")), (0, ("data", "query_cost")),
+                      (0, ("data", "output_qubit")), (0, ("qubits", 0)),
+                      (1, ("qubits", 0)), (2, ("data", "target")),
+                      (2, ("data", "index_qubits", 0)),
+                      (3, ("data", "flip_on_zero", "target")),
+                      (3, ("data", "flip_on_zero", "controls", 0)),
+                      (4, ("data", "degree_bound")), (4, ("qubits", 1))]
+
+    @pytest.mark.parametrize("record, path", INTEGER_FIELDS,
+                             ids=lambda v: "-".join(map(str, v))
+                             if isinstance(v, tuple) else str(v))
+    @pytest.mark.parametrize("spell", [str, float, bool])
+    def test_integer_fields_type_checked(self, record, path, spell):
+        algo = QueryAlgorithm(n=2, num_qubits=3, prep=basis_prep(3),
+                              gates=(Unitary((0,), HADAMARD),
+                                     BitOracle((0,), 2), FlipOnZero((0,), 1),
+                                     PhaseOracle((0, 1), 2)),
+                              query_cost=3, output_qubit=1)
+        records = [json.loads(line) for line in circuit_to_lines(algo)]
+        assert circuit_from_lines(map(json.dumps, records)) == algo
+        *keys, last = path
+        owner = records[record]
+        for key in keys:
+            owner = owner[key]
+        # the same value as a string, a float or a JSON boolean
+        owner[last] = spell(owner[last])
+        with pytest.raises(ValueError, match="expected an integer"):
+            circuit_from_lines(map(json.dumps, records))
+
+    @pytest.mark.parametrize("qubits", [1, "01", None, {"0": 0}])
+    def test_qubit_lists_type_checked(self, qubits):
+        line = ('{"gate":"PREP","qubits":%s,"data":{"n":1,"query_cost":0,'
+                '"output_qubit":0,"re":["1","0"],"im":null,"scale2":"1"}}')
+        assert circuit_from_lines([line % "[0]"]).num_qubits == 1
+        with pytest.raises(ValueError, match="expected a list of qubits"):
+            circuit_from_lines([line % json.dumps(qubits)])
 
     def test_input_gate_not_serializable(self):
         algo = verifier_to_ndet(or2_verifier(), make_named("OR", 2))
