@@ -125,9 +125,13 @@ def make_named(family: str, n: int) -> TruthTable:
     elif family == "AND":
         bits = 1 << (size - 1)
     elif family == "PARITY":
-        bits = sum(1 << x for x in range(size) if x.bit_count() % 2)
+        # the table on i + 1 variables is the table on i, then its negation
+        bits = 0
+        for i in range(n):
+            half = 1 << i
+            bits |= (bits ^ ((1 << half) - 1)) << half
     elif family == "NOT_ONE":
-        bits = sum(1 << x for x in range(size) if x.bit_count() != 1)
+        bits = ((1 << size) - 1) ^ sum(1 << (1 << i) for i in range(n))
     elif family == "CONST0":
         bits = 0
     elif family == "CONST1":

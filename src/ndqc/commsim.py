@@ -545,7 +545,8 @@ def cover_number(f: PairTable, b: int) -> int:
     """Minimum number of b-rectangles covering all b-inputs (0 if none).
 
     Enumerates closed rectangles through the Galois connection and solves
-    the set cover exactly by branch and bound.
+    the set cover exactly with `_min_cover`'s decision search, asking
+    "do k rectangles suffice?" for k upward from the area bound.
     """
     if f.n > COVER_CAP:
         raise CapExceeded(f"cover search capped at n<={COVER_CAP}")
@@ -565,17 +566,18 @@ def cover_number(f: PairTable, b: int) -> int:
 
 
 def _min_cover(universe: int, sets: list) -> int:
-    """Least number of `sets` whose union is `universe`, by branch and bound.
+    """Least number of `sets` whose union is `universe` (nonzero): the first
+    k = ceil(|universe| / largest set), k + 1, ... for which `fits` says k
+    sets suffice. The loop ends because every cell lies in some set (each
+    1-cell lies in the closed rectangle its row generates).
 
-    Every node branches on its least-covered uncovered cell (lowest bit on
-    ties) and tries that cell's covering sets in the order of `sets`. How
-    many sets cover a cell does not depend on the node, so each cell's list
-    is built once and the cells are sorted by (list length, bit): the first
-    cell of that order still uncovered is the branching cell. Every cell of
-    `universe` lies in some set (each 1-cell lies in the closed rectangle
-    its row generates), so the scan always stops at a cell.
+    A `fits` node fails when its uncovered cells outnumber k largest sets,
+    and otherwise branches on its least-covered uncovered cell (lowest bit
+    on ties), trying that cell's sets in the order of `sets`; at k = 1 it
+    only asks whether one of them contains every uncovered cell. Cover
+    counts do not depend on the node, so each cell's list is built once and
+    the cells are sorted by (list length, bit).
     """
-    best = [len(sets)]
     max_size = max(s.bit_count() for s in sets)
     covering = {}
     for s in sets:
@@ -586,20 +588,27 @@ def _min_cover(universe: int, sets: list) -> int:
             m ^= bit
     order = sorted(covering.items(), key=lambda kv: (len(kv[1]), kv[0]))
 
-    def search(remaining: int, used: int):
-        if not remaining:
-            best[0] = min(best[0], used)
-            return
-        if used + (remaining.bit_count() + max_size - 1) // max_size >= best[0]:
-            return
+    def fits(remaining: int, k: int) -> bool:
+        if remaining.bit_count() > k * max_size:
+            return False
         for bit, options in order:
             if remaining & bit:
                 break
+        if k == 1:
+            for s in options:
+                if not remaining & ~s:
+                    return True
+            return False
         for s in options:
-            search(remaining & ~s, used + 1)
+            rest = remaining & ~s
+            if not rest or fits(rest, k - 1):
+                return True
+        return False
 
-    search(universe, 0)
-    return best[0]
+    k = -(-universe.bit_count() // max_size)
+    while not fits(universe, k):
+        k += 1
+    return k
 
 
 def ncc_from_cover(cov: int) -> int:

@@ -31,6 +31,10 @@ NDEG_CAP = 10
 DEFAULT_SEED = 20030  # all randomized constructions default to this stream
 
 
+class EngineInvariantBroken(RuntimeError):
+    """An exact engine reached a state its invariants rule out: a bug."""
+
+
 class IdenticallyZero(ValueError):
     """No nondeterministic polynomial exists for the all-zero function."""
 
@@ -434,7 +438,7 @@ def ndeg(f: TruthTable, seed: int = DEFAULT_SEED):
         cert = ndeg_decide(f, d, rng=rng)
         if cert.feasible:
             return d, cert
-    raise AssertionError("degree n is always feasible for f != 0")
+    raise EngineInvariantBroken("degree n is always feasible for f != 0")
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +483,7 @@ def _level_dmin(n, zeros, w):
     rows = [[comb(s, a) * comb(t, b) for a, b in cols] for s, t in pts]
     j = staircase_column(rows, len(cols), f_vec)
     if j is None:
-        raise AssertionError("level is always feasible at degree n")
+        raise EngineInvariantBroken("level is always feasible at degree n")
     a, b = cols[j]
     return a + b
 

@@ -135,6 +135,21 @@ class TestNamedFamilies:
                       "NOT_ONE": w != 1}[family]
             assert f.value(x) == int(expect)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_weight_tables_match_comprehension(self, n):
+        size = 1 << n
+        assert make_named("PARITY", n).bits == sum(
+            1 << x for x in range(size) if x.bit_count() % 2)
+        assert make_named("NOT_ONE", n).bits == sum(
+            1 << x for x in range(size) if x.bit_count() != 1)
+
+    def test_weight_tables_n20_counts(self):
+        n = 20
+        assert make_named("PARITY", n).bits.bit_count() == 1 << (n - 1)
+        not_one = make_named("NOT_ONE", n).bits
+        assert not_one.bit_count() == (1 << n) - n
+        assert all(not (not_one >> (1 << i)) & 1 for i in range(n))
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             make_named("XOR3", 2)

@@ -729,6 +729,40 @@ class TestCovers:
             assert cover_number(f, 1) == reference_cover_number(f), \
                 (f.n, f.rows)
 
+    def test_matches_reference_all_n2(self):
+        for packed in range(1, 1 << 16):
+            f = PairTable(2, tuple((packed >> (4 * x)) & 15
+                                   for x in range(4)))
+            assert cover_number(f, 1) == reference_cover_number(f), f.rows
+
+    def test_matches_reference_dense_n3(self):
+        # dense tables have many small closed rectangles, so the area bound
+        # starts below the answer and deepening has to refute several k
+        rng = random.Random(47)
+        gaps = []
+        for _ in range(80):
+            density = rng.uniform(0.6, 0.97)
+            f = PairTable(3, tuple(sum(1 << y for y in range(8)
+                                       if rng.random() < density)
+                                   for _ in range(8)))
+            want = reference_cover_number(f)
+            assert cover_number(f, 1) == want, f.rows
+            cells = sum(row.bit_count() for row in f.rows)
+            largest = max(r.cell_mask(8).bit_count()
+                          for r in closed_one_rectangles(f))
+            gaps.append(want - -(-cells // largest))
+        assert max(gaps) >= 3
+
+    def test_deepening_refutes_several_k(self):
+        # one 8-cell set and four singletons: the area bound is 2, and
+        # k = 2, 3, 4 must all be refuted before k = 5 fits
+        big = (1 << 8) - 1
+        sets = [big] + [1 << b for b in range(8, 12)]
+        universe = (1 << 12) - 1
+        assert -(-universe.bit_count() // big.bit_count()) == 2
+        assert commsim._min_cover(universe, sets) == 5
+        assert reference_min_cover(universe, sets) == 5
+
     def test_ne_matches_sperner_bound(self):
         # the maximal 1-rectangles of NE are S x S^c, so a 1-cover by m
         # rectangles gives every x the set of rectangles whose S holds x,

@@ -17,7 +17,8 @@ from ndqc import linalg, polys
 from ndqc.boolfn import SymmetricProfile, TruthTable, make_named, \
     random_table, symmetric_profile
 from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
-                        IdenticallyZero, InvalidWitness, MultilinearPoly,
+                        EngineInvariantBroken, IdenticallyZero,
+                        InvalidWitness, MultilinearPoly, NdegCertificate,
                         RetryCapExceeded,
                         exact_poly, from_fourier, ndeg, ndeg_decide,
                         nisan_smolensky_procedure, parse_poly,
@@ -338,6 +339,17 @@ class TestNdeg:
         with pytest.raises(InvalidWitness):
             _ndeg_decide_dual(f, 1, _masks_by_degree(3, 2, 3), f.ones(),
                               random.Random(1))
+
+    def test_broken_invariants_raise_typed_error(self, monkeypatch):
+        # an engine that never finds a feasible degree is a bug, and says so
+        # with a typed error that python -O keeps
+        monkeypatch.setattr(polys, "ndeg_decide",
+                            lambda f, d, rng: NdegCertificate(d, None, 0))
+        with pytest.raises(EngineInvariantBroken):
+            ndeg(make_named("OR", 3))
+        monkeypatch.setattr(polys, "staircase_column", lambda *args: None)
+        with pytest.raises(EngineInvariantBroken):
+            symmetric_ndeg(symmetric_profile(make_named("NOT_ONE", 3)))
 
     def test_basis_outside_v_d_raises_invalid_witness(self, monkeypatch):
         # the witness is zero on f^-1(0) by construction, so only its
