@@ -1,10 +1,14 @@
-"""Exact integer linear algebra: fraction-free elimination, rank, nullspaces.
+"""Exact integer linear algebra: fraction-free elimination, rank,
+nullspaces and single kernel vectors.
 
 All ground-truth computations here are over the integers/rationals and
-exact.  Large nullspace systems run in numpy int64 rather than Python ints:
-before every step a bound proves that no value can wrap, and from the
-first step where it cannot, the work goes on in Python ints, so the result
-is the same.
+exact.  One Bareiss elimination serves two callers: `nullspace`
+back-substitutes every free column from its echelon rows, and
+`kernel_vector` back-substitutes one vector with given free values from the
+rows that `echelon` returns.  Large systems are eliminated in numpy int64
+rather than Python ints: before every step a bound proves that no value can
+wrap, and from the first step where it cannot, the work goes on in Python
+ints, so the result is the same.
 """
 
 from fractions import Fraction
@@ -109,18 +113,41 @@ def nullspace(rows, ncols):
     Columns are processed left to right, so the basis vector attached to a
     free column j is supported on pivot columns left of j plus j itself.
     The basis is returned as a list of (free_col, vector) pairs in ascending
-    free-column order, each vector primitive with vector[j] > 0; with
-    columns pre-sorted by degree this gives the degree staircase used by the
-    nondeterministic-degree engine.  Back-substitution stays in the
-    integers: before solving for a pivot variable the partial vector is
-    scaled by just enough to make that entry integral.
+    free-column order, each vector primitive with vector[j] > 0.
+    Back-substitution stays in the integers: before solving for a pivot
+    variable the partial vector is scaled by just enough to make that entry
+    integral.
 
     A system of at least _INT64_MIN_CELLS cells whose entries fit in int64
-    takes the same steps on numpy int64 arrays (`_nullspace_int64`), each
-    step run only when a bound shows it cannot overflow; at the first step
-    that fails the bound the work so far is handed to the Python-int loops.
-    Both paths return the same basis.
+    takes the same steps on numpy int64 arrays (`_echelon_int64`, then
+    `_back_substitute_int64`), each step run only when a bound shows it
+    cannot overflow; at the first step that fails the bound the work so far
+    is handed to the Python-int loops.  Both paths return the same basis.
     """
+    ech, pivots = _eliminate(rows, ncols)
+    if len(pivots) == ncols:
+        return []
+    if isinstance(ech, np.ndarray):
+        basis = _back_substitute_int64(ech, pivots, ncols)
+        if basis is not None:
+            return basis
+        ech = ech.tolist()
+    return _back_substitute(ech, pivots, ncols)
+
+
+def echelon(rows, ncols):
+    """(echelon_rows, pivots) of the Bareiss elimination that `nullspace`
+    runs, the rows as lists of Python ints: the input of `kernel_vector`
+    and `_residual`.  rows may be nested lists or a 2-D int array."""
+    ech, pivots = _eliminate(rows, ncols)
+    if isinstance(ech, np.ndarray):
+        ech = ech.tolist()
+    return ech, pivots
+
+
+def _eliminate(rows, ncols):
+    """Bareiss (ech, pivots) of rows: ech is the int64 array when the int64
+    kernel ran to the end, else lists of Python ints."""
     if len(rows) * ncols >= _INT64_MIN_CELLS:
         # integer rows go in as they are, since scaling a row leaves the
         # nullspace alone; numpy would truncate a Fraction or keep a float,
@@ -129,19 +156,29 @@ def nullspace(rows, ncols):
         if m.dtype.kind != "i":
             m = np.array(rows_to_int(rows))
         if m.dtype.kind == "i":     # else an entry is beyond int64
-            return _nullspace_int64(m.astype(np.int64, copy=False), ncols)
-    return _back_substitute(*_echelon_ff(rows_to_int(rows), ncols), ncols)
+            return _echelon_int64(m.astype(np.int64, copy=False), ncols)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    return _echelon_ff(rows_to_int(rows), ncols)
+
+
+def kernel_vector(ech, pivots, ncols, free_values):
+    """The primitive integer vector v with ech . v = 0 that is a positive
+    multiple of the one taking free_values on the free columns, in
+    ascending column order."""
+    pivot_set = {pc for _, pc in pivots}
+    vec = [0] * ncols
+    free = [j for j in range(ncols) if j not in pivot_set]
+    for j, v in zip(free, free_values, strict=True):
+        vec[j] = v
+    _solve_pivots(ech, pivots, vec, ncols)
+    g = gcd(*vec)
+    return tuple(v // g for v in vec) if g > 1 else tuple(vec)
 
 
 def _back_substitute(ech, pivots, ncols):
     """`nullspace`'s basis from Bareiss echelon rows, one free column at a
-    time in Python ints.
-
-    Each step keeps the vector primitive, so none is divided out at the
-    end: a step maps v to k * v plus the entry -+s / g, with g = gcd(s, p)
-    and k = |p| / g, and gcd(k * v, s / g) = gcd(k, s / g) = 1 when
-    gcd(v) = 1.
-    """
+    time in Python ints."""
     pivot_set = {pc for _, pc in pivots}
     basis = []
     for j in range(ncols):
@@ -149,26 +186,43 @@ def _back_substitute(ech, pivots, ncols):
             continue
         vec = [0] * ncols
         vec[j] = 1
-        # bottom pivot row first; vec is zero right of j, so sums stop at j
-        for pr, pc in reversed(pivots):
-            if pc > j:
-                continue
-            row = ech[pr]
-            s = dot(row[pc + 1:j + 1], vec[pc + 1:j + 1])
-            if not s:
-                continue
-            p = row[pc]
-            g = gcd(s, p)
-            k = abs(p) // g
-            if k > 1:
-                vec[pc + 1:j + 1] = [v * k for v in vec[pc + 1:j + 1]]
-            vec[pc] = -s // g if p > 0 else s // g
+        # vec is zero right of j, so the solve stops there
+        _solve_pivots(ech, pivots, vec, j + 1)
         basis.append((j, tuple(vec)))
     return basis
 
 
-def _nullspace_int64(m, ncols):
-    """`nullspace` of an int64 matrix, which is eliminated in place.
+def _solve_pivots(ech, pivots, vec, end):
+    """Set vec's pivot entries left of `end`, bottom pivot row first, so
+    that vec solves those pivot rows; vec must be zero from `end` on, and
+    its other entries are scaled along.
+
+    Each step keeps a primitive vector primitive: it maps v to k * v plus
+    the entry -+s / g, with g = gcd(s, p) and k = |p| / g, and
+    gcd(k * v, s / g) = gcd(k, s / g) = 1 when gcd(v) = 1.  The scaling
+    starts at vec's first nonzero entry or right of the pivot, whichever
+    comes first: the pivot entries set so far all lie right of it.
+    """
+    first = next((c for c, v in enumerate(vec) if v), end)
+    for pr, pc in reversed(pivots):
+        if pc >= end:
+            continue
+        row = ech[pr]
+        s = dot(row[pc + 1:end], vec[pc + 1:end])
+        if not s:
+            continue
+        p = row[pc]
+        g = gcd(s, p)
+        k = abs(p) // g
+        if k > 1:
+            lo = min(first, pc + 1)
+            vec[lo:end] = [v * k for v in vec[lo:end]]
+        vec[pc] = -s // g if p > 0 else s // g
+
+
+def _echelon_int64(m, ncols):
+    """Bareiss (ech, pivots) of an int64 matrix, which is eliminated in
+    place: ech is m itself, or lists of Python ints after a hand-off.
 
     Plain Bareiss with one block update per pivot, taking the pivots that
     `_echelon_ff` takes.  The update (a * piv - t * b) // prev reads only
@@ -193,9 +247,7 @@ def _nullspace_int64(m, ncols):
         if 2 * big * big >= _INT64_SAFE:
             tail, more = _echelon_ff(m[pr:].tolist(), ncols, (pc, prev))
             pivots += [(pr + r, c) for r, c in more]
-            if len(pivots) == ncols:    # no free column: skip converting
-                return []
-            return _back_substitute(m[:pr].tolist() + tail, pivots, ncols)
+            return m[:pr].tolist() + tail, pivots
         sel = pr + int(nz[0])
         if sel != pr:
             m[[pr, sel]] = m[[sel, pr]]
@@ -209,10 +261,7 @@ def _nullspace_int64(m, ncols):
         pivots.append((pr, pc))
         prev = piv
         pr += 1
-    basis = _back_substitute_int64(m, pivots, ncols)
-    if basis is None:
-        return _back_substitute(m.tolist(), pivots, ncols)
-    return basis
+    return m, pivots
 
 
 def _back_substitute_int64(ech, pivots, ncols):

@@ -19,9 +19,14 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from numbers import Rational
 
+import numpy as np
+
 from .boolfn import (CERT_MAX_CAP, CapExceeded, SubcubeTable, SymmetricProfile,
                      TruthTable)
-from .linalg import nullspace, staircase_column
+from .linalg import _residual, echelon, kernel_vector, staircase_column
+# no caller here: kept as a name the perfbench tracer requires to rebind
+# (perfbench/tracer.py MUST_REBIND)
+from .linalg import nullspace  # noqa: F401
 
 MONOMIAL = "MONOMIAL"
 FOURIER = "FOURIER"
@@ -313,12 +318,6 @@ class NdegCertificate:
         return self.witness is not None
 
 
-def _masks_by_degree(n, min_deg, max_deg):
-    masks = [m for m in range(1 << n) if min_deg <= m.bit_count() <= max_deg]
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    return masks
-
-
 def _resample(attempt, what):
     """(result, failed attempts) for the first attempt() that is not None.
 
@@ -332,21 +331,28 @@ def _resample(attempt, what):
     raise RetryCapExceeded(f"{what}: 64 random attempts in a row failed")
 
 
-def _sample_combination(rng, basis, eval_rows, coeff_bound):
-    """Random integer combination of basis vectors, nonzero on every row.
+def _ball_weights(n, d):
+    """K[a][b] = (-1)^(d-b) * C(a-b-1, d-b) for d < a <= n and b <= d: the
+    weight of p(x) in p(y) for x subseteq y, |x| = b, |y| = a, when p has
+    degree <= d (see `ndeg_decide`); rows a <= d are zero."""
+    return [[(-1) ** (d - b) * comb(a - b - 1, d - b) if a > d else 0
+             for b in range(d + 1)] for a in range(n + 1)]
 
-    eval_rows[i] holds the basis evaluations at the i-th required point; the
-    union bound makes each attempt succeed with probability > 1/2.
-    """
-    nb = len(basis)
 
-    def attempt():
-        lam = [rng.randint(1, coeff_bound) for _ in range(nb)]
-        if all(sum(lam[k] * row[k] for k in range(nb)) != 0
-               for row in eval_rows):
-            return lam
-
-    return _resample(attempt, "witness combination")
+def _reduced_system(f, d, weights):
+    """(low ones, rows) of `ndeg_decide`'s reduced system as an int64
+    array: a row per high zero y, a column per low one x, entry
+    weights[|y|][|x|] * [x subseteq y].  Rows go by weight, the sparse ones
+    first, which keeps the Bareiss entries in int64 for more pivots."""
+    low = [x for x in f.ones() if x.bit_count() <= d]
+    cols = np.array(low, dtype=np.int64)
+    ys = np.array(sorted((y for y in f.zeros() if y.bit_count() > d),
+                         key=int.bit_count), dtype=np.int64)
+    k = np.array(weights, dtype=np.int64)
+    rows = np.where((ys[:, None] & cols) == cols,
+                    k[np.bitwise_count(ys)[:, None], np.bitwise_count(cols)],
+                    0)
+    return low, rows
 
 
 def ndeg_decide(f: TruthTable, d: int, seed: int = DEFAULT_SEED,
@@ -355,13 +361,30 @@ def ndeg_decide(f: TruthTable, d: int, seed: int = DEFAULT_SEED,
 
     Feasibility criterion: with V_d the space of degree-<=d multilinear
     polynomials vanishing on f^{-1}(0), f has a witness iff no 1-input's
-    evaluation functional vanishes on all of V_d.  The engine solves either
-    the coefficient-space system (rows = 0-inputs, columns = monomials of
-    degree <= d) or the equivalent value-space system (free values on the
-    1-inputs, Möbius coefficients above degree d forced to zero), whichever
-    is smaller.  Both pass their basis's values on f^{-1}(1) to one tail:
-    a 1-input where all vanish, or else a random integer combination with
-    weights in {1..2^(n+1)}, interpolated, verified and resampled on failure.
+    evaluation functional vanishes on all of V_d.
+
+    A polynomial p of degree <= d is fixed by its values on the Hamming
+    ball L = {x : |x| <= d}: by Möbius inversion (Rota) and
+    sum_{k<=m} (-1)^k C(N, k) = (-1)^m C(N-1, m), for |y| > d
+
+        p(y) = sum_{x subseteq y, |x| <= d} K_d(|y|, |x|) * p(x),
+        K_d(a, b) = (-1)^(d-b) * C(a-b-1, d-b).
+
+    So V_d is the kernel of the reduced system: its unknowns are p on the
+    low ones (the 1-inputs in L; p is 0 on the low zeros), and it has one
+    row per high zero y (|y| > d, f(y) = 0) with entries
+    K_d(|y|, |x|) * [x subseteq y].  A 1-input's functional is a unit
+    vector if the input is low and its K-row if it is high.
+
+    One elimination gives the echelon rows.  An empty kernel gives the
+    evidence ones[0] with no random draw.  Otherwise each attempt solves one
+    kernel vector with free values in {1..2^(n+1)}, puts it on L, keeps the
+    Möbius coefficients of degree <= d and evaluates them.  If the result
+    vanishes at some 1-inputs, the first of them (in `ones` order) whose
+    functional reduces to zero against the echelon rows is the evidence:
+    every vector of V_d vanishes there, so it is the first such 1-input.
+    If none does, the vector is redrawn.  A vector nonzero on all of
+    f^{-1}(1) is the witness, checked by `verify_ndet`.
     """
     if f.n > NDEG_CAP:
         raise CapExceeded(f"ndeg capped at n<={NDEG_CAP}")
@@ -370,62 +393,45 @@ def ndeg_decide(f: TruthTable, d: int, seed: int = DEFAULT_SEED,
     ones = f.ones()
     if not ones:
         raise IdenticallyZero("no nondeterministic polynomial for f == 0")
-    zeros = f.zeros()
-    rng = rng or random.Random(seed)
     n = f.n
-    low = _masks_by_degree(n, 0, min(d, n))
-    high = _masks_by_degree(n, d + 1, n)
-    primal_cost = _elim_cost(len(zeros), len(low))
-    dual_cost = _elim_cost(len(high), len(ones))
-    if primal_cost <= dual_cost:
-        return _ndeg_decide_primal(f, d, low, zeros, ones, rng)
-    return _ndeg_decide_dual(f, d, high, ones, rng)
+    weights = _ball_weights(n, d)
+    low, rows = _reduced_system(f, d, weights)
+    ech, pivots = echelon(rows, len(low))
+    nfree = len(low) - len(pivots)
+    if not nfree:
+        return NdegCertificate(d, None, ones[0])
+    rng = rng or random.Random(seed)
+    bound = 1 << (n + 1)
 
+    def functional(x):
+        if x.bit_count() <= d:
+            return [int(t == x) for t in low]
+        row = weights[x.bit_count()]
+        return [row[t.bit_count()] if t & x == t else 0 for t in low]
 
-def _elim_cost(rows, cols):
-    return rows * cols * min(rows, cols)
-
-
-def _ndeg_decide_primal(f, d, cols, zeros, ones, rng):
-    rows = [[1 if (m & x) == m else 0 for m in cols] for x in zeros]
-    values = []
-    for _, vec in nullspace(rows, len(cols)):
+    def attempt():
+        vec = kernel_vector(ech, pivots, len(low),
+                            [rng.randint(1, bound) for _ in range(nfree)])
         arr = [0] * f.size
-        for m, c in zip(cols, vec):
-            arr[m] = c
-        _zeta_inplace(arr, f.n)
-        values.append([arr[x] for x in ones])
-    return _certificate_from_values(f, d, ones, values, rng)
+        for x, v in zip(low, vec):
+            arr[x] = v
+        _mobius_inplace(arr, n)
+        witness = MultilinearPoly(n, MONOMIAL, {
+            m: c for m, c in enumerate(arr) if c and m.bit_count() <= d})
+        vals, _ = witness._int_values()
+        missed = [x for x in ones if not vals[x]]
+        if not missed:
+            return witness
+        return next((x for x in missed
+                     if not any(_residual(ech, pivots, functional(x)))),
+                    None)
 
-
-def _ndeg_decide_dual(f, d, high_masks, ones, rng):
-    rows = [[(-1 if (m.bit_count() - x.bit_count()) & 1 else 1)
-             if (x & m) == x else 0 for x in ones] for m in high_masks]
-    values = [vec for _, vec in nullspace(rows, len(ones))]
-    return _certificate_from_values(f, d, ones, values, rng)
-
-
-def _certificate_from_values(f, d, ones, values, rng):
-    """Certificate from a basis of V_d, values[k][j] being the k-th basis
-    polynomial at ones[j].  The witness is zero on f^{-1}(0) by
-    construction, so its degree is what shows a basis outside V_d."""
-    eval_rows = []
-    for j, x in enumerate(ones):
-        evals = tuple(vec[j] for vec in values)
-        if not any(evals):
-            return NdegCertificate(d, None, x)
-        eval_rows.append(evals)
-    lam, resamples = _sample_combination(rng, values, eval_rows,
-                                         1 << (f.n + 1))
-    arr = [0] * f.size
-    for x, evals in zip(ones, eval_rows):
-        arr[x] = sum(l * v for l, v in zip(lam, evals))
-    _mobius_inplace(arr, f.n)
-    witness = MultilinearPoly(f.n, MONOMIAL,
-                              {m: c for m, c in enumerate(arr) if c})
-    if witness.degree > d or not verify_ndet(witness, f):
+    out, resamples = _resample(attempt, "kernel vector")
+    if isinstance(out, int):
+        return NdegCertificate(d, None, out)
+    if not verify_ndet(out, f):
         raise InvalidWitness("sampled witness failed exact verification")
-    return NdegCertificate(d, witness, None, resamples)
+    return NdegCertificate(d, out, None, resamples)
 
 
 def ndeg(f: TruthTable, seed: int = DEFAULT_SEED):

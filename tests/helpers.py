@@ -40,15 +40,16 @@ def sin2_table(size):
 
 
 def spy_nullspace_paths(monkeypatch):
-    """Record which paths `linalg.nullspace` takes.
+    """Record which paths the elimination behind `linalg.nullspace` and
+    `linalg.echelon` takes.
 
-    "int64": calls of the int64 kernel; "handoff": for each elimination it
+    "int64": calls of the int64 elimination; "handoff": for each one it
     handed to Python ints, the column it stopped at; "trip": int64
     back-substitutions refused by their overflow bound; "bareiss": Python
     eliminations from the first column.
     """
     paths = {"int64": 0, "handoff": [], "trip": 0, "bareiss": 0}
-    kernel, echelon = linalg._nullspace_int64, linalg._echelon_ff
+    kernel, echelon = linalg._echelon_int64, linalg._echelon_ff
     back = linalg._back_substitute_int64
 
     def spy_kernel(m, ncols):
@@ -67,7 +68,40 @@ def spy_nullspace_paths(monkeypatch):
         paths["trip"] += out is None
         return out
 
-    monkeypatch.setattr(linalg, "_nullspace_int64", spy_kernel)
+    monkeypatch.setattr(linalg, "_echelon_int64", spy_kernel)
     monkeypatch.setattr(linalg, "_echelon_ff", spy_echelon)
     monkeypatch.setattr(linalg, "_back_substitute_int64", spy_back)
     return paths
+
+
+# ---------------------------------------------------------------------------
+# ndeg oracles: the coefficient-space and value-space systems that the
+# reduced Hamming-ball system replaced, each solved for a whole basis of V_d
+
+
+def ndeg_primal_oracle(f, d):
+    """(dim V_d, evidence) from the coefficient-space system: a row per
+    0-input x, a column per monomial m of degree <= d, entry [m subset of x].
+    The evidence is the first 1-input at which every basis polynomial
+    vanishes, or None."""
+    cols = [m for m in range(f.size) if m.bit_count() <= d]
+    rows = [[1 if m & x == m else 0 for m in cols] for x in f.zeros()]
+    basis = [vec for _, vec in linalg.nullspace(rows, len(cols))]
+    evidence = next((x for x in f.ones()
+                     if not any(linalg.dot([int(m & x == m) for m in cols],
+                                           vec) for vec in basis)), None)
+    return len(basis), evidence
+
+
+def ndeg_dual_oracle(f, d):
+    """(dim V_d, evidence) from the value-space system: unknowns the values
+    on the 1-inputs, a row per mask m of degree > d forcing the Möbius
+    coefficient at m to zero, entry (-1)^(|m| - |x|) [x subset of m]."""
+    ones = f.ones()
+    rows = [[(-1) ** ((m ^ x).bit_count()) if x & m == x else 0
+             for x in ones]
+            for m in range(f.size) if m.bit_count() > d]
+    basis = [vec for _, vec in linalg.nullspace(rows, len(ones))]
+    evidence = next((x for j, x in enumerate(ones)
+                     if not any(vec[j] for vec in basis)), None)
+    return len(basis), evidence

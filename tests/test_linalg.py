@@ -225,7 +225,8 @@ def test_echelon_matches_plain_bareiss(rows):
 
 
 def primal_rows(n, d, seed):
-    """ndeg primal system of a random half-ones table: one row per 0-input,
+    """Coefficient-space ndeg system (`helpers.ndeg_primal_oracle`) of a
+    random half-ones table: one row per 0-input,
     one column per monomial of degree <= d, entry 1 when the monomial's
     variables are all set in the input."""
     rng = random.Random(seed)
@@ -424,3 +425,42 @@ def test_int64_input_never_cast(bad):
     rows = [[rng.randint(0, 1) for _ in range(64)] for _ in range(64)]
     rows[3][5] = bad
     assert_matches_reference(rows, 64)
+
+
+# ---------------------------------------------------------------------------
+# one kernel vector from the echelon rows
+
+
+def reference_kernel_vector(rows, ncols, free_values):
+    """Primitive integer multiple of sum_j free_values[j] * vec_j / vec_j[j]
+    over the reference basis: the kernel vector taking those values on the
+    free columns."""
+    total = [Fraction(0)] * ncols
+    for (j, vec), v in zip(reference_nullspace(rows, ncols), free_values):
+        total = [t + Fraction(v * a, vec[j]) for t, a in zip(total, vec)]
+    [ints] = rows_to_int([total])
+    return tuple(ints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=int_matrix, data=st.data())
+def test_kernel_vector_matches_reference(rows, data):
+    ncols = len(rows[0])
+    ech, pivots = linalg.echelon(rows, ncols)
+    free_values = data.draw(st.lists(st.integers(1, 2 ** 12),
+                                     min_size=ncols - len(pivots),
+                                     max_size=ncols - len(pivots)))
+    vec = linalg.kernel_vector(ech, pivots, ncols, free_values)
+    assert vec == reference_kernel_vector(rows, ncols, free_values)
+    assert all(dot(row, vec) == 0 for row in rows)
+
+
+@pytest.mark.parametrize("n,d,seed", [(8, 3, 1), (8, 2, 5), (9, 2, 4)])
+def test_echelon_of_an_array_matches_plain_bareiss(n, d, seed, paths):
+    # the int64 path takes the Bareiss steps entry for entry, and an int64
+    # array goes in as it is
+    rows = primal_rows(n, d, seed)
+    ech, pivots = linalg.echelon(np.array(rows), len(rows[0]))
+    assert (ech, pivots) == reference_bareiss(rows, len(rows[0]))
+    assert all(type(a) is int for row in ech for a in row)
+    assert paths == INT64_ONLY

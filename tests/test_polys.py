@@ -25,10 +25,9 @@ from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
                         parse_rational, format_poly,
                         schwartz_stats, symmetric_ndeg, symmetric_ndet_poly,
                         to_fourier, verify_ndet, weight_offset_poly,
-                        _ndeg_decide_dual, _ndeg_decide_primal,
-                        _masks_by_degree, _sample_combination)
+                        _ball_weights, _reduced_system, _resample)
 
-from helpers import spy_nullspace_paths
+from helpers import ndeg_dual_oracle, ndeg_primal_oracle, spy_nullspace_paths
 
 F = Fraction
 
@@ -230,6 +229,58 @@ class TestEq1Polynomial:
         assert weight_offset_poly(5, 1).evaluate(0) == -1
 
 
+def _oracle_mismatches(tables, make_rng=None):
+    """([(n, bits, d)] of the probes where the engine's dim V_d, feasibility
+    or evidence differs from either full-basis oracle, total resamples).
+    make_rng(d) gives the probe's random stream, the engine default if
+    None."""
+    out, resamples = [], 0
+    for f in tables:
+        for d in range(f.n + 1):
+            low, rows = _reduced_system(f, d, _ball_weights(f.n, d))
+            dim = len(low) - len(linalg.echelon(rows, len(low))[1])
+            cert = ndeg_decide(f, d, rng=make_rng and make_rng(d))
+            resamples += cert.resamples
+            if (cert.feasible == (cert.evidence is not None)
+                    or not ((dim, cert.evidence) == ndeg_primal_oracle(f, d)
+                            == ndeg_dual_oracle(f, d))):
+                out.append((f.n, f.bits, d))
+    return out, resamples
+
+
+class _SmallRandom(random.Random):
+    """A stream whose randint draws only 1 or 2: the engine's free values
+    with their bound 2^(n+1) patched down to 2."""
+
+    def randint(self, a, b):
+        return super().randint(1, 2)
+
+
+def _small_free_value_run():
+    """`_oracle_mismatches` with free values in {1, 2} on every nonzero
+    table with n <= 3 and seeded tables with n = 4.  With two values an
+    attempt no longer succeeds with probability > 1/2, and on tables with
+    a few dozen 1-inputs all 64 attempts can fail, so the sample stops at
+    n = 4."""
+    rng = random.Random(45)
+    tables = [TruthTable(n, bits) for n in (1, 2, 3)
+              for bits in range(1, 1 << (1 << n))]
+    tables += [random_table(4, rng) for _ in range(10)]
+    return _oracle_mismatches((f for f in tables if f.bits), _SmallRandom)
+
+
+def _outside_kernel(ech, pivots, ncols, free_values):
+    """`kernel_vector` with 1 added to its first entry."""
+    vec = linalg.kernel_vector(ech, pivots, ncols, free_values)
+    return (vec[0] + 1,) + vec[1:]
+
+
+def _outside_kernel_probe():
+    # exactly-one at n = 3 and degree 2: the one high zero 111 gives the
+    # row (-1, -1, -1) on the low ones, so no unit vector is in V_d
+    return ndeg_decide(make_named("NOT_ONE", 3).complement(), 2)
+
+
 class TestNdeg:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_or_and(self, n):
@@ -278,17 +329,43 @@ class TestNdeg:
         assert d == 0 and cert.witness.degree == 0
 
     def test_primal_dual_agree_exhaustive_n3(self):
-        rng = random.Random(0)
-        for bits in range(1, 256):
-            f = TruthTable(3, bits)
-            ones, zeros = f.ones(), f.zeros()
-            for d in range(4):
-                low = _masks_by_degree(3, 0, d)
-                high = _masks_by_degree(3, d + 1, 3)
-                a = _ndeg_decide_primal(f, d, low, zeros, ones,
-                                        random.Random(1))
-                b = _ndeg_decide_dual(f, d, high, ones, random.Random(1))
-                assert a.feasible == b.feasible, (bits, d)
+        # the reduced system against both full-basis oracles on every
+        # nonzero table with n <= 3
+        tables = [TruthTable(n, bits) for n in (1, 2, 3)
+                  for bits in range(1, 1 << (1 << n))]
+        assert _oracle_mismatches(tables)[0] == []
+
+    def test_engine_matches_oracles_sampled_n8(self):
+        rng = random.Random(48)
+        tables = [random_table(n, rng) for n in (4, 5, 6) for _ in range(6)]
+        for n in (7, 8):
+            size = 1 << n
+            tables += [TruthTable(n, sum(1 << x for x in rng.sample(
+                range(size), size * eighths // 8))) for eighths in (1, 4, 7)]
+        for n in (4, 6, 8):
+            for family in ("OR", "AND", "PARITY", "NOT_ONE"):
+                f = make_named(family, n)
+                tables += [f, f.complement()]
+        assert _oracle_mismatches(t for t in tables if t.bits)[0] == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_hamming_ball_identity(self, n, data):
+        # p(y) = sum over x subset of y with |x| <= d of K_d(|y|, |x|) p(x)
+        # for every multilinear p of degree <= d and every |y| > d
+        d = data.draw(st.integers(0, n), label="d")
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        p = MultilinearPoly.make(n, MONOMIAL, {
+            m: rng.randint(-9, 9) for m in range(1 << n)
+            if m.bit_count() <= d and rng.random() < 0.7})
+        vals = p.values()
+        weights = _ball_weights(n, d)
+        for y in range(1 << n):
+            if y.bit_count() > d:
+                row = weights[y.bit_count()]
+                assert vals[y] == sum(row[x.bit_count()] * vals[x]
+                                      for x in range(1 << n)
+                                      if x & y == x and x.bit_count() <= d)
 
     def test_feasibility_matches_rank_oracle_n3(self):
         # independent oracle: V_d misses the evaluation functional at a
@@ -298,7 +375,7 @@ class TestNdeg:
         for bits in range(1, 256):
             f = TruthTable(3, bits)
             zeros, ones = f.zeros(), f.ones()
-            masks = _masks_by_degree(3, 0, 3)
+            masks = sorted(range(8), key=lambda m: (m.bit_count(), m))
             for d in range(4):
                 cols = [m for m in masks if m.bit_count() <= d]
                 base = [[1 if (m & x) == m else 0 for m in cols]
@@ -330,15 +407,10 @@ class TestNdeg:
         assert total_resamples < 2 * runs
 
     def test_unverified_witness_raises_invalid_witness(self, monkeypatch):
-        # both engine paths re-verify their sampled witness
+        # the engine re-verifies its sampled witness
         monkeypatch.setattr(polys, "verify_ndet", lambda p, f: False)
-        f = make_named("OR", 3)
         with pytest.raises(InvalidWitness):
-            _ndeg_decide_primal(f, 1, _masks_by_degree(3, 0, 1), f.zeros(),
-                                f.ones(), random.Random(1))
-        with pytest.raises(InvalidWitness):
-            _ndeg_decide_dual(f, 1, _masks_by_degree(3, 2, 3), f.ones(),
-                              random.Random(1))
+            ndeg_decide(make_named("OR", 3), 1)
 
     def test_broken_invariants_raise_typed_error(self, monkeypatch):
         # an engine that never finds a feasible degree is a bug, and says so
@@ -352,58 +424,25 @@ class TestNdeg:
             symmetric_ndeg(symmetric_profile(make_named("NOT_ONE", 3)))
 
     def test_basis_outside_v_d_raises_invalid_witness(self, monkeypatch):
-        # the witness is zero on f^-1(0) by construction, so only its
-        # degree shows that one basis vector left V_d
-        def perturbed(rows, ncols):
-            basis = linalg.nullspace(rows, ncols)
-            j, vec = basis[0]
-            basis[0] = (j, (vec[0] + 1,) + vec[1:])
-            return basis
-
-        monkeypatch.setattr(polys, "nullspace", perturbed)
-        f = make_named("OR", 3)
+        # the witness has degree <= d by construction, so only its nonzero
+        # value at a high zero shows a kernel vector outside V_d
+        monkeypatch.setattr(polys, "kernel_vector", _outside_kernel)
         with pytest.raises(InvalidWitness):
-            _ndeg_decide_primal(f, 1, _masks_by_degree(3, 0, 1), f.zeros(),
-                                f.ones(), random.Random(1))
-        with pytest.raises(InvalidWitness):
-            _ndeg_decide_dual(f, 1, _masks_by_degree(3, 2, 3), f.ones(),
-                              random.Random(1))
+            _outside_kernel_probe()
 
-    # sha256 over (d, evidence, resamples, witness text) from both engine
-    # paths at every degree, recorded before the two paths shared one
-    # witness tail
-    @pytest.mark.parametrize("which,digest", [
-        ("all nonzero n<=3", "2e659e35fb96e448a927ce41b59f8707"
-                             "e35ab4f14213a3208c121808c45dae00"),
-        ("seeded n=4-6", "b762ae8fa859255f95e47f34deea4431"
-                         "423698497afb2cd4f657237ac9d7232a")])
-    def test_both_paths_pinned_at_every_degree(self, which, digest):
-        if which == "seeded n=4-6":
-            rng = random.Random(46)
-            tables = [random_table(n, rng) for n in (4, 5, 6)
-                      for _ in range(10)]
-        else:
-            tables = [TruthTable(n, bits) for n in (1, 2, 3)
-                      for bits in range(1 << (1 << n))]
-        h = hashlib.sha256()
-        for f in (f for f in tables if f.bits):
-            ones, zeros = f.ones(), f.zeros()
-            for d in range(f.n + 1):
-                low = _masks_by_degree(f.n, 0, d)
-                high = _masks_by_degree(f.n, d + 1, f.n)
-                for cert in (_ndeg_decide_primal(f, d, low, zeros, ones,
-                                                 random.Random(d)),
-                             _ndeg_decide_dual(f, d, high, ones,
-                                               random.Random(d))):
-                    text = cert.witness and format_poly(cert.witness)
-                    h.update(repr((d, cert.evidence, cert.resamples,
-                                   text)).encode())
-        assert h.hexdigest() == digest
+    def test_small_free_values_resample(self):
+        # free values in {1, 2} make the kernel vector vanish at some
+        # 1-input far more often, so the resample path runs; the answers
+        # must not move
+        mismatches, resamples = _small_free_value_run()
+        assert mismatches == [] and resamples > 0
 
     def test_retry_cap(self):
-        # no combination is nonzero at a point where every basis vector is 0
+        # an attempt that never succeeds stops at the cap with a typed error
+        calls = []
         with pytest.raises(RetryCapExceeded):
-            _sample_combination(random.Random(1), [[1]], [[0]], 4)
+            _resample(lambda: calls.append(1), "never")
+        assert len(calls) == 64
 
     def test_ndeg_le_c1_and_permutation_invariant(self):
         from ndqc.boolfn import c_one
@@ -419,20 +458,20 @@ class TestNdeg:
                 assert exact_poly(f.permute(perm)).degree == \
                     exact_poly(f).degree
 
-    # Degree and sha256 of format_poly(witness), recorded before `nullspace`
-    # had an int64 path.  The first three tables have probes above its size
-    # gate, and one probe of the n = 9 half-ones table hands its elimination
-    # to Python ints after 216 pivots.  The 7/8 table's primal systems have
-    # 64 rows, so only its degree-3 probe (64 x 130) reaches the gate.
+    # Degree and sha256 of format_poly(witness), recorded when the witness
+    # became one kernel vector of the reduced system.  The path counts are
+    # of the reduced eliminations: every system of the n = 8 table stays
+    # below the int64 size gate, and one probe of the n = 9 half-ones table
+    # hands its elimination to Python ints after 90 pivots.
     @pytest.mark.parametrize("n,eighths,seed,degree,digest,int64,handoffs", [
-        (8, 4, 81, 4, "04d13697837357b668d862dd85ff9523"
-                      "e06dfb9469935d824d43b112dccd5a80", 3, []),
-        (9, 1, 91, 6, "ff5dba3bccb3e2a138248e3dd83db0b4"
-                      "a8ff8c67e5a2423b8c062c819ecd7a94", 5, []),
-        (9, 4, 94, 5, "c9727b84b50a40831bc11ea9a4b5e7f4"
-                      "9431c02926e7fbd62a1ee4f30ba154d7", 4, [216]),
-        (9, 7, 97, 3, "e458839e1b1a05cc51320711e6470537"
-                      "da162e1769d2290fe523e0474c5298fd", 1, [])])
+        (8, 4, 81, 4, "25988d87a705c49fc36bc9149a6d1e4f"
+                      "5fafb51c94fffdce9a3466f3810cd654", 0, []),
+        (9, 1, 91, 6, "f5221bbe415264d3409c917fea5361d6"
+                      "0298bb7f03ae62d6e6b5f137611c2d8e", 2, []),
+        (9, 4, 94, 5, "f1ad2c601c209449265732e0709bc676"
+                      "406f0314ce2900433329cbce63c44b4f", 4, [90]),
+        (9, 7, 97, 3, "c8299c9b21c1d4c055dc21977c8c4d8b"
+                      "78a6807fde75ee8c7edd4b507b404df9", 1, [])])
     def test_outputs_pinned_across_certificate_gate(
             self, n, eighths, seed, degree, digest, int64, handoffs,
             monkeypatch):
@@ -623,6 +662,8 @@ class TestPolyFormat:
 
 # verification faults: (owner, attribute, fault, call) per typed error
 _FAULTS = {
+    "InvalidWitness": (
+        polys, "kernel_vector", _outside_kernel, _outside_kernel_probe),
     "InterpolationMismatch": (
         polys, "_mobius_inplace", lambda arr, n: None,
         lambda: exact_poly(make_named("OR", 2))),
@@ -660,11 +701,22 @@ for name, (owner, attr, fault, call) in sorted(_FAULTS.items()):
 """
 
 
-def test_faults_caught_under_python_O():
-    # python -O strips assert statements; the typed errors must remain
+def _run_under_O(source):
     path = os.pathsep.join([str(Path(ndqc.__file__).resolve().parents[1]),
                             str(Path(__file__).resolve().parent)])
-    proc = subprocess.run([sys.executable, "-O", "-c", _FAULTS_UNDER_O],
+    return subprocess.run([sys.executable, "-O", "-c", source],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_faults_caught_under_python_O():
+    # python -O strips assert statements; the typed errors must remain
+    proc = _run_under_O(_FAULTS_UNDER_O)
     assert proc.stdout.split() == sorted(_FAULTS), proc.stderr
+
+
+def test_small_free_values_resample_under_python_O():
+    proc = _run_under_O("from test_polys import _small_free_value_run\n"
+                        "print(repr(_small_free_value_run()))")
+    assert proc.stdout.strip() == repr(([], _small_free_value_run()[1])), \
+        proc.stderr

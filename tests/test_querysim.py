@@ -492,16 +492,19 @@ def _symbolic_record(algo):
 
 # sha256 pins recorded before polynomials moved to integer numerators over
 # one denominator: every symbolic amplitude, scale and acceptance
-# polynomial, every extraction, and every compiled circuit file
+# polynomial, every extraction, and every compiled circuit file.  The
+# "symbolic", "extract" and "circuit" pins read the ndeg witnesses of
+# `_pinned_compiled`, and were re-recorded when the witness became one
+# kernel vector of the reduced system.
 @pytest.mark.parametrize("which,digest", [
-    ("symbolic", "388cb47afa271b6672f14a1df6e6d1fa"
-                "627b7636c9f763e1c2704f8ae35c3024"),
+    ("symbolic", "221498bc7b2b2005feb6d2efe0a865cf"
+                "c7b278cd4a187166f5bf6687feb2858d"),
     ("symbolic random circuits", "21142f0f030a6235a2d9584c245d9aae"
                                 "572dfe41d5bfb39aafd3c0108ceaaed3"),
-    ("extract", "5aa2a1269fb9c3986fc6e151b8f2d7d2"
-               "3c7059f6239d4788aa459cd51130614c"),
-    ("circuit", "22224eda804bb04a2227c0e4b61660fb"
-                "62159aab449f3338e0d0b3402b02a014")])
+    ("extract", "022dc893ef9fd217faa58188396f9fda"
+               "246c07af3472c07b93e6cc72134fa701"),
+    ("circuit", "c2ee65efb900adc106e8f93126226777"
+                "ced0178bbb533cd11f5f55548469687d")])
 def test_outputs_pinned_across_integer_numerators(which, digest):
     h = hashlib.sha256()
     if which == "symbolic random circuits":
