@@ -175,6 +175,8 @@ def _check(checks, name, ok, details=""):
 
 def _separation_query(args):
     n = args.n
+    if not 1 <= n <= polys.NDEG_CAP:
+        raise boolfn.CapExceeded(f"n={n} outside 1..{polys.NDEG_CAP}")
     checks = []
     values = {}
     f = boolfn.make_named("NOT_ONE", n)

@@ -67,10 +67,6 @@ class Rectangle:
         return [y for y in range(self.col_mask.bit_length())
                 if (self.col_mask >> y) & 1]
 
-    def is_b_rectangle(self, f: "PairTable", b: int) -> bool:
-        return all(f.value(x, y) == b for x in self.rows()
-                   for y in self.cols())
-
     def cell_mask(self, size: int) -> int:
         cells = 0
         m = self.row_mask
@@ -731,32 +727,3 @@ def matrix_from_csv_lines(lines) -> NondetMatrix:
     rows = tuple(sum((1 << y) for y in range(size) if entries[x][y])
                  for x in range(size))
     return NondetMatrix(n, entries, PairTable(n, rows))
-
-
-def protocol_to_lines(spec: ProtocolSpec) -> list:
-    """Structure and cost accounting only; round unitaries are per-input
-    behaviors and are not serialized."""
-    import json
-    head = {"alice_qubits": spec.alice_qubits,
-            "channel_qubits": spec.channel_qubits,
-            "bob_qubits": spec.bob_qubits,
-            "cost": spec.cost}
-    lines = [json.dumps(head)]
-    for r in spec.rounds:
-        lines.append(json.dumps({"party": r.party,
-                                 "message_qubits": r.message_qubits}))
-    return lines
-
-
-def protocol_summary_from_lines(lines) -> dict:
-    import json
-    try:
-        head = json.loads(lines[0])
-        head["rounds"] = [json.loads(line) for line in lines[1:]
-                          if line.strip()]
-        cost = sum(r["message_qubits"] for r in head["rounds"])
-        if cost != head["cost"]:
-            raise ValueError("cost does not match round messages")
-    except (IndexError, KeyError, TypeError) as e:
-        raise ValueError(f"malformed protocol file: {e!r}") from e
-    return head

@@ -437,10 +437,15 @@ def ndeg_decide(f: TruthTable, d: int, seed: int = DEFAULT_SEED,
 def ndeg(f: TruthTable, seed: int = DEFAULT_SEED):
     """Smallest degree admitting a nondeterministic polynomial, with certificate.
 
-    Scans d = 0, 1, ... upward; raises IdenticallyZero for f == 0.
+    Scans d upward from d0 = n - floor(log2 |f^{-1}(1)|); raises
+    IdenticallyZero for f == 0.  Below d0, V_d = {0} (Nisan-Szegedy): a
+    nonzero p of degree <= d is nonzero on 2^(n-d) > |f^{-1}(1)| inputs or
+    more, so those probes would return ones[0] without a random draw.
     """
     rng = random.Random(seed)
-    for d in range(f.n + 1):
+    start = f.n + 1 - f.bits.bit_count().bit_length()
+    # f == 0 gives start = n + 1; probing d = n raises its typed error
+    for d in range(min(start, f.n), f.n + 1):
         cert = ndeg_decide(f, d, rng=rng)
         if cert.feasible:
             return d, cert
@@ -470,23 +475,56 @@ def symmetric_ndeg(prof: SymmetricProfile) -> int:
     with a variables from the first w and b from the rest, so each level
     reduces to an exact integer system on (a, b) pairs.  Columns are ordered
     by total degree, so one staircase elimination answers every d at once.
+
+    ndeg is the max over 1-levels of that level's least degree dmin(w), and
+    `_level_bound` gives ub(w) >= dmin(w) without an elimination.  Levels
+    are visited by descending ub, and the scan stops at the first level
+    whose ub is no more than the best dmin so far: no later level can raise
+    the max.
     """
     zeros = set(prof.zero_weights)
     one_levels = [w for w in range(prof.n + 1) if w not in zeros]
     if not one_levels:
         raise IdenticallyZero("no nondeterministic polynomial for f == 0")
-    return max(_level_dmin(prof.n, zeros, w) for w in one_levels)
+    bounds = {w: _level_bound(prof.n, prof.zero_weights, w)
+              for w in one_levels}
+    best = 0
+    for w in sorted(one_levels, key=bounds.get, reverse=True):
+        if bounds[w] <= best:
+            break
+        best = max(best, _level_dmin(prof.n, zeros, w))
+    return best
+
+
+def _level_bound(n, zero_weights, w):
+    """ub(w) >= dmin(w): the least degree, over c in {-1} + L and r in
+    {m + 1} + {k - w : k in H}, of the product in (s, t)
+    prod_{i<=c} (s - i) * prod_{k in L, k>c} (s + t - k)
+    * prod_{r<=j<=m} (t - j) * prod_{k in H, k-w<r} (s + t - k),
+    with L, H the zero weights below and above w and m = n - w.  It
+    vanishes on the zero points of the box and not at (w, 0), and as a
+    degree-e polynomial it lies in the span of the level's columns
+    C(s, a) * C(t, b) with a + b <= e.  c = -1, r = m + 1 give ub <= z.
+    """
+    low = [k for k in zero_weights if k < w]
+    high = [k - w for k in zero_weights if k > w]
+    m = n - w
+    return (min([len(low)] + [c + len(low) - i for i, c in enumerate(low)])
+            + min([len(high)] + [m - h + 1 + j for j, h in enumerate(high)]))
 
 
 def _level_dmin(n, zeros, w):
-    pts = [(s, t) for s in range(w + 1) for t in range(n - w + 1)
+    m = n - w
+    pts = [(s, t) for s in range(w + 1) for t in range(m + 1)
            if (s + t) in zeros]
-    cols = sorted(((a, b) for a in range(w + 1) for b in range(n - w + 1)),
-                  key=lambda ab: (ab[0] + ab[1], ab[0], ab[1]))
-    f_vec = [comb(w, a) if b == 0 else 0 for a, b in cols]
     if not pts:
         return 0
-    rows = [[comb(s, a) * comb(t, b) for a, b in cols] for s, t in pts]
+    k = max(w, m)
+    binom = [[comb(s, a) for a in range(k + 1)] for s in range(k + 1)]
+    cols = sorted(((a, b) for a in range(w + 1) for b in range(m + 1)),
+                  key=lambda ab: (ab[0] + ab[1], ab[0], ab[1]))
+    f_vec = [binom[w][a] if b == 0 else 0 for a, b in cols]
+    rows = [[binom[s][a] * binom[t][b] for a, b in cols] for s, t in pts]
     j = staircase_column(rows, len(cols), f_vec)
     if j is None:
         raise EngineInvariantBroken("level is always feasible at degree n")

@@ -277,9 +277,6 @@ class SymbolicState:
         return self.amplitudes.get(
             label, MultilinearPoly.make(self.n, MONOMIAL, {}))
 
-    def max_degree(self) -> int:
-        return max((p.degree for p in self.amplitudes.values()), default=-1)
-
     def acceptance_polynomial(self) -> MultilinearPoly:
         bit = 1 << self.output_qubit
         k = Fraction(1, self.scale2)

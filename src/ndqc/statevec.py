@@ -101,14 +101,6 @@ def scaled_real(rows, scale2=1) -> ScaledMatrix:
 HADAMARD = scaled_real(((1, 1), (1, -1)), 2)
 
 
-def rational_rotation(a, b) -> ScaledMatrix:
-    """[[a, -b], [b, a]] for a rational point on the unit circle."""
-    a, b = Fraction(a), Fraction(b)
-    if a * a + b * b != 1:
-        raise ValueError("(a, b) must satisfy a^2 + b^2 = 1")
-    return scaled_real(((a, -b), (b, a)))
-
-
 class ExactState:
     """Mutable exact statevector: amplitudes = (re + i*im) / sqrt(scale2)."""
 

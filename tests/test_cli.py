@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import ndqc
-from ndqc import cli, commsim, querysim, report
+from ndqc import cli, commsim, polys, querysim, report
 from ndqc.boolfn import make_named
 from ndqc.polys import parse_poly, verify_ndet, weight_offset_poly
 
@@ -176,6 +176,15 @@ class TestSeparation:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == f"separation {which}: {message}"
+
+    @pytest.mark.parametrize("n", [0, 11, 17, 25])
+    def test_query_arity_outside_range_exits_2(self, n, capsys):
+        # one range check, before any evaluation, states the ndeg cap
+        code = cli.main(["separation", "query", "--n", str(n)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == \
+            f"separation query: n={n} outside 1..{polys.NDEG_CAP}"
 
     def test_query_float_mode(self, capsys):
         code, out = run_cli(["--mode", "float", "separation", "query",

@@ -27,7 +27,6 @@ from ndqc.commsim import (PAIR_FAMILIES, HypothesisViolated, NondetMatrix,
                           matrix_from_poly, matrix_from_vector_families,
                           matrix_to_csv_lines, ncc_from_cover, ne_matrix,
                           ne_protocol, ne_protocol_spec, nrank_lower_bound,
-                          protocol_summary_from_lines, protocol_to_lines,
                           run_protocol, svd_acceptance_sweep, svd_protocol,
                           svd_protocol_cost)
 
@@ -593,7 +592,8 @@ class TestRectangles:
             f = make_pair_function(fam, 2)
             rects = closed_one_rectangles(f)
             assert rects
-            assert all(r.is_b_rectangle(f, 1) for r in rects)
+            assert all(f.value(x, y) for r in rects for x in r.rows()
+                       for y in r.cols())
 
     def test_closed_rectangles_cover_all_ones(self):
         # the cover search branches on a static cell order that assumes
@@ -969,33 +969,6 @@ class TestMatrixFiles:
         m = NondetMatrix(1, [[F(1, 3), F(-2, 7)], [F(5), F(1)]], f)
         m2 = matrix_from_csv_lines(matrix_to_csv_lines(m))
         assert m2.entries == m.entries
-
-
-class TestProtocolFiles:
-    def test_summary_round_trip(self):
-        spec = svd_protocol(identity_matrix(2))
-        summary = protocol_summary_from_lines(protocol_to_lines(spec))
-        assert summary["cost"] == 3
-        assert summary["rounds"] == [
-            {"party": "A", "message_qubits": 2},
-            {"party": "B", "message_qubits": 1}]
-
-    @pytest.mark.parametrize("lines", [
-        [],
-        ["{}"],
-        ["[]"],
-        ['{"cost":1}', '{"party":"A"}'],
-    ])
-    def test_malformed_input_raises_value_error(self, lines):
-        with pytest.raises(ValueError):
-            protocol_summary_from_lines(lines)
-
-    def test_cost_mismatch_rejected(self):
-        lines = ['{"alice_qubits":0,"channel_qubits":1,"bob_qubits":0,'
-                 '"cost":5,"exact":true}',
-                 '{"party":"A","message_qubits":1}']
-        with pytest.raises(ValueError):
-            protocol_summary_from_lines(lines)
 
 
 def test_nrank_lower_bound_eq_full():

@@ -47,10 +47,6 @@ def _corpus():
             for m in (ident, commsim.ne_matrix(1))]),
         "circuit_from_lines": (_lines(querysim.circuit_from_lines), [
             "\n".join(querysim.circuit_to_lines(algo))]),
-        "protocol_summary_from_lines": (
-            _lines(commsim.protocol_summary_from_lines), [
-                "\n".join(commsim.protocol_to_lines(
-                    commsim.svd_protocol(ident)))]),
         # what `export` runs on a measure report
         "load_measure_report": (lambda text: report.measure_report_csv_lines(
             report.load_measure_report(text)), [

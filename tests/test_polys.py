@@ -25,7 +25,8 @@ from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
                         parse_rational, format_poly,
                         schwartz_stats, symmetric_ndeg, symmetric_ndet_poly,
                         to_fourier, verify_ndet, weight_offset_poly,
-                        _ball_weights, _reduced_system, _resample)
+                        _ball_weights, _level_bound, _level_dmin,
+                        _reduced_system, _resample)
 
 from helpers import ndeg_dual_oracle, ndeg_primal_oracle, spy_nullspace_paths
 
@@ -324,6 +325,46 @@ class TestNdeg:
         with pytest.raises(IdenticallyZero):
             ndeg_decide(make_named("CONST0", 3), 1)
 
+    def test_zero_table_above_cap_raises_cap_first(self):
+        with pytest.raises(polys.CapExceeded):
+            ndeg(TruthTable(polys.NDEG_CAP + 1, 0))
+
+    def test_probes_below_schwartz_bound_are_empty(self):
+        # below d0 = n - floor(log2 |f^{-1}(1)|) a probe finds an empty
+        # kernel: evidence ones[0] and no draw, so `ndeg` may skip it
+        rng = random.Random(29)
+        tables = [TruthTable(n, bits) for n in (1, 2, 3)
+                  for bits in range(1, 1 << (1 << n))]
+        tables += [random_table(n, rng) for n in range(4, 9)
+                   for _ in range(6)]
+        skipped = 0
+        for f in tables:
+            ones = f.ones()
+            d0 = f.n + 1 - len(ones).bit_length()
+            for d in range(d0):
+                stream = random.Random(d)
+                state = stream.getstate()
+                cert = ndeg_decide(f, d, rng=stream)
+                assert (cert.feasible, cert.evidence) == (False, ones[0])
+                assert stream.getstate() == state, (f.n, f.bits, d)
+                skipped += 1
+            assert ndeg(f)[0] >= d0
+        assert skipped > len(tables)
+
+    def test_scan_starts_at_schwartz_bound(self, monkeypatch):
+        # 8 of 16 inputs are ones at n = 4: d0 = 4 - 3 = 1
+        f = TruthTable(4, 0b1010_1101_0011_0001)
+        probed = []
+        real = polys.ndeg_decide
+
+        def spy(f, d, rng):
+            probed.append(d)
+            return real(f, d, rng=rng)
+
+        monkeypatch.setattr(polys, "ndeg_decide", spy)
+        d, _ = ndeg(f)
+        assert probed == list(range(1, d + 1))
+
     def test_const1(self):
         d, cert = ndeg(make_named("CONST1", 4))
         assert d == 0 and cert.witness.degree == 0
@@ -544,6 +585,70 @@ class TestSymmetric:
                 prof = SymmetricProfile(n, vals)
                 d = symmetric_ndeg(prof)
                 assert 2 * d >= prof.z and d <= prof.z
+
+
+def _bound_products(n, zero_weights, w):
+    """Every product of `_level_bound`'s docstring, as factor lists: a
+    factor (a, b, k) stands for a*s + b*t - k."""
+    m = n - w
+    low = [k for k in zero_weights if k < w]
+    high = [k for k in zero_weights if k > w]
+    for c in [-1] + low:
+        for r in [m + 1] + [k - w for k in high]:
+            yield ([(1, 0, i) for i in range(c + 1)]
+                   + [(1, 1, k) for k in low if k > c]
+                   + [(0, 1, j) for j in range(r, m + 1)]
+                   + [(1, 1, k) for k in high if k - w < r])
+
+
+def _profiles(ns, rng=None, count=None):
+    for n in ns:
+        if rng is None:
+            rows = itertools.product((0, 1), repeat=n + 1)
+        else:
+            rows = (tuple(rng.randint(0, 1) for _ in range(n + 1))
+                    for _ in range(count))
+        yield from (SymmetricProfile(n, vals) for vals in rows if any(vals))
+
+
+class TestLevelBound:
+    def test_products_vanish_on_zeros_with_degree_ub(self):
+        # ub(w) checked on the box alone, with no elimination
+        for prof in _profiles(range(1, 8)):
+            n, zeros = prof.n, prof.zero_weights
+            for w in range(n + 1):
+                if w in zeros:
+                    continue
+                box = [(s, t) for s in range(w + 1)
+                       for t in range(n - w + 1)]
+                degrees = []
+                for factors in _bound_products(n, zeros, w):
+                    def value(s, t):
+                        return math.prod(a * s + b * t - k
+                                         for a, b, k in factors)
+                    assert all(value(s, t) == 0 for s, t in box
+                               if s + t in zeros), (prof.values, w)
+                    assert value(w, 0) != 0, (prof.values, w)
+                    degrees.append(len(factors))
+                assert min(degrees) == _level_bound(n, zeros, w) <= prof.z
+
+    def test_pruned_matches_every_level_n_le_8(self):
+        for prof in _profiles(range(1, 9)):
+            zeros = set(prof.zero_weights)
+            dmins = [(_level_dmin(prof.n, zeros, w),
+                      _level_bound(prof.n, prof.zero_weights, w))
+                     for w in range(prof.n + 1) if w not in zeros]
+            assert all(d <= ub for d, ub in dmins), prof.values
+            assert symmetric_ndeg(prof) == max(d for d, _ in dmins), \
+                prof.values
+
+    @pytest.mark.parametrize("n, count", [(12, 40), (16, 10)])
+    def test_pruned_matches_every_level_seeded(self, n, count):
+        for prof in _profiles([n], random.Random(n), count):
+            zeros = set(prof.zero_weights)
+            assert symmetric_ndeg(prof) == max(
+                _level_dmin(n, zeros, w) for w in range(n + 1)
+                if w not in zeros), prof.values
 
 
 class TestMinimalBlockLemma:

@@ -35,10 +35,11 @@ def test_no_raise_assertion_error(path):
 
 
 def test_linalg_names_no_float_dtype():
-    # the exact kernels run on Python ints and int64 arrays only
-    path = next(p for p in SRC if p.name == "linalg.py")
-    text = path.read_text(encoding="utf-8")
-    found = [name for name in ("float64", "astype(float", "np.float",
-                               "dtype=float")
-             if name in text]
-    assert found == [], f"linalg.py names {found}"
+    # the exact kernels and the degree bounds run on Python ints and int64
+    # arrays only: bounds come from bit lengths and counts, not logarithms
+    found = [(path.name, word) for path in SRC
+             if path.name in ("linalg.py", "polys.py")
+             for word in ("float64", "astype(float", "np.float",
+                          "dtype=float", "log2(", "math.log")
+             if word in path.read_text(encoding="utf-8")]
+    assert found == [], f"float or logarithm names: {found}"
