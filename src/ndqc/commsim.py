@@ -88,6 +88,9 @@ class PairTable:
         _check_pair_arity(self.n)
         if len(self.rows) != 1 << self.n:
             raise ValueError("need 2^n rows")
+        limit = 1 << self.size
+        if not all(isinstance(r, int) and 0 <= r < limit for r in self.rows):
+            raise ValueError("each row must be an int in 0..2^(2^n)-1")
 
     @property
     def size(self) -> int:
@@ -543,6 +546,13 @@ def cover_number(f: PairTable, b: int) -> int:
     Enumerates closed rectangles through the Galois connection and solves
     the set cover exactly with `_min_cover`'s decision search, asking
     "do k rectangles suffice?" for k upward from the area bound.
+
+    Two 1-cells (x1, y1), (x2, y2) are compatible iff f(x1, y2) = f(x2, y1)
+    = 1, and a set of 1-cells lies in one 1-rectangle iff its cells are
+    pairwise compatible.  So one rectangle covers cells R iff R is
+    independent in the graph of incompatible pairs, and two cover R iff
+    that graph is bipartite on R.  `_min_cover` gets each 1-cell's mask of
+    incompatible 1-cells and decides k <= 2 by these tests.
     """
     if f.n > COVER_CAP:
         raise CapExceeded(f"cover search capped at n<={COVER_CAP}")
@@ -558,21 +568,64 @@ def cover_number(f: PairTable, b: int) -> int:
         return 0
     rect_cells = {r.cell_mask(size) for r in closed_one_rectangles(f)}
     rects = sorted(rect_cells, key=lambda c: -c.bit_count())
-    return _min_cover(cells, rects)
+    return _min_cover(cells, rects, _incompatible_cells(f, cells))
 
 
-def _min_cover(universe: int, sets: list) -> int:
+def _incompatible_cells(f: PairTable, cells: int) -> list:
+    """Entry x*size + y: the 1-cells incompatible with 1-cell (x, y), in the
+    cell-bit layout of `cells` (0 for 0-cells)."""
+    size = f.size
+    out = [0] * (size * size)
+    for x in range(size):
+        for y in range(size):
+            if f.value(x, y):
+                out[x * size + y] = cells & ~sum(
+                    f.rows[x] << (x2 * size) for x2 in range(size)
+                    if f.value(x2, y))
+    return out
+
+
+def _neighbours(cells: int, incompatible: list) -> int:
+    reach = 0
+    while cells:
+        bit = cells & -cells
+        reach |= incompatible[bit.bit_length() - 1]
+        cells ^= bit
+    return reach
+
+
+def _bipartite(remaining: int, incompatible: list) -> bool:
+    """The incompatibility graph on `remaining` has no odd cycle, checked by
+    a breadth-first search in bitmask layers: no edge may join two cells of
+    one layer."""
+    while remaining:
+        layer = seen = remaining & -remaining
+        while layer:
+            reach = _neighbours(layer, incompatible)
+            if reach & layer:
+                return False
+            layer = reach & remaining & ~seen
+            seen |= layer
+        remaining &= ~seen
+    return True
+
+
+def _min_cover(universe: int, sets: list, incompatible: list) -> int:
     """Least number of `sets` whose union is `universe` (nonzero): the first
     k = ceil(|universe| / largest set), k + 1, ... for which `fits` says k
     sets suffice. The loop ends because every cell lies in some set (each
     1-cell lies in the closed rectangle its row generates).
 
-    A `fits` node fails when its uncovered cells outnumber k largest sets,
-    and otherwise branches on its least-covered uncovered cell (lowest bit
-    on ties), trying that cell's sets in the order of `sets`; at k = 1 it
-    only asks whether one of them contains every uncovered cell. Cover
-    counts do not depend on the node, so each cell's list is built once and
-    the cells are sorted by (list length, bit).
+    A `fits` node fails when its uncovered cells outnumber k largest sets.
+    At k = 1 it checks that no two uncovered cells are `incompatible`, and
+    at k = 2 that their incompatibility graph is bipartite.  These tests
+    are exact only because `sets` are the closed 1-rectangles of a
+    `PairTable`: pairwise compatible cells span an all-ones rectangle, and
+    its Galois closure is one of `sets`.  At k >= 3 a node branches on its
+    least-covered uncovered cell (lowest bit on ties), trying that cell's
+    sets in the order of `sets`. Cover counts do not depend on the node, so
+    each cell's list is built once and the cells are sorted by (list
+    length, bit).
     """
     max_size = max(s.bit_count() for s in sets)
     covering = {}
@@ -587,14 +640,13 @@ def _min_cover(universe: int, sets: list) -> int:
     def fits(remaining: int, k: int) -> bool:
         if remaining.bit_count() > k * max_size:
             return False
+        if k == 1:
+            return not _neighbours(remaining, incompatible) & remaining
+        if k == 2:
+            return _bipartite(remaining, incompatible)
         for bit, options in order:
             if remaining & bit:
                 break
-        if k == 1:
-            for s in options:
-                if not remaining & ~s:
-                    return True
-            return False
         for s in options:
             rest = remaining & ~s
             if not rest or fits(rest, k - 1):

@@ -90,6 +90,15 @@ class TestPairFunctions:
         assert make_pair_function("NE", 2) == \
             make_pair_function("EQ", 2).complement()
 
+    def test_rejects_rows_outside_the_columns(self):
+        # a bit at column 2^n would shift into the next row's cells
+        for rows in ((0b100, 0), (0, -1), (0b11, 1 << 7)):
+            with pytest.raises(ValueError):
+                PairTable(1, rows)
+        with pytest.raises(ValueError):
+            PairTable(2, (0, 0, 0, 1 << 4))
+        assert PairTable(1, (0b11, 0)).ones() == [(0, 0), (0, 1)]
+
 
 class TestNondetMatrix:
     def test_pattern_enforced(self):
@@ -754,14 +763,63 @@ class TestCovers:
         assert max(gaps) >= 3
 
     def test_deepening_refutes_several_k(self):
-        # one 8-cell set and four singletons: the area bound is 2, and
+        # a 4 x 4 block of ones and four isolated diagonal cells: 20 cells,
+        # the largest closed rectangle has 16, so the area bound is 2, and
         # k = 2, 3, 4 must all be refuted before k = 5 fits
-        big = (1 << 8) - 1
-        sets = [big] + [1 << b for b in range(8, 12)]
-        universe = (1 << 12) - 1
-        assert -(-universe.bit_count() // big.bit_count()) == 2
-        assert commsim._min_cover(universe, sets) == 5
-        assert reference_min_cover(universe, sets) == 5
+        f = PairTable(3, (0b1111,) * 4 + (1 << 4, 1 << 5, 1 << 6, 1 << 7))
+        cells = sum(row.bit_count() for row in f.rows)
+        largest = max(r.cell_mask(8).bit_count()
+                      for r in closed_one_rectangles(f))
+        assert (cells, largest, -(-cells // largest)) == (20, 16, 2)
+        assert cover_number(f, 1) == 5
+        assert reference_cover_number(f) == 5
+
+    @staticmethod
+    def _shortcut_agrees(f, rng, subsets):
+        # "k rectangles cover R" by an explicit search over closed
+        # rectangles, against the independence and bipartite tests
+        size = f.size
+        cells = 0
+        for x in range(size):
+            cells |= f.rows[x] << (x * size)
+        if not cells:
+            return
+        incompatible = commsim._incompatible_cells(f, cells)
+        rects = [r.cell_mask(size) for r in closed_one_rectangles(f)]
+        pairs = [a | b for a, b in
+                 itertools.combinations_with_replacement(rects, 2)]
+        cell_bits = [1 << i for i in range(size * size) if (cells >> i) & 1]
+        tries = [cells]
+        for _ in range(subsets):
+            keep = rng.random()
+            tries.append(sum(b for b in cell_bits if rng.random() < keep))
+        for rem in tries:
+            one = any(not rem & ~s for s in rects)
+            two = any(not rem & ~u for u in pairs)
+            independent = not commsim._neighbours(rem, incompatible) & rem
+            assert independent == one, (f.rows, rem)
+            assert commsim._bipartite(rem, incompatible) == two, \
+                (f.rows, rem)
+
+    def test_shortcut_matches_explicit_search_n_le_2(self):
+        rng = random.Random(53)
+        for rows in itertools.product(range(4), repeat=2):
+            self._shortcut_agrees(PairTable(1, rows), rng, 3)
+        for packed in range(1 << 16):
+            f = PairTable(2, tuple((packed >> (4 * x)) & 15
+                                   for x in range(4)))
+            self._shortcut_agrees(f, rng, 1)
+
+    def test_shortcut_matches_explicit_search_n3(self):
+        rng = random.Random(59)
+        tables = [make_pair_function(fam, 3) for fam in PAIR_FAMILIES]
+        for _ in range(60):
+            density = rng.uniform(0.3, 0.95)
+            tables.append(PairTable(3, tuple(
+                sum(1 << y for y in range(8) if rng.random() < density)
+                for _ in range(8))))
+        for f in tables:
+            self._shortcut_agrees(f, rng, 20)
 
     def test_ne_matches_sperner_bound(self):
         # the maximal 1-rectangles of NE are S x S^c, so a 1-cover by m
