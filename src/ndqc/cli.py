@@ -194,11 +194,9 @@ def _separation_query(args):
     pvals, pden = p._int_values()
     e = (n * n - 3 * n + 4) * f.size * pden * pden
     if args.mode == "float":
-        ok = True
-        for x in range(f.size):
-            _, acc = querysim.simulate(algo, x, mode="float")
-            ok = ok and abs(acc - 4 * pvals[x] ** 2 / e) < 1e-9 \
-                and (acc > 1e-12) == (f.value(x) == 1)
+        ok = all(abs(acc - 4 * pvals[x] ** 2 / e) < 1e-9
+                 and (acc > 1e-12) == (f.value(x) == 1)
+                 for x, acc in enumerate(querysim.float_acceptances(algo)))
     else:
         sym = querysim.symbolic_simulate(algo)
         accs, aden = sym.acceptance_polynomial()._int_values()

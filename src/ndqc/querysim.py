@@ -11,6 +11,7 @@ convention: acceptance is the squared norm of the output-qubit = 1 component.
 from __future__ import annotations
 
 import json
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,10 +25,11 @@ from .statevec import (DIM_CAP, HADAMARD, ExactState, FlipOnZero,
                        ScaledMatrix, Swap, Unitary, _all_rational,
                        _apply_unitary, _check_qubits, _fixed_flip,
                        _flip_labels, acceptance, apply_gate, apply_label_map,
-                       basis_state, register_values, subset_index_maps)
-# no caller here: kept as names the perfbench tracer requires to rebind
+                       apply_matrix_float, basis_state, register_values,
+                       subset_index_maps)
+# no caller here: kept as a name the perfbench tracer requires to rebind
 # (perfbench/tracer.py MUST_REBIND)
-from .statevec import apply_matrix_float, apply_scaled_matrix  # noqa: F401
+from .statevec import apply_scaled_matrix  # noqa: F401
 
 SYMBOLIC_DIM_CAP = 1 << 14
 FLOAT_NORM_TOL = 1e-12
@@ -171,61 +173,98 @@ class QueryAlgorithm:
 
 
 def _apply_gate(state, algo, gate, x):
-    """Apply one gate on input x: the gates that read x are resolved here,
-    every other gate goes to statevec.apply_gate."""
+    """Apply one gate on input x: an int for an ExactState, or for a float
+    state a sequence of ints, one per row.  The gates that read x are resolved
+    here, every other gate goes to statevec.apply_gate."""
     nq, n = algo.num_qubits, algo.n
+    exact = isinstance(state, ExactState)
+    xs = [x] if exact else x
     if isinstance(gate, InputGate):
         # QueryAlgorithm checked every gate.matrices[x] unitary when built
-        return _apply_unitary(state, nq, gate.qubits, gate.matrices[x])
+        if exact:
+            return _apply_unitary(state, nq, gate.qubits, gate.matrices[x])
+        return apply_matrix_float(state, nq, gate.qubits, np.stack(
+            [gate.matrices[v].to_ndarray() for v in xs]))
     if isinstance(gate, BitOracle):
-        # x_{i+1} for each index value i; values >= n read 0 (identity), and
-        # a table lookup keeps x out of numpy shifts
-        table = np.zeros(1 << len(gate.index_qubits), dtype=np.int64)
-        table[:n] = [(x >> i) & 1 for i in range(min(n, len(table)))]
-        hit = table[register_values(nq, gate.index_qubits)]
-        return apply_label_map(state, _flip_labels(hit, 1 << gate.target))
+        # row r, column i: x_{i+1} of input xs[r]; index values >= n read 0
+        # (identity), and a table lookup keeps x out of numpy shifts
+        table = np.zeros((len(xs), 1 << len(gate.index_qubits)), np.int64)
+        m = min(n, table.shape[1])
+        table[:, :m] = [[(v >> i) & 1 for i in range(m)] for v in xs]
+        hit = table[:, register_values(nq, gate.index_qubits)]
+        perm = _flip_labels(hit, 1 << gate.target)
+        return apply_label_map(state, perm[0] if exact else perm)
     if not isinstance(gate, PhaseOracle):
         return apply_gate(state, nq, gate)
     s = register_values(nq, gate.qubits)
     idx = np.flatnonzero(np.bitwise_count(s) > gate.degree_bound)
-    if isinstance(state, ExactState):
+    if exact:
         parts = [p for p in (state.re, state.im) if p is not None]
         occupied = any(any(map(p.__getitem__, idx.tolist())) for p in parts)
     else:
-        occupied = np.any(state[idx] != 0)
+        occupied = np.any(state[:, idx] != 0)
     if occupied:
         raise ValueError("phase gate support above its degree bound")
-    xs = x & ((1 << len(gate.qubits)) - 1)  # register bit j holds x_{j+1}
-    return apply_label_map(state,
-                           neg=(np.bitwise_count(s & xs) & 1).astype(bool))
+    # register bit j holds x_{j+1}
+    low = np.array([v & ((1 << len(gate.qubits)) - 1) for v in xs])
+    neg = (np.bitwise_count(s & low[:, None]) & 1).astype(bool)
+    return apply_label_map(state, neg=neg[0] if exact else neg)
+
+
+# amplitudes in one block of float simulation: bounds its memory
+_FLOAT_BLOCK = 1 << 13
+
+
+def _float_blocks(algo: QueryAlgorithm, xs):
+    """Final float states on the inputs xs, in order, one block of rows at a
+    time; each row's norm is checked after every gate."""
+    prep = algo.prep.to_exact().to_ndarray()
+    step = max(1, _FLOAT_BLOCK >> algo.num_qubits)
+    for start in range(0, len(xs), step):
+        block = xs[start:start + step]
+        state = np.tile(prep, (len(block), 1))
+        for gate in algo.gates:
+            state = _apply_gate(state, algo, gate, block)
+            drift = np.max(np.abs((state * state.conj()).real.sum(-1) - 1.0))
+            if drift > FLOAT_NORM_TOL:
+                raise NormNotPreserved(f"norm drift {drift:.2e} in float mode")
+        yield state
+
+
+def float_acceptances(algo: QueryAlgorithm) -> np.ndarray:
+    """Float acceptance on every input 0..2^n - 1, in one pass over blocks
+    of inputs; simulate's float mode is the same path on one input."""
+    return np.concatenate([acceptance(state, algo.output_qubit) for state
+                           in _float_blocks(algo, range(1 << algo.n))])
 
 
 def simulate(algo: QueryAlgorithm, x: int, mode: str = "exact"):
-    """Run the algorithm on input x.
+    """Run the algorithm on input x, an int (not a bool) in 0..2^n - 1.
 
     Returns (final_state, acceptance_probability); exact mode yields an
     ExactState and a Fraction, float mode an ndarray and a float.  Exact
     mode checks unit norm after every gate up to 10-qubit states, else at
-    the end; float mode after every gate within FLOAT_NORM_TOL.  For exact
-    acceptance on all inputs use symbolic_simulate's acceptance polynomial.
+    the end.  Float mode is `float_acceptances`' path on a block of one
+    row (float states carry a leading input axis and run in blocks of
+    bounded size); it checks every row's norm after every gate within
+    FLOAT_NORM_TOL.  For exact acceptance on all inputs use
+    symbolic_simulate's acceptance polynomial.
     """
-    if not 0 <= x < (1 << algo.n):
-        raise ValueError("input out of range")
+    if (isinstance(x, bool) or not isinstance(x, numbers.Integral)
+            or not 0 <= x < (1 << algo.n)):
+        raise ValueError(f"input must be an int in 0..2^n - 1, not {x!r}")
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    exact = mode == "exact"
+    x = int(x)
+    if mode == "float":
+        state = next(_float_blocks(algo, [x]))[0]
+        return state, float(acceptance(state, algo.output_qubit))
     state = algo.prep.to_exact()
-    if not exact:
-        state = state.to_ndarray()
     for gate in algo.gates:
         state = _apply_gate(state, algo, gate, x)
-        if not exact:
-            drift = abs(np.vdot(state, state).real - 1.0)
-            if drift > FLOAT_NORM_TOL:
-                raise NormNotPreserved(f"norm drift {drift:.2e} in float mode")
-        elif algo.num_qubits <= 10 and state.norm2() != 1:
+        if algo.num_qubits <= 10 and state.norm2() != 1:
             raise NormNotPreserved("norm must be preserved exactly")
-    if exact and state.norm2() != 1:
+    if state.norm2() != 1:
         raise NormNotPreserved("norm must be preserved exactly")
     return state, acceptance(state, algo.output_qubit)
 

@@ -20,6 +20,12 @@ is a label permutation (new amplitude i = old amplitude perm[i]), a sign
 mask, or both, and `apply_label_map` applies that by list gather or fancy
 indexing.  Only the labels go through numpy; exact amplitudes stay Python
 ints or Fractions.
+
+A float state carries a leading input axis: shape (rows, 2^qubits), one row
+per input, so each gate runs once over a block of inputs.  Its matrices act
+on the last axis, a label permutation or sign mask may differ per row, and
+`acceptance` gives one float per row.  The query simulator bounds the rows
+of a block by a fixed amplitude budget.
 """
 
 from __future__ import annotations
@@ -133,14 +139,14 @@ def basis_state(num_qubits: int, label: int = 0) -> ExactState:
 
 
 def acceptance(state, qubit: int):
-    """Probability that the qubit reads 1: a Fraction for an ExactState, a
-    float for a float vector."""
+    """Probability that the qubit reads 1: a Fraction for an ExactState,
+    one float per row of a float state."""
     if isinstance(state, ExactState):
         s = sum(v * v for part in (state.re, state.im or ())
                 for i, v in enumerate(part) if i >> qubit & 1)
         return Fraction(s, 1) / state.scale2
-    hit = np.arange(len(state)) >> qubit & 1 == 1
-    return float(np.sum(np.abs(state[hit]) ** 2))
+    hit = np.arange(state.shape[-1]) >> qubit & 1 == 1
+    return np.sum(np.abs(state[..., hit]) ** 2, axis=-1)
 
 
 def register_values(num_qubits: int, qubits) -> np.ndarray:
@@ -157,8 +163,8 @@ def apply_label_map(state, perm=None, neg=None):
     """New amplitude i = old amplitude perm[i], negated where neg[i] is set.
 
     perm (integer array) and neg (boolean array) may each be None.  An
-    ExactState is updated in place and returned; a float vector is returned
-    as a new array.
+    ExactState is updated in place and returned; a float state is returned
+    as a new array, and its perm and neg may hold one row per state row.
     """
     if isinstance(state, ExactState):
         for part in ("re", "im"):
@@ -172,7 +178,8 @@ def apply_label_map(state, perm=None, neg=None):
             setattr(state, part, amps)
         return state
     if perm is not None:
-        state = state[perm]
+        state = np.take_along_axis(state, np.broadcast_to(perm, state.shape),
+                                   -1)
     if neg is not None:
         state = np.where(neg, -state, state)
     return state
@@ -248,11 +255,18 @@ def apply_scaled_matrix(state: ExactState, qubits, gate: ScaledMatrix) -> None:
 
 def apply_matrix_float(vec: np.ndarray, num_qubits: int, qubits,
                        mat: np.ndarray) -> np.ndarray:
-    bases, offs = subset_index_maps(num_qubits, qubits)
-    idx = np.array(bases)[:, None] | np.array(offs)[None, :]
-    vec = vec.copy()
-    vec[idx] = vec[idx] @ mat.T
-    return vec
+    """Apply mat on the given qubits of every row of vec, shape (rows,
+    2^num_qubits), into a new array.  mat is one (k, k) matrix for every
+    row, or a (rows, k, k) stack of one per row, with k = 2^len(qubits)."""
+    rows, k = len(vec), len(qubits)
+    # bit q of a label is axis num_qubits - q of the tensor, and the gate's
+    # local index has qubits[-1] as its most significant bit
+    axes = [num_qubits - q for q in reversed(qubits)]
+    ends = list(range(num_qubits - k + 1, num_qubits + 1))
+    t = np.moveaxis(vec.reshape((rows,) + (2,) * num_qubits), axes, ends)
+    shape = t.shape
+    t = t.reshape(rows, -1, 1 << k) @ np.swapaxes(mat, -1, -2)
+    return np.moveaxis(t.reshape(shape), ends, axes).reshape(rows, -1)
 
 
 def _num_qubits(dim: int) -> int:
@@ -358,7 +372,7 @@ def _apply_unitary(state, num_qubits: int, qubits, matrix: ScaledMatrix):
 
 
 def apply_gate(state, num_qubits: int, gate):
-    """Apply one gate: an ExactState in place, or a float vector into a new
+    """Apply one gate: an ExactState in place, or a float state into a new
     array; returns the state."""
     exact = isinstance(state, ExactState)
     if isinstance(gate, Unitary):
@@ -413,8 +427,9 @@ def _check_qubits(gate, allowed) -> None:
 
 def _flip_labels(hit, mask: int) -> np.ndarray:
     """Label permutation flipping the bits of mask wherever hit is set; it
-    is its own inverse when hit does not read those bits."""
-    return np.arange(len(hit)) ^ np.where(hit, mask, 0)
+    is its own inverse when hit does not read those bits.  hit may hold one
+    row per float state row; each row gives that row's permutation."""
+    return np.arange(hit.shape[-1]) ^ np.where(hit, mask, 0)
 
 
 def _fixed_flip(num_qubits: int, gate) -> np.ndarray:

@@ -610,6 +610,11 @@ REPORT_SHA256 = {
         "83f58d4fa90c29cd7b8453372644767a1158c64a8c05349cf3ca544b6c38615d",
     "separation query --n 10":
         "16a13d1a88b9522bae3ac7a0826315b2144494612ada1afd6be29be12562f995",
+    # recorded before float simulation ran over blocks of inputs
+    "--mode float separation query --n 8":
+        "48a33474fbe26db8614e115bb9512cf278940ad1c7269eed1c6abf5ccc37e218",
+    "--mode float separation query --n 10":
+        "f6a29ffc06fc3cd977f380977b8de4ef306a37595250e9caf6ddaf9bb80b2289",
     # recorded when protocol_accepts_iff_f1 became exact, which changed
     # only its details string
     "separation comm --n 5":

@@ -153,6 +153,18 @@ class TestSimulate:
             _, accf = simulate(algo, x, mode="float")
             assert abs(accf - float(acc)) < 1e-9
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("x", [2.0, 1.0, True, False, -1, 2, "1", None,
+                                   F(1), np.float64(0)])
+    def test_malformed_input_rejected(self, x, mode):
+        with pytest.raises(ValueError, match="input must be an int"):
+            simulate(hadamard_algo(), x, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_numpy_integer_input(self, mode):
+        _, acc = simulate(hadamard_algo(), np.int64(1), mode=mode)
+        assert abs(acc - F(1, 2)) < 1e-12
+
 
 class TestInputFreeGates:
     def test_swap_agrees_in_every_mode(self):
@@ -529,7 +541,7 @@ def test_outputs_pinned_across_integer_numerators(which, digest):
     assert h.hexdigest() == digest
 
 
-from helpers import or2_verifier  # noqa: E402  (toy verifier fixture)
+from helpers import or2_verifier, perm_matrix  # noqa: E402  (fixtures)
 
 
 class TestVerifierTransform:
@@ -578,14 +590,63 @@ def _flip_algo():
                           output_qubit=1)
 
 
+def _scale_row_of(real, target):
+    # in a float block, the row of input target leaves unit norm by 2e-9
+    def fault(state, algo, gate, x):
+        state = real(state, algo, gate, x)
+        if not isinstance(x, int) and target in x:
+            state[x.index(target)] *= 1 + 1e-9
+        return state
+    return fault
+
+
+def _support_algo():
+    # input 3 alone moves |000> to |111>, above the phase gate's bound 1
+    swap07 = [7, 1, 2, 3, 4, 5, 6, 0]
+    mats = {x: perm_matrix(swap07 if x == 3 else range(8)) for x in range(8)}
+    return QueryAlgorithm(n=3, num_qubits=3, prep=basis_prep(3),
+                          gates=(InputGate((0, 1, 2), mats, 1),
+                                 PhaseOracle((0, 1, 2), 1)),
+                          query_cost=2, output_qubit=2)
+
+
+def _not_one_algo(n):
+    return compile_from_ndet_poly(weight_offset_poly(n, 1),
+                                  make_named("NOT_ONE", n))
+
+
+def _row_faults(set_attr):
+    """Break input 3 alone, the second row of the second block of two
+    rows: its phase support, then its norm.  Returns the checks that
+    fired."""
+    fired = []
+    support = _support_algo()
+    set_attr(querysim, "_FLOAT_BLOCK", 2 << support.num_qubits)
+    try:
+        querysim.float_acceptances(support)
+    except ValueError as e:
+        fired += ["support"] if "support above" in str(e) else []
+    drift = _not_one_algo(3)
+    set_attr(querysim, "_FLOAT_BLOCK", 2 << drift.num_qubits)
+    set_attr(querysim, "_apply_gate", _scale_row_of(querysim._apply_gate, 3))
+    try:
+        querysim.float_acceptances(drift)
+    except NormNotPreserved:
+        fired.append("norm")
+    return fired
+
+
 _FAULT_UNDER_O = """
 from ndqc import querysim, statevec
-from test_querysim import _duplicate_label_0, _flip_algo
-statevec.apply_label_map = _duplicate_label_0(statevec.apply_label_map)
+from test_querysim import _duplicate_label_0, _flip_algo, _row_faults
+real = statevec.apply_label_map
+statevec.apply_label_map = _duplicate_label_0(real)
 try:
     querysim.simulate(_flip_algo(), 0)
 except querysim.NormNotPreserved:
     print("caught")
+statevec.apply_label_map = real
+print(*_row_faults(setattr))
 """
 
 
@@ -601,7 +662,56 @@ def test_norm_check_catches_duplicated_label(monkeypatch):
     proc = subprocess.run([sys.executable, "-O", "-c", _FAULT_UNDER_O],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
-    assert proc.stdout == "caught\n", proc.stderr
+    assert proc.stdout == "caught\nsupport norm\n", proc.stderr
+
+
+def test_row_checks_fire_on_one_row_of_a_later_block(monkeypatch):
+    # without the faults, every other input of both algorithms runs clean
+    for x in (0, 1, 2, 4, 7):
+        simulate(_support_algo(), x, mode="float")
+    querysim.float_acceptances(_not_one_algo(3))
+    assert _row_faults(monkeypatch.setattr) == ["support", "norm"]
+
+
+class TestFloatBlocks:
+    """Float acceptance from blocks of inputs equals exact simulation on
+    every input.  Three rows a block: 2^n is never a multiple of 3, so each
+    run with n >= 2 spans several blocks and ends in a partial one, and a
+    row mix-up in an input-reading gate moves some input's acceptance."""
+
+    @staticmethod
+    def _agrees(algo, monkeypatch):
+        monkeypatch.setattr(querysim, "_FLOAT_BLOCK", 3 << algo.num_qubits)
+        accs = querysim.float_acceptances(algo)
+        assert accs.shape == (1 << algo.n,)
+        for x, acc in enumerate(accs):
+            assert abs(acc - float(simulate(algo, x)[1])) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("name", ["NOT_ONE", "OR"])
+    def test_compiled(self, name, n, monkeypatch):
+        f = make_named(name, n)
+        p = weight_offset_poly(n, 1 if name == "NOT_ONE" else 0)
+        self._agrees(compile_from_ndet_poly(p, f), monkeypatch)
+
+    def test_seeded_oracle_circuits(self, monkeypatch):
+        rng = random.Random(2024)
+        for _ in range(200):
+            self._agrees(_random_circuit(rng), monkeypatch)
+
+    def test_input_gates(self, monkeypatch):
+        self._agrees(verifier_to_ndet(or2_verifier(), make_named("OR", 2)),
+                     monkeypatch)
+        # a rotation per input with eight distinct acceptances (b/c)^2
+        triples = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25),
+                   (20, 21, 29), (12, 35, 37), (9, 40, 41), (28, 45, 53)]
+        mats = {x: scaled_real(((a, -b), (b, a)), c * c)
+                for x, (a, b, c) in enumerate(triples)}
+        algo = QueryAlgorithm(n=3, num_qubits=2, prep=basis_prep(2),
+                              gates=(Unitary((1,), HADAMARD),
+                                     InputGate((0,), mats, 1)),
+                              query_cost=1, output_qubit=0)
+        self._agrees(algo, monkeypatch)
 
 
 class TestCircuitFile:
