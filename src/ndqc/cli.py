@@ -12,7 +12,6 @@ import json
 import random
 import sys
 from fractions import Fraction
-from math import lcm
 
 from . import boolfn, commsim, polys, querysim, report
 from .polys import DEFAULT_SEED
@@ -202,10 +201,7 @@ def _separation_query(args):
         accs, aden = sym.acceptance_polynomial()._int_values()
         # the accepting amplitude alone misses wrong entries in rows of a
         # dense gate that never reach it; the whole state's norm does not
-        amps = list(sym.amplitudes.values())
-        den = lcm(*(a.den for a in amps))
-        ok = all(sum((a._num_at(x) * (den // a.den)) ** 2 for a in amps)
-                 == sym.scale2 * den * den for x in (0, 1, f.size - 1))
+        ok = all(sym.norm2(x) == 1 for x in (0, 1, f.size - 1))
         ok = ok and all(a * e == 4 * v * v * aden
                         for a, v in zip(accs, pvals)) and all(
             (a > 0) == (f.value(x) == 1) for x, a in enumerate(accs))

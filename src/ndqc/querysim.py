@@ -10,23 +10,27 @@ convention: acceptance is the squared norm of the output-qubit = 1 component.
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .boolfn import CapExceeded, TruthTable
-from .polys import (MONOMIAL, InvalidWitness, MultilinearPoly, _combine,
-                    _resample, parse_rational, to_fourier, verify_ndet)
+from .linalg import _INT64_SAFE
+from .polys import (MONOMIAL, IdenticallyZero, InvalidWitness,
+                    MultilinearPoly, _canonical, _combine, _resample,
+                    parse_rational, to_fourier, verify_ndet)
 from .statevec import (DIM_CAP, HADAMARD, ExactState, FlipOnZero,
                        ScaledMatrix, Swap, Unitary, _all_rational,
                        _apply_unitary, _check_qubits, _fixed_flip,
                        _flip_labels, acceptance, apply_gate, apply_label_map,
-                       apply_matrix_float, basis_state, register_values,
-                       subset_index_maps)
+                       apply_matrix_float, basis_state, register_values)
 # no caller here: kept as a name the perfbench tracer requires to rebind
 # (perfbench/tracer.py MUST_REBIND)
 from .statevec import apply_scaled_matrix  # noqa: F401
@@ -279,6 +283,8 @@ def compile_from_ndet_poly(p: MultilinearPoly, f: TruthTable) -> QueryAlgorithm:
     gate, apply Hadamards, and flip the output flag exactly on index |0^n>.
     Simulated acceptance is c^2 p(x)^2 / 2^n, positive iff f(x) = 1.
     """
+    if not f.bits:
+        raise IdenticallyZero("no nondeterministic polynomial for f == 0")
     if p.basis == MONOMIAL:
         p = to_fourier(p)
     if p.n != f.n or not verify_ndet(p, f):
@@ -303,130 +309,201 @@ def compile_from_ndet_poly(p: MultilinearPoly, f: TruthTable) -> QueryAlgorithm:
 
 @dataclass
 class SymbolicState:
-    """Statevector whose amplitudes are multilinear polynomials in x, as
-    numerators over a common 1/sqrt(scale2)."""
+    """Statevector whose amplitudes are multilinear polynomials in x.
+
+    coef[k, label] / den is the coefficient of the monomial masks[k] in the
+    amplitude numerator of the label, over a common 1/sqrt(scale2).  coef
+    is the array `symbolic_simulate` ran on: numpy int64, or Python ints in
+    an object array after its hand-off.  Polynomials are built only for
+    the labels that are read.
+    """
 
     n: int
     num_qubits: int
-    amplitudes: dict
+    coef: np.ndarray
+    masks: tuple
+    den: int
     scale2: object
     output_qubit: int
 
     def amplitude(self, label: int) -> MultilinearPoly:
-        return self.amplitudes.get(
-            label, MultilinearPoly.make(self.n, MONOMIAL, {}))
+        col = self.coef[:, label].tolist()
+        return _canonical(self.n, MONOMIAL, {
+            m: c for m, c in zip(self.masks, col) if c}, self.den)
+
+    @property
+    def amplitudes(self) -> dict:
+        """Label -> amplitude numerator, for every nonzero amplitude."""
+        live = np.flatnonzero((self.coef != 0).any(0))
+        return {label: self.amplitude(label) for label in live.tolist()}
+
+    def _accepting(self) -> list:
+        """The nonzero amplitudes of labels whose output qubit is 1."""
+        labels = np.flatnonzero(
+            np.arange(self.coef.shape[1]) >> self.output_qubit & 1)
+        labels = labels[(self.coef[:, labels] != 0).any(0)]
+        return [self.amplitude(label) for label in labels.tolist()]
 
     def acceptance_polynomial(self) -> MultilinearPoly:
-        bit = 1 << self.output_qubit
         k = Fraction(1, self.scale2)
-        return _combine(self.n, MONOMIAL, ((k, poly * poly) for label, poly
-                                           in self.amplitudes.items()
-                                           if label & bit))
+        return _combine(self.n, MONOMIAL,
+                        ((k, poly * poly) for poly in self._accepting()))
+
+    def norm2(self, x: int) -> Fraction:
+        """Squared norm of the whole state on input x."""
+        rows = [k for k, m in enumerate(self.masks) if m & x == m]
+        vals = self.coef[rows].astype(object).sum(0).tolist()
+        return Fraction(sum(v * v for v in vals),
+                        self.den * self.den) / self.scale2
 
 
 def symbolic_simulate(algo: QueryAlgorithm) -> SymbolicState:
     """Propagate polynomial amplitudes through the circuit.
 
+    The state is one integer array (see SymbolicState): a row per monomial
+    of weight at most the query cost, lightest first, and a column per
+    basis label.  A real Unitary is an integer combination of label
+    columns, its entries' denominators moving into den; FlipOnZero and
+    Swap permute columns (`apply_label_map`); an oracle multiplies the
+    columns it selects by x_i, one gather over the monomial rows per
+    variable.  The array is numpy int64 while its largest magnitude times
+    the next step's growth stays below linalg._INT64_SAFE, checked before
+    every step that can grow values; from the first step that fails the
+    check, the same code runs on Python ints.
+
     Requires real rational gates; input-indexed gates have no polynomial
     form and are rejected.  Amplitude degrees are checked against the
-    running query count after every gate (DegreeBoundViolation).
+    running query count after every gate, and a product that would leave
+    the array raises DegreeBoundViolation.
     """
     if (1 << algo.num_qubits) > SYMBOLIC_DIM_CAP:
         raise CapExceeded("symbolic state dimension above 2^14")
     if algo.prep.im is not None:
         raise ValueError("complex initial state unsupported symbolically")
-    n = algo.n
-    amps = {}
-    for label, v in enumerate(algo.prep.re):
-        if v:
-            amps[label] = MultilinearPoly.make(n, MONOMIAL, {0: v})
+    n, nq = algo.n, algo.num_qubits
+    masks = sorted((sum(1 << i for i in c)
+                    for w in range(algo.query_cost + 1)
+                    for c in itertools.combinations(range(n), w)),
+                   key=lambda m: (m.bit_count(), m))
+    weights = [m.bit_count() for m in masks]
+    den = lcm(*(v.denominator for v in algo.prep.re))
+    top = [int(v * den) for v in algo.prep.re]
+    coef = np.zeros((len(masks), 1 << nq),
+                    np.int64 if max(map(abs, top)) < _INT64_SAFE else object)
+    coef[0] = top
     scale2 = algo.prep.scale2
     queries = 0
     for gate in algo.gates:
         if isinstance(gate, Unitary):
             if gate.matrix.im is not None:
                 raise ValueError("irrational/complex gate in symbolic mode")
-            amps = _symbolic_unitary(amps, gate, algo.num_qubits, n)
+            d = lcm(*(v.denominator for row in gate.matrix.re for v in row))
+            rows = [[int(v * d) for v in row] for row in gate.matrix.re]
+            coef = _fit(coef, max(sum(map(abs, row)) for row in rows))
+            coef = _unitary(coef, nq, gate.qubits, rows)
+            den *= d
             scale2 = scale2 * gate.matrix.scale2
         elif isinstance(gate, (FlipOnZero, Swap)):
-            perm = _fixed_flip(algo.num_qubits, gate).tolist()
-            amps = {perm[label]: poly for label, poly in amps.items()}
+            coef = apply_label_map(coef, _fixed_flip(nq, gate))
         elif isinstance(gate, BitOracle):
-            amps = _symbolic_oracle(amps, gate, algo.num_qubits, n)
+            coef = _oracle(_fit(coef, 5), gate, nq, n, masks)
             queries += 1
         elif isinstance(gate, PhaseOracle):
-            amps = _symbolic_phase(amps, gate, algo.num_qubits, n)
+            coef = _phase(coef, gate, nq, masks)
             queries += gate.degree_bound
         else:
             raise ValueError(f"gate {gate!r} has no symbolic form")
-        masks = set().union(*(p.nums for p in amps.values()))
-        if max(map(int.bit_count, masks), default=-1) > queries:
+        if np.any(coef[bisect_right(weights, queries):] != 0):
             raise DegreeBoundViolation(
                 "amplitude degree exceeded the query count")
-    return SymbolicState(n, algo.num_qubits, amps, scale2, algo.output_qubit)
+    return SymbolicState(n, nq, coef, tuple(masks), den, scale2,
+                         algo.output_qubit)
 
 
-def _symbolic_unitary(amps, gate, num_qubits, n):
-    _, offs = subset_index_maps(num_qubits, gate.qubits)
-    mask = sum(1 << q for q in gate.qubits)
-    out = {}
-    mat = gate.matrix.re
-    for base in sorted({label & ~mask for label in amps}):
-        sub = [amps.get(base | o) for o in offs]
-        for r, row in enumerate(mat):
-            acc = _combine(n, MONOMIAL, ((g, s) for g, s in zip(row, sub)
-                                         if s is not None))
-            if not acc.is_zero():
-                out[base | offs[r]] = acc
-    return out
+def _fit(coef, growth):
+    """coef, as Python ints unless it is int64 and a step that grows
+    magnitudes at most growth-fold forms only values below _INT64_SAFE."""
+    if coef.dtype == object:
+        return coef
+    big = max(int(coef.max()), -int(coef.min()))
+    return coef if big * growth < _INT64_SAFE else coef.astype(object)
 
 
-def _symbolic_oracle(amps, gate, num_qubits, n):
-    zero = MultilinearPoly.make(n, MONOMIAL, {})
-    out = {}
-    tbit = 1 << gate.target
+def _unitary(coef, num_qubits, qubits, rows):
+    """New local pattern r of every label block = sum over c of
+    rows[r][c] times old pattern c, in place; entries 0 and +-1 cost no
+    multiplication."""
+    k = len(qubits)
+    t = coef.reshape((len(coef),) + (2,) * num_qubits)
+    # as in apply_matrix_float: bit q of a label is axis num_qubits - q,
+    # and the local index has qubits[-1] as its most significant bit
+    view = np.moveaxis(t, [num_qubits - q for q in reversed(qubits)],
+                       range(num_qubits - k + 1, num_qubits + 1))
+    parts = [view[(...,) + np.unravel_index(c, (2,) * k)]
+             for c in range(1 << k)]
+    new = []
+    for row in rows:
+        acc = None
+        for g, part in zip(row, parts):
+            if not g:
+                continue
+            if acc is None:
+                acc = part.copy() if g == 1 else -part if g == -1 \
+                    else part * g
+            elif g == 1:
+                acc += part
+            elif g == -1:
+                acc -= part
+            else:
+                acc += part * g
+        new.append(0 if acc is None else acc)
+    for part, acc in zip(parts, new):
+        part[...] = acc
+    return t.reshape(coef.shape)
+
+
+def _times_var(block, i, masks):
+    """(rows, values): x_{i+1} times the polynomials in the columns of
+    block, whose row k holds the monomial masks[k], is values[j] at the
+    monomial masks[rows[j]] and zero elsewhere.  Only the rows of block
+    that hold a nonzero value are read; DegreeBoundViolation if a product
+    leaves masks."""
+    bit = 1 << i
+    pos = {m: k for k, m in enumerate(masks)}
+    live = [masks[k] | bit for k in np.flatnonzero((block != 0).any(1))]
+    if not all(m in pos for m in live):
+        raise DegreeBoundViolation("an amplitude's degree would exceed the "
+                                   "query cost")
+    rows = sorted({pos[m] for m in live})
+    return rows, block[rows] + block[[pos[masks[k] ^ bit] for k in rows]]
+
+
+def _oracle(coef, gate, num_qubits, n, masks):
+    """BitOracle: labels a0, a1 that differ in the target and index x_i
+    become a0 + x_i d and a1 - x_i d, d = a1 - a0; in place."""
     index = register_values(num_qubits, gate.index_qubits)
-    for label in sorted({label & ~tbit for label in amps}):
-        i = int(index[label])
-        varbit = 1 << i if i < n else 0
-        a0 = amps.get(label, zero)
-        a1 = amps.get(label | tbit, zero)
-        if not varbit:
-            new0, new1 = a0, a1
-        else:
-            xi = MultilinearPoly.make(n, MONOMIAL, {varbit: 1})
-            omx = MultilinearPoly.make(n, MONOMIAL, {0: 1, varbit: -1})
-            new0 = omx * a0 + xi * a1
-            new1 = omx * a1 + xi * a0
-        if not new0.is_zero():
-            out[label] = new0
-        if not new1.is_zero():
-            out[label | tbit] = new1
-    return out
+    low = np.flatnonzero(register_values(num_qubits, (gate.target,)) == 0)
+    for i in range(min(n, 1 << len(gate.index_qubits))):
+        l0 = low[index[low] == i]
+        l1 = l0 | 1 << gate.target
+        rows, xd = _times_var(coef[:, l1] - coef[:, l0], i, masks)
+        coef[np.ix_(rows, l0)] += xd
+        coef[np.ix_(rows, l1)] -= xd
+    return coef
 
 
-def _symbolic_phase(amps, gate, num_qubits, n):
-    chi_cache = {}
-
-    def chi(s):
-        if s not in chi_cache:
-            p = MultilinearPoly.make(n, MONOMIAL, {0: 1})
-            bits = s
-            while bits:
-                low = bits & -bits
-                p = p * MultilinearPoly.make(n, MONOMIAL, {0: 1, low: -2})
-                bits ^= low
-            chi_cache[s] = p
-        return chi_cache[s]
-
-    subsets = register_values(num_qubits, gate.qubits)
-    out = {}
-    for label, poly in amps.items():
-        s = int(subsets[label])
-        if s.bit_count() > gate.degree_bound:
-            raise ValueError("phase gate support above its degree bound")
-        out[label] = poly * chi(s) if s else poly
-    return out
+def _phase(coef, gate, num_qubits, masks):
+    """PhaseOracle: the amplitude of |S> times prod over i in S of
+    (1 - 2 x_i), one variable at a time, in place."""
+    s = register_values(num_qubits, gate.qubits)
+    if np.any(coef[:, np.bitwise_count(s) > gate.degree_bound] != 0):
+        raise ValueError("phase gate support above its degree bound")
+    for j in range(len(gate.qubits)):
+        sel = np.flatnonzero(s >> j & 1)
+        coef = _fit(coef, 5)
+        rows, xq = _times_var(coef[:, sel], j, masks)
+        coef[np.ix_(rows, sel)] -= 2 * xq
+    return coef
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +522,14 @@ def extract_ndet_poly(algo: QueryAlgorithm, f: TruthTable,
 def extract_ndet_poly_stats(algo: QueryAlgorithm, f: TruthTable, seed: int):
     if algo.n != f.n:
         raise ValueError("algorithm arity does not match the function")
+    if not f.bits:
+        raise IdenticallyZero("no nondeterministic polynomial for f == 0")
     sym = symbolic_simulate(algo)
     for x, acc in enumerate(sym.acceptance_polynomial()._int_values()[0]):
         if bool(acc) != bool(f.value(x)):
             raise NotNondeterministic(
                 f"acceptance pattern breaks at input {x}")
-    bit = 1 << algo.output_qubit
-    parts = [p for lbl, p in sorted(sym.amplitudes.items())
-             if lbl & bit and not p.is_zero()]
+    parts = sym._accepting()
     rng = random.Random(seed)
     bound = 1 << (f.n + 1)
 

@@ -163,8 +163,10 @@ def apply_label_map(state, perm=None, neg=None):
     """New amplitude i = old amplitude perm[i], negated where neg[i] is set.
 
     perm (integer array) and neg (boolean array) may each be None.  An
-    ExactState is updated in place and returned; a float state is returned
-    as a new array, and its perm and neg may hold one row per state row.
+    ExactState is updated in place and returned; an array with labels on
+    its last axis (a float state, or the symbolic simulator's coefficient
+    array) is returned as a new array, and perm and neg may hold one row
+    per array row.
     """
     if isinstance(state, ExactState):
         for part in ("re", "im"):

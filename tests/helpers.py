@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 from ndqc import linalg
-from ndqc.querysim import VerifierSpec, basis_prep
-from ndqc.statevec import scaled_real
+from ndqc.polys import MONOMIAL, MultilinearPoly, _combine
+from ndqc.querysim import BitOracle, VerifierSpec, basis_prep
+from ndqc.statevec import (FlipOnZero, Swap, Unitary, _fixed_flip,
+                           register_values, scaled_real, subset_index_maps)
 
 
 def perm_matrix(perm):
@@ -105,3 +107,77 @@ def ndeg_dual_oracle(f, d):
     evidence = next((x for j, x in enumerate(ones)
                      if not any(vec[j] for vec in basis)), None)
     return len(basis), evidence
+
+
+# ---------------------------------------------------------------------------
+# symbolic simulation oracle: one MultilinearPoly per basis label, each gate
+# applied label by label, as `symbolic_simulate` ran before it moved to one
+# integer coefficient array
+
+
+def symbolic_reference(algo):
+    """(amplitudes, scale2) of `algo`: label -> nonzero MultilinearPoly
+    numerator, all over 1/sqrt(scale2)."""
+    n, nq = algo.n, algo.num_qubits
+    amps = {label: MultilinearPoly.make(n, MONOMIAL, {0: v})
+            for label, v in enumerate(algo.prep.re) if v}
+    scale2 = algo.prep.scale2
+    for gate in algo.gates:
+        if isinstance(gate, Unitary):
+            amps = _reference_unitary(amps, gate, nq, n)
+            scale2 = scale2 * gate.matrix.scale2
+        elif isinstance(gate, (FlipOnZero, Swap)):
+            perm = _fixed_flip(nq, gate).tolist()
+            amps = {perm[label]: poly for label, poly in amps.items()}
+        elif isinstance(gate, BitOracle):
+            amps = _reference_oracle(amps, gate, nq, n)
+        else:
+            amps = _reference_phase(amps, gate, nq, n)
+    return amps, scale2
+
+
+def _reference_unitary(amps, gate, num_qubits, n):
+    _, offs = subset_index_maps(num_qubits, gate.qubits)
+    mask = sum(1 << q for q in gate.qubits)
+    out = {}
+    for base in sorted({label & ~mask for label in amps}):
+        sub = [amps.get(base | o) for o in offs]
+        for r, row in enumerate(gate.matrix.re):
+            acc = _combine(n, MONOMIAL, ((g, s) for g, s in zip(row, sub)
+                                         if s is not None))
+            if not acc.is_zero():
+                out[base | offs[r]] = acc
+    return out
+
+
+def _reference_oracle(amps, gate, num_qubits, n):
+    zero = MultilinearPoly.make(n, MONOMIAL, {})
+    out = {}
+    tbit = 1 << gate.target
+    index = register_values(num_qubits, gate.index_qubits)
+    for label in sorted({label & ~tbit for label in amps}):
+        i = int(index[label])
+        a0 = amps.get(label, zero)
+        a1 = amps.get(label | tbit, zero)
+        if i < n:
+            xi = MultilinearPoly.make(n, MONOMIAL, {1 << i: 1})
+            omx = MultilinearPoly.make(n, MONOMIAL, {0: 1, 1 << i: -1})
+            a0, a1 = omx * a0 + xi * a1, omx * a1 + xi * a0
+        if not a0.is_zero():
+            out[label] = a0
+        if not a1.is_zero():
+            out[label | tbit] = a1
+    return out
+
+
+def _reference_phase(amps, gate, num_qubits, n):
+    subsets = register_values(num_qubits, gate.qubits)
+    out = {}
+    for label, poly in amps.items():
+        s = int(subsets[label])
+        for i in range(n):
+            if s >> i & 1:
+                poly = poly * MultilinearPoly.make(n, MONOMIAL,
+                                                   {0: 1, 1 << i: -2})
+        out[label] = poly
+    return out

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -211,16 +210,14 @@ class TestSeparation:
                                                      capsys):
         # negate H[1][1] of every dense gate: the accepting amplitude reads
         # only row 0 of each gate, so only the whole state's norm moves
-        real = querysim._symbolic_unitary
+        real = querysim._unitary
 
-        def flipped(amps, gate, num_qubits, n):
-            re = [list(row) for row in gate.matrix.re]
-            re[1][1] = -re[1][1]
-            bad = SimpleNamespace(qubits=gate.qubits,
-                                  matrix=SimpleNamespace(re=re))
-            return real(amps, bad, num_qubits, n)
+        def flipped(coef, num_qubits, qubits, rows):
+            rows = [list(row) for row in rows]
+            rows[1][1] = -rows[1][1]
+            return real(coef, num_qubits, qubits, rows)
 
-        monkeypatch.setattr(querysim, "_symbolic_unitary", flipped)
+        monkeypatch.setattr(querysim, "_unitary", flipped)
         code, out = run_cli(["separation", "query", "--n", "4"], capsys)
         checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
         assert code == 1 and checks["compiled_cost_1"]
@@ -294,12 +291,10 @@ def _bump_one_numerator(real):
         sym = real(algo)
         label = min(lbl for lbl in sym.amplitudes
                     if not lbl >> sym.output_qubit & 1)
-        amp = sym.amplitudes[label]
-        m = min(amp.nums)
-        amps = dict(sym.amplitudes)
-        amps[label] = dataclasses.replace(
-            amp, nums={**amp.nums, m: amp.nums[m] + 1})
-        return dataclasses.replace(sym, amplitudes=amps)
+        k = sym.masks.index(min(sym.amplitude(label).nums))
+        coef = sym.coef.copy()
+        coef[k, label] += 1
+        return dataclasses.replace(sym, coef=coef)
     return bumped
 
 
@@ -610,6 +605,10 @@ REPORT_SHA256 = {
         "83f58d4fa90c29cd7b8453372644767a1158c64a8c05349cf3ca544b6c38615d",
     "separation query --n 10":
         "16a13d1a88b9522bae3ac7a0826315b2144494612ada1afd6be29be12562f995",
+    # recorded before symbolic simulation moved to one integer coefficient
+    # array; n = 2 reads the complement-witness branch
+    "separation query --n 2":
+        "da830211619b52dae9ffdcb1c978450b78c6c583d16d9e95d5ba23383d5eb7b5",
     # recorded before float simulation ran over blocks of inputs
     "--mode float separation query --n 8":
         "48a33474fbe26db8614e115bb9512cf278940ad1c7269eed1c6abf5ccc37e218",

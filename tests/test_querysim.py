@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import ndqc
-from ndqc import querysim, statevec
+from ndqc import linalg, querysim, statevec
 from ndqc.boolfn import TruthTable, make_named, random_table
-from ndqc.polys import (MONOMIAL, InvalidWitness, MultilinearPoly,
+from ndqc.polys import (MONOMIAL, IdenticallyZero, InvalidWitness,
+                        MultilinearPoly,
                         RetryCapExceeded, format_poly, ndeg, to_fourier, verify_ndet,
                         weight_offset_poly)
 from ndqc.querysim import (BitOracle, DegreeBoundViolation, EmptyOneSet,
@@ -427,18 +428,32 @@ class TestExtraction:
     def test_gate_degree_check_catches_extra_variable(self, monkeypatch):
         # x1 multiplied into the phase gate's output lifts an amplitude
         # such as x1 * (1 - 2 x2) above the running query count of 1
-        real = querysim._symbolic_phase
-
-        def phase_times_x1(amps, gate, num_qubits, n):
-            x1 = MultilinearPoly.make(n, MONOMIAL, {1: 1})
-            return {label: p * x1 for label, p
-                    in real(amps, gate, num_qubits, n).items()}
-
-        monkeypatch.setattr(querysim, "_symbolic_phase", phase_times_x1)
-        algo = compile_from_ndet_poly(weight_offset_poly(3),
-                                      make_named("OR", 3))
-        with pytest.raises(DegreeBoundViolation):
+        or3 = compile_from_ndet_poly(weight_offset_poly(3),
+                                     make_named("OR", 3))
+        # a second query after the phase gate, so degree 2 fits the array
+        two = QueryAlgorithm(n=3, num_qubits=3, prep=basis_prep(3, 0b010),
+                             gates=(PhaseOracle((0, 1, 2), 1),
+                                    BitOracle((0,), 2)),
+                             query_cost=2, output_qubit=2)
+        for algo in (or3, two):
             symbolic_simulate(algo)
+        real = querysim._phase
+
+        def phase_times_x1(coef, gate, num_qubits, masks):
+            coef = real(coef, gate, num_qubits, masks)
+            rows, x1c = querysim._times_var(coef, 0, masks)
+            out = np.zeros_like(coef)
+            out[rows] = x1c
+            return out
+
+        monkeypatch.setattr(querysim, "_phase", phase_times_x1)
+        # query cost 1: the product leaves the array's monomials
+        with pytest.raises(DegreeBoundViolation, match="query cost"):
+            symbolic_simulate(or3)
+        # query cost 2: the check after the phase gate sees degree 2 above
+        # the running count of 1
+        with pytest.raises(DegreeBoundViolation, match="query count"):
+            symbolic_simulate(two)
 
     def test_extracted_degree_check(self, monkeypatch):
         # every amplitude times 1 + x1 x2, which is positive on all inputs:
@@ -448,9 +463,13 @@ class TestExtraction:
 
         def padded(algo):
             sym = real(algo)
-            bump = MultilinearPoly.make(algo.n, MONOMIAL, {0: 1, 0b11: 1})
-            return dataclasses.replace(sym, amplitudes={
-                label: p * bump for label, p in sym.amplitudes.items()})
+            masks = tuple(dict.fromkeys(
+                sym.masks + tuple(m | 0b11 for m in sym.masks)))
+            coef = np.zeros((len(masks), sym.coef.shape[1]), object)
+            for row, m in zip(sym.coef, sym.masks):
+                coef[masks.index(m)] += row
+                coef[masks.index(m | 0b11)] += row
+            return dataclasses.replace(sym, coef=coef, masks=masks)
 
         monkeypatch.setattr(querysim, "symbolic_simulate", padded)
         f = make_named("OR", 3)
@@ -541,7 +560,141 @@ def test_outputs_pinned_across_integer_numerators(which, digest):
     assert h.hexdigest() == digest
 
 
-from helpers import or2_verifier, perm_matrix  # noqa: E402  (fixtures)
+from helpers import (or2_verifier, perm_matrix,  # noqa: E402  (fixtures)
+                     symbolic_reference)
+
+
+def _half_ones(n, rng):
+    return TruthTable(n, sum(1 << x for x in
+                             rng.sample(range(1 << n), 1 << (n - 1))))
+
+
+# sha256 of str(extract_ndet_poly(algo, f, 1)) for the compiled ndeg
+# witness (seed 1) of each table, recorded before symbolic simulation moved
+# to one integer coefficient array
+@pytest.mark.parametrize("table, digest", [
+    ("NOT_ONE n=9", "e3110ab8a4fe8f84c76550b8fe12f4f2"
+                    "7cd6f48f11088bf9cbee6ea7784e15ba"),
+    ("random n=5", "a03f7e2eea9952f9d41679d381bd0bbd"
+                   "d7983ff44056955d3da172dc7ffd33c2"),
+    ("random n=6", "bc0d1f1e9a1d1880dae176356412ca10"
+                   "839c1044b4d17661dfeef3a6e301a75c"),
+    ("half-ones n=8", "573cf9765569ea22989133a0eac33f57"
+                      "73ef57e4a78961806f7160cdd381a276")])
+def test_extracted_polynomials_pinned(table, digest):
+    f = {"NOT_ONE n=9": lambda: make_named("NOT_ONE", 9),
+         "random n=5": lambda: random_table(5, random.Random(5)),
+         "random n=6": lambda: random_table(6, random.Random(6)),
+         "half-ones n=8": lambda: _half_ones(8, random.Random(8))}[table]()
+    algo = compile_from_ndet_poly(ndeg(f, seed=1)[1].witness, f)
+    p = extract_ndet_poly(algo, f, seed=1)
+    assert hashlib.sha256(str(p).encode()).hexdigest() == digest
+
+
+def _matches_reference(algo):
+    """symbolic_simulate's amplitudes and scale equal the label-by-label
+    reference's; its array holds integers, never floats."""
+    sym = symbolic_simulate(algo)
+    amps, scale2 = symbolic_reference(algo)
+    assert sym.coef.dtype in (np.int64, object)
+    assert sym.amplitudes == amps and sym.scale2 == scale2
+    return sym
+
+
+def _spy_fit(monkeypatch):
+    """[(largest magnitude times growth, dtype in, dtype out)] of every
+    int64 bound check of symbolic_simulate."""
+    calls = []
+    real = querysim._fit
+
+    def spy(coef, growth):
+        out = real(coef, growth)
+        calls.append((int(np.abs(coef).max()) * growth, coef.dtype,
+                      out.dtype))
+        return out
+
+    monkeypatch.setattr(querysim, "_fit", spy)
+    return calls
+
+
+class TestSymbolicMatchesReference:
+    def test_random_circuits(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            _matches_reference(_random_circuit(rng))
+
+    def test_compiled_witnesses_every_table_n_le_3(self):
+        for n in (1, 2, 3):
+            for bits in range(1, 1 << (1 << n)):
+                f = TruthTable(n, bits)
+                _matches_reference(
+                    compile_from_ndet_poly(ndeg(f)[1].witness, f))
+
+    def test_compiled_witnesses_seeded_n4_to_8(self):
+        rng = random.Random(32)
+        for n in range(4, 9):
+            for f in (random_table(n, rng), _half_ones(n, rng)):
+                _matches_reference(
+                    compile_from_ndet_poly(ndeg(f)[1].witness, f))
+
+    @pytest.mark.parametrize("family, k", [("OR", 0), ("NOT_ONE", 1)])
+    def test_families_n_le_10(self, family, k):
+        for n in range(1, 11):
+            f = make_named(family, n)
+            sym = _matches_reference(
+                compile_from_ndet_poly(weight_offset_poly(n, k), f))
+            assert sym.coef.dtype == np.int64
+
+    def test_python_int_hand_off_anywhere(self, monkeypatch):
+        # with the bound set to the check value of step j (above every
+        # earlier one), steps before j run in int64 and j hands off
+        calls = _spy_fit(monkeypatch)
+        rng = random.Random(2024)
+        algos = [_random_circuit(rng) for _ in range(40)]
+        f = random_table(6, random.Random(6))
+        algos.append(compile_from_ndet_poly(ndeg(f)[1].witness, f))
+        where = set()
+        for algo in algos:
+            monkeypatch.setattr(querysim, "_INT64_SAFE", linalg._INT64_SAFE)
+            calls.clear()
+            symbolic_simulate(algo)
+            needs = [need for need, _, _ in calls]
+            records = [j for j, v in enumerate(needs)
+                       if all(v > u for u in needs[:j])]
+            for j in {records[0], records[len(records) // 2], records[-1]}:
+                monkeypatch.setattr(querysim, "_INT64_SAFE", needs[j])
+                calls.clear()
+                assert _matches_reference(algo).coef.dtype == object
+                dtypes = [(a, b) for _, a, b in calls]
+                assert dtypes[:j] == [(np.int64, np.int64)] * j
+                assert dtypes[j] == (np.int64, object)
+                assert all(d == (object, object) for d in dtypes[j + 1:])
+                where.add("last" if j == len(needs) - 1 else
+                          "first" if j == 0 else "middle")
+        assert where == {"first", "middle", "last"}
+
+    def test_python_ints_from_the_start(self, monkeypatch):
+        monkeypatch.setattr(querysim, "_INT64_SAFE", 1)
+        f = make_named("NOT_ONE", 5)
+        sym = _matches_reference(
+            compile_from_ndet_poly(weight_offset_poly(5, 1), f))
+        assert sym.coef.dtype == object
+
+
+class TestZeroFunction:
+    def test_extraction_rejects_before_simulating(self, monkeypatch):
+        # this algorithm never accepts, which the zero function would pass
+        algo = QueryAlgorithm(n=2, num_qubits=1, prep=basis_prep(1),
+                              gates=(), query_cost=0, output_qubit=0)
+        monkeypatch.setattr(querysim, "symbolic_simulate",
+                            lambda algo: pytest.fail("simulated"))
+        with pytest.raises(IdenticallyZero):
+            extract_ndet_poly_stats(algo, TruthTable(2, 0), 1)
+
+    def test_compile_rejects(self):
+        with pytest.raises(IdenticallyZero):
+            compile_from_ndet_poly(MultilinearPoly.make(2, MONOMIAL, {}),
+                                   TruthTable(2, 0))
 
 
 class TestVerifierTransform:
@@ -637,7 +790,7 @@ def _row_faults(set_attr):
 
 
 _FAULT_UNDER_O = """
-from ndqc import querysim, statevec
+from ndqc import linalg, querysim, statevec
 from test_querysim import _duplicate_label_0, _flip_algo, _row_faults
 real = statevec.apply_label_map
 statevec.apply_label_map = _duplicate_label_0(real)
