@@ -754,7 +754,7 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
 
 
 # ---------------------------------------------------------------------------
-# matrix CSV and protocol structure files
+# matrix CSV files
 
 
 def matrix_to_csv_lines(M: NondetMatrix) -> list:

@@ -29,8 +29,9 @@ from .polys import (MONOMIAL, IdenticallyZero, InvalidWitness,
 from .statevec import (DIM_CAP, HADAMARD, ExactState, FlipOnZero,
                        ScaledMatrix, Swap, Unitary, _all_rational,
                        _apply_unitary, _check_qubits, _fixed_flip,
-                       _flip_labels, acceptance, apply_gate, apply_label_map,
-                       apply_matrix_float, basis_state, register_values)
+                       _flip_labels, _unitary, acceptance, apply_gate,
+                       apply_label_map, apply_matrix_float, basis_state,
+                       register_values)
 # no caller here: kept as a name the perfbench tracer requires to rebind
 # (perfbench/tracer.py MUST_REBIND)
 from .statevec import apply_scaled_matrix  # noqa: F401
@@ -237,32 +238,25 @@ def _float_blocks(algo: QueryAlgorithm, xs):
 
 def float_acceptances(algo: QueryAlgorithm) -> np.ndarray:
     """Float acceptance on every input 0..2^n - 1, in one pass over blocks
-    of inputs; simulate's float mode is the same path on one input."""
+    of inputs."""
     return np.concatenate([acceptance(state, algo.output_qubit) for state
                            in _float_blocks(algo, range(1 << algo.n))])
 
 
-def simulate(algo: QueryAlgorithm, x: int, mode: str = "exact"):
-    """Run the algorithm on input x, an int (not a bool) in 0..2^n - 1.
+def simulate(algo: QueryAlgorithm, x: int):
+    """Run the algorithm exactly on input x, an int (not a bool) in
+    0..2^n - 1.
 
-    Returns (final_state, acceptance_probability); exact mode yields an
-    ExactState and a Fraction, float mode an ndarray and a float.  Exact
-    mode checks unit norm after every gate up to 10-qubit states, else at
-    the end.  Float mode is `float_acceptances`' path on a block of one
-    row (float states carry a leading input axis and run in blocks of
-    bounded size); it checks every row's norm after every gate within
-    FLOAT_NORM_TOL.  For exact acceptance on all inputs use
-    symbolic_simulate's acceptance polynomial.
+    Returns (final ExactState, acceptance probability as a Fraction).
+    Unit norm is checked after every gate up to 10-qubit states, else at
+    the end.  For float acceptance on all inputs use `float_acceptances`;
+    for exact acceptance on all inputs, symbolic_simulate's acceptance
+    polynomial.
     """
     if (isinstance(x, bool) or not isinstance(x, numbers.Integral)
             or not 0 <= x < (1 << algo.n)):
         raise ValueError(f"input must be an int in 0..2^n - 1, not {x!r}")
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be 'exact' or 'float'")
     x = int(x)
-    if mode == "float":
-        state = next(_float_blocks(algo, [x]))[0]
-        return state, float(acceptance(state, algo.output_qubit))
     state = algo.prep.to_exact()
     for gate in algo.gates:
         state = _apply_gate(state, algo, gate, x)
@@ -427,39 +421,6 @@ def _fit(coef, growth):
         return coef
     big = max(int(coef.max()), -int(coef.min()))
     return coef if big * growth < _INT64_SAFE else coef.astype(object)
-
-
-def _unitary(coef, num_qubits, qubits, rows):
-    """New local pattern r of every label block = sum over c of
-    rows[r][c] times old pattern c, in place; entries 0 and +-1 cost no
-    multiplication."""
-    k = len(qubits)
-    t = coef.reshape((len(coef),) + (2,) * num_qubits)
-    # as in apply_matrix_float: bit q of a label is axis num_qubits - q,
-    # and the local index has qubits[-1] as its most significant bit
-    view = np.moveaxis(t, [num_qubits - q for q in reversed(qubits)],
-                       range(num_qubits - k + 1, num_qubits + 1))
-    parts = [view[(...,) + np.unravel_index(c, (2,) * k)]
-             for c in range(1 << k)]
-    new = []
-    for row in rows:
-        acc = None
-        for g, part in zip(row, parts):
-            if not g:
-                continue
-            if acc is None:
-                acc = part.copy() if g == 1 else -part if g == -1 \
-                    else part * g
-            elif g == 1:
-                acc += part
-            elif g == -1:
-                acc -= part
-            else:
-                acc += part * g
-        new.append(0 if acc is None else acc)
-    for part, acc in zip(parts, new):
-        part[...] = acc
-    return t.reshape(coef.shape)
 
 
 def _times_var(block, i, masks):

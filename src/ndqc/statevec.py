@@ -18,8 +18,9 @@ and swaps) share one label-map kernel: `register_values` reads a qubit
 register off every basis label in one vectorised pass, a gate built from it
 is a label permutation (new amplitude i = old amplitude perm[i]), a sign
 mask, or both, and `apply_label_map` applies that by list gather or fancy
-indexing.  Only the labels go through numpy; exact amplitudes stay Python
-ints or Fractions.
+indexing.  A dense gate combines label columns in place (`_unitary`, also
+the symbolic simulator's kernel); exact amplitudes pass through it in numpy
+object arrays and stay Python ints or Fractions.
 
 A float state carries a leading input axis: shape (rows, 2^qubits), one row
 per input, so each gate runs once over a block of inputs.  Its matrices act
@@ -30,6 +31,7 @@ of a block by a fixed amplitude budget.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,59 +202,58 @@ def subset_index_maps(num_qubits: int, qubits) -> tuple:
 
 def apply_scaled_matrix(state: ExactState, qubits, gate: ScaledMatrix) -> None:
     """Apply gate/sqrt(gate.scale2) on the given qubits (in-place); its
-    dimension must be 2^len(qubits), which `Unitary` checks."""
-    k = len(qubits)
-    if k == 1 and gate.im is None and state.im is None:
-        # tight loop for real single-qubit gates (Hadamards dominate)
-        (g00, g01), (g10, g11) = gate.re
-        bit = 1 << qubits[0]
-        re = state.re
-        for base in range(state.dim):
-            if base & bit:
-                continue
-            hi = base | bit
-            a, b = re[base], re[hi]
-            re[base] = g00 * a + g01 * b
-            re[hi] = g10 * a + g11 * b
-        state.scale2 = state.scale2 * gate.scale2
-        return
-    bases, offs = subset_index_maps(_num_qubits(state.dim), qubits)
-    complex_gate = gate.im is not None
-    if complex_gate and state.im is None:
-        state.im = [0] * state.dim
-    re, im = state.re, state.im
-    gre, gim = gate.re, gate.im
-    dim_local = 1 << k
-    for base in bases:
-        idx = [base | o for o in offs]
-        sub_re = [re[i] for i in idx]
-        if im is not None:
-            sub_im = [im[i] for i in idx]
-        for r in range(dim_local):
-            row = gre[r]
-            acc_re = 0
-            for c in range(dim_local):
-                g = row[c]
-                if g:
-                    acc_re += g * sub_re[c]
-            if im is None:
-                re[idx[r]] = acc_re
-                continue
-            acc_im = 0
-            for c in range(dim_local):
-                g = row[c]
-                if g:
-                    acc_im += g * sub_im[c]
-            if complex_gate:
-                growi = gim[r]
-                for c in range(dim_local):
-                    g = growi[c]
-                    if g:
-                        acc_re -= g * sub_im[c]
-                        acc_im += g * sub_re[c]
-            re[idx[r]] = acc_re
-            im[idx[r]] = acc_im
+    dimension must be 2^len(qubits), which `Unitary` checks.  The
+    numerators run through `_unitary` as object arrays, so they stay Python
+    ints and Fractions: G_re acts on the rows (re, im), G_im on (-im, re)."""
+    nq = _num_qubits(state.dim)
+    complex_out = gate.im is not None or state.im is not None
+    amps = np.array([state.re, state.im or [0] * state.dim] if complex_out
+                    else [state.re], dtype=object)
+    out = _unitary(amps.copy(), nq, qubits, gate.re)
+    if gate.im is not None:
+        out += _unitary(amps[::-1] * [[-1], [1]], nq, qubits, gate.im)
+    state.re = out[0].tolist()
+    state.im = out[1].tolist() if complex_out else None
     state.scale2 = state.scale2 * gate.scale2
+
+
+def _gate_view(arr: np.ndarray, num_qubits: int, qubits) -> np.ndarray:
+    """arr, shape (rows, 2^num_qubits), as a view with one axis per qubit and
+    the given qubits last.  Bit q of a label is axis num_qubits - q, and the
+    gate's local index has qubits[-1] as its most significant bit."""
+    axes = [num_qubits - q for q in reversed(qubits)]
+    rest = [a for a in range(num_qubits + 1) if a not in axes]
+    return arr.reshape((len(arr),) + (2,) * num_qubits).transpose(rest + axes)
+
+
+def _unitary(coef, num_qubits, qubits, rows):
+    """New local pattern r of every label block = sum over c of
+    rows[r][c] times old pattern c, in place on coef (rows, 2^num_qubits)
+    and returned; entries 0 and +-1 cost no multiplication.  The one dense
+    gate kernel for exact states and the symbolic coefficient array."""
+    coef = np.ascontiguousarray(coef)  # so the view writes into coef
+    view = _gate_view(coef, num_qubits, qubits)
+    parts = [view[(...,) + bits]
+             for bits in itertools.product((0, 1), repeat=len(qubits))]
+    new = []
+    for row in rows:
+        acc = None
+        for g, part in zip(row, parts):
+            if not g:
+                continue
+            if acc is None:
+                acc = part.copy() if g == 1 else -part if g == -1 \
+                    else g * part
+            elif g == 1:
+                acc += part
+            elif g == -1:
+                acc -= part
+            else:
+                acc += g * part
+        new.append(0 if acc is None else acc)
+    for part, acc in zip(parts, new):
+        part[...] = acc
+    return coef
 
 
 def apply_matrix_float(vec: np.ndarray, num_qubits: int, qubits,
@@ -260,15 +261,12 @@ def apply_matrix_float(vec: np.ndarray, num_qubits: int, qubits,
     """Apply mat on the given qubits of every row of vec, shape (rows,
     2^num_qubits), into a new array.  mat is one (k, k) matrix for every
     row, or a (rows, k, k) stack of one per row, with k = 2^len(qubits)."""
-    rows, k = len(vec), len(qubits)
-    # bit q of a label is axis num_qubits - q of the tensor, and the gate's
-    # local index has qubits[-1] as its most significant bit
-    axes = [num_qubits - q for q in reversed(qubits)]
-    ends = list(range(num_qubits - k + 1, num_qubits + 1))
-    t = np.moveaxis(vec.reshape((rows,) + (2,) * num_qubits), axes, ends)
-    shape = t.shape
-    t = t.reshape(rows, -1, 1 << k) @ np.swapaxes(mat, -1, -2)
-    return np.moveaxis(t.reshape(shape), ends, axes).reshape(rows, -1)
+    view = _gate_view(vec, num_qubits, qubits)
+    out = np.empty(vec.shape, np.result_type(vec, mat))
+    _gate_view(out, num_qubits, qubits)[...] = (
+        view.reshape(len(vec), -1, 1 << len(qubits))
+        @ np.swapaxes(mat, -1, -2)).reshape(view.shape)
+    return out
 
 
 def _num_qubits(dim: int) -> int:

@@ -1,12 +1,23 @@
 """Shared fixtures for the test suite."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 from ndqc import linalg
 from ndqc.polys import MONOMIAL, MultilinearPoly, _combine
 from ndqc.querysim import BitOracle, VerifierSpec, basis_prep
 from ndqc.statevec import (FlipOnZero, Swap, Unitary, _fixed_flip,
                            register_values, scaled_real, subset_index_maps)
+
+
+def load_tracer():
+    """perfbench's span tracer module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def perm_matrix(perm):
@@ -39,6 +50,33 @@ def sin2_table(size):
         out.append(Fraction(s * s, 25 ** d))
         s, s_next = s_next, 6 * s_next - 25 * s
     return out
+
+
+def dense_gate_reference(state, num_qubits, qubits, gate):
+    """(re, im, scale2) of the ScaledMatrix `gate` on `qubits` of an
+    ExactState, by one dense Fraction matrix-vector product over all
+    2^num_qubits labels; im is None when the state and the gate are real.
+    Entry (i, j) of the full matrix is gate[local i][local j] where labels
+    i and j agree off the gate's qubits, else 0."""
+    dim = 1 << num_qubits
+    mask = sum(1 << q for q in qubits)
+    local = register_values(num_qubits, qubits).tolist()
+    zero = [[0] * gate.dim] * gate.dim
+    g_re, g_im = gate.re, gate.im or zero
+    s_re, s_im = state.re, state.im or [0] * dim
+    re, im = [], []
+    for i in range(dim):
+        acc_re = acc_im = Fraction(0)
+        for j in range(dim):
+            if (i ^ j) & ~mask:
+                continue
+            a, b = g_re[local[i]][local[j]], g_im[local[i]][local[j]]
+            acc_re += a * s_re[j] - b * s_im[j]
+            acc_im += a * s_im[j] + b * s_re[j]
+        re.append(acc_re)
+        im.append(acc_im)
+    real = gate.im is None and state.im is None
+    return re, None if real else im, state.scale2 * gate.scale2
 
 
 def spy_nullspace_paths(monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ndqc
-from ndqc import cli, commsim, polys, querysim, report
+from ndqc import boolfn, cli, commsim, polys, querysim, report
 from ndqc.boolfn import make_named
 from ndqc.polys import parse_poly, verify_ndet, weight_offset_poly
 
@@ -102,6 +102,50 @@ class TestTheorems:
     def test_cap(self, capsys):
         code, _ = run_cli(["theorems", "--n", "4", "--exhaustive"], capsys)
         assert code == 2
+
+
+_BROKEN_DEPTH_UNDER_O = """
+import sys
+from ndqc import boolfn, cli
+boolfn.SubcubeTable.depth = lambda self: 99
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestTheoremFailure:
+    """A measure that breaks D <= C0 * ndeg: the suite must report the
+    counterexample with its measured values and witness, print a FAIL
+    row in CSV, and exit 1, also under python -O."""
+
+    ARGV = ["theorems", "--n", "2", "--exhaustive"]
+
+    @staticmethod
+    def _assert_reported(json_run, csv_run):
+        f = make_named("OR", 2)
+        name = boolfn.format_table(f)
+        code, out = json_run
+        rep = json.loads(out)
+        assert code == 1 and rep["all_pass"] is False
+        iq = next(i for i in rep["inequalities"]
+                  if i["name"] == "D<=C0*ndeg")
+        # every nonconstant table fails; the two constants pass vacuously
+        assert iq["passes"] == 2 and len(iq["counterexamples"]) == 14
+        details = next(c["details"] for c in iq["counterexamples"]
+                       if c["function"] == name)
+        witness = parse_poly(details.pop("witness"), 2)
+        assert verify_ndet(witness, f) and witness.degree == 1
+        assert details == {"ndeg": 1, "C0": 2, "C1": 1, "bs0": 2, "D": 99,
+                           "ones": 3}
+        code, out = csv_run
+        assert code == 1 and f"{name},D<=C0*ndeg,FAIL" in out.splitlines()
+
+    def test_failing_row_reported(self, monkeypatch, capsys):
+        monkeypatch.setattr(boolfn.SubcubeTable, "depth", lambda self: 99)
+        csv_argv = ["--format", "csv", *self.ARGV]
+        self._assert_reported(run_cli(self.ARGV, capsys),
+                              run_cli(csv_argv, capsys))
+        self._assert_reported(_run_under_O(_BROKEN_DEPTH_UNDER_O, self.ARGV),
+                              _run_under_O(_BROKEN_DEPTH_UNDER_O, csv_argv))
 
 
 class TestSeparation:
@@ -272,16 +316,21 @@ class TestSeparation:
         assert code == 1 and checks["protocol_accepts_iff_f1"] is False
 
 
-def _checks_under_O(source):
-    """(exit code, check name -> pass) of a script run under python -O."""
+def _run_under_O(source, argv=()):
+    """(exit code, stdout) of a script run under python -O."""
     path = os.pathsep.join([str(Path(ndqc.__file__).resolve().parents[1]),
                             str(Path(__file__).resolve().parent)])
-    proc = subprocess.run([sys.executable, "-O", "-c", source],
+    proc = subprocess.run([sys.executable, "-O", "-c", source, *argv],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.stdout, proc.stderr
-    return proc.returncode, {c["name"]: c["pass"]
-                             for c in json.loads(proc.stdout)["checks"]}
+    return proc.returncode, proc.stdout
+
+
+def _checks_under_O(source):
+    """(exit code, check name -> pass) of a script run under python -O."""
+    code, out = _run_under_O(source)
+    return code, {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
 
 
 def _bump_one_numerator(real):

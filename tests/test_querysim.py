@@ -88,7 +88,7 @@ class TestSimulate:
         assert acc == F(1, 2)
 
     def test_float_mode_agrees(self):
-        _, acc = simulate(hadamard_algo(), 0, mode="float")
+        acc = querysim.float_acceptances(hadamard_algo())[0]
         assert abs(acc - 0.5) < 1e-9
 
     def test_non_unitary_rejected(self):
@@ -120,10 +120,11 @@ class TestSimulate:
                                   prep=basis_prep(3, label),
                                   gates=(BitOracle((2, 0), 1),),
                                   query_cost=1, output_qubit=1)
+            accfs = querysim.float_acceptances(algo)
             for x in range(8):
                 want = (x >> v) & 1 if v < 3 else 0
                 assert simulate(algo, x)[1] == want
-                assert simulate(algo, x, mode="float")[1] == want
+                assert accfs[x] == want
 
     def test_complex_rational_gate_exact(self):
         # i*X then H: acceptance 1/2, norm preserved with imaginary parts
@@ -136,7 +137,7 @@ class TestSimulate:
         state, acc = simulate(algo, 0)
         assert acc == F(1, 2)
         assert state.im is not None
-        _, accf = simulate(algo, 0, mode="float")
+        accf = querysim.float_acceptances(algo)[0]
         assert abs(accf - 0.5) < 1e-9
 
     def test_wide_phase_oracle_rejected(self):
@@ -149,21 +150,25 @@ class TestSimulate:
 
     def test_input_gate_float_mode(self):
         algo = verifier_to_ndet(or2_verifier(), make_named("OR", 2))
+        accfs = querysim.float_acceptances(algo)
         for x in range(4):
             _, acc = simulate(algo, x)
-            _, accf = simulate(algo, x, mode="float")
-            assert abs(accf - float(acc)) < 1e-9
+            assert abs(accfs[x] - float(acc)) < 1e-9
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
+    # float acceptance comes for all inputs at once and takes no input, so
+    # only exact simulation has an input to reject
+    @pytest.mark.parametrize("mode", ["exact"])
     @pytest.mark.parametrize("x", [2.0, 1.0, True, False, -1, 2, "1", None,
                                    F(1), np.float64(0)])
     def test_malformed_input_rejected(self, x, mode):
         with pytest.raises(ValueError, match="input must be an int"):
-            simulate(hadamard_algo(), x, mode=mode)
+            simulate(hadamard_algo(), x)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_numpy_integer_input(self, mode):
-        _, acc = simulate(hadamard_algo(), np.int64(1), mode=mode)
+        x = np.int64(1)
+        acc = (simulate(hadamard_algo(), x)[1] if mode == "exact"
+               else querysim.float_acceptances(hadamard_algo())[x])
         assert abs(acc - F(1, 2)) < 1e-12
 
 
@@ -176,10 +181,11 @@ class TestInputFreeGates:
                                      BitOracle((0,), 2), Swap(2, 1)),
                               query_cost=1, output_qubit=1)
         accs = symbolic_simulate(algo).acceptance_polynomial().values()
+        accfs = querysim.float_acceptances(algo)
         for x in range(4):
             want = F((x & 1) + (x >> 1), 2)
             assert simulate(algo, x)[1] == want == accs[x]
-            assert abs(simulate(algo, x, mode="float")[1] - want) < 1e-12
+            assert abs(accfs[x] - want) < 1e-12
 
     def test_prep_state_has_no_symbolic_form(self):
         algo = QueryAlgorithm(n=1, num_qubits=1, prep=basis_prep(1),
@@ -219,9 +225,10 @@ class TestInputGateChecked:
             return check(self)
 
         monkeypatch.setattr(ScaledMatrix, "is_unitary", spy)
+        accfs = querysim.float_acceptances(algo)
         for x in range(4):
             assert (simulate(algo, x)[1] > 0) == (x != 0)
-            assert (simulate(algo, x, mode="float")[1] > 1e-9) == (x != 0)
+            assert (accfs[x] > 1e-9) == (x != 0)
         assert calls == []
 
 
@@ -327,10 +334,10 @@ class TestCompiler:
     def test_float_mode_cross_check(self):
         f = make_named("NOT_ONE", 3)
         algo = compile_from_ndet_poly(weight_offset_poly(3, 1), f)
+        accfs = querysim.float_acceptances(algo)
         for x in range(8):
             _, acc = simulate(algo, x)
-            _, accf = simulate(algo, x, mode="float")
-            assert abs(accf - float(acc)) < 1e-9
+            assert abs(accfs[x] - float(acc)) < 1e-9
 
 
 class TestSymbolic:
@@ -374,9 +381,10 @@ class TestSymbolic:
             assert _max_degree(sym) <= t
             assert sym.acceptance_polynomial().degree <= 2 * t
             accs = sym.acceptance_polynomial().values()
+            accfs = querysim.float_acceptances(algo)
             for x, acc in enumerate(accs):
                 assert acc == simulate(algo, x)[1]
-                assert abs(simulate(algo, x, mode="float")[1] - acc) < 1e-12
+                assert abs(accfs[x] - acc) < 1e-12
 
     def test_norm_at_every_input(self):
         # sum of squared amplitudes is the constant scale2 as a polynomial
@@ -819,9 +827,11 @@ def test_norm_check_catches_duplicated_label(monkeypatch):
 
 
 def test_row_checks_fire_on_one_row_of_a_later_block(monkeypatch):
-    # without the faults, every other input of both algorithms runs clean
-    for x in (0, 1, 2, 4, 7):
-        simulate(_support_algo(), x, mode="float")
+    # without the faults, every other input of both algorithms runs clean;
+    # the support algorithm's input 3 raises wherever its block falls
+    list(querysim._float_blocks(_support_algo(), [0, 1, 2, 4, 5, 6, 7]))
+    with pytest.raises(ValueError, match="support above"):
+        querysim.float_acceptances(_support_algo())
     querysim.float_acceptances(_not_one_algo(3))
     assert _row_faults(monkeypatch.setattr) == ["support", "norm"]
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import load_tracer
+
 SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "ndqc")
              .glob("*.py"))
 
@@ -43,3 +45,19 @@ def test_linalg_names_no_float_dtype():
                           "dtype=float", "log2(", "math.log")
              if word in path.read_text(encoding="utf-8")]
     assert found == [], f"float or logarithm names: {found}"
+
+
+def test_unused_imports_are_tracer_pins():
+    # an import kept under `# noqa: F401` has no caller in its module; the
+    # only reason to keep one is a name the tracer must rebind there
+    pinned = set(load_tracer().MUST_REBIND)
+    found = set()
+    for path in SRC:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "# noqa: F401" in lines[node.end_lineno - 1]):
+                found |= {(path.stem, alias.asname or alias.name)
+                          for alias in node.names}
+    assert found and found <= pinned, f"not pinned: {sorted(found - pinned)}"

@@ -2,23 +2,14 @@
 rebind, and uninstalling it must leave the package as it found it."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 from ndqc import cli
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+from helpers import load_tracer
 
 
 def test_tracer_wraps_required_names_and_uninstalls(capsys):
-    tracer = _load_tracer()
+    tracer = load_tracer()
     mods = {m: importlib.import_module(f"ndqc.{m}") for m in tracer.MODULES}
     owners = list(mods.values()) + [importlib.import_module("ndqc")]
     owners += [getattr(mods[m], cls) for m, cls, _ in tracer.METHODS]
