@@ -19,7 +19,7 @@ from .boolfn import CapExceeded
 from .linalg import nullspace, rows_to_int
 from .polys import MultilinearPoly, _resample, parse_rational
 from .statevec import (DIM_CAP, FlipOnProjector, PrepState, ScaledMatrix,
-                       Swap, Unitary, _all_rational, _check_qubits,
+                       Swap, Unitary, _check_qubits, _exact_rationals,
                        acceptance, apply_gate, basis_state)
 # no caller here: kept as names the perfbench tracer requires to rebind
 # (perfbench/tracer.py MUST_REBIND)
@@ -162,10 +162,8 @@ class NondetMatrix:
             raise ValueError("matrix shape mismatch")
         rows = []
         for x, row in enumerate(self.entries):
-            if not _all_rational(row):
-                raise ValueError(f"row {x}: entries must be exact rationals")
-            row = tuple(v if type(v) is int else int(v) if v.denominator == 1
-                        else Fraction(v) for v in row)
+            row = _exact_rationals(
+                row, f"row {x}: entries must be exact rationals")
             pattern = sum(1 << y for y, v in enumerate(row) if v)
             wrong = pattern ^ self.target.rows[x]
             if wrong:
@@ -714,11 +712,11 @@ def matrix_from_vector_families(a_fams, b_fams, f: PairTable,
     size = 1 << f.n
     d_a = len(next(iter(a_fams[0].values())))
     d_b = len(next(iter(b_fams[0].values())))
-    a_vecs = [[fam[x] for fam in a_fams] for x in range(size)]
-    b_vecs = [[fam[y] for fam in b_fams] for y in range(size)]
-    if not all(_all_rational(vec) for vecs in (a_vecs, b_vecs)
-               for per_input in vecs for vec in per_input):
-        raise ValueError("family entries must be exact rationals")
+    msg = "family entries must be exact rationals"
+    a_vecs = [[_exact_rationals(fam[x], msg) for fam in a_fams]
+              for x in range(size)]
+    b_vecs = [[_exact_rationals(fam[y], msg) for fam in b_fams]
+              for y in range(size)]
     # indices i with A_i(x) nonzero; zero summands never flip the pattern
     a_live = [[i for i in range(m) if any(a_vecs[x][i])]
               for x in range(size)]

@@ -306,8 +306,9 @@ def staircase_column(rows, ncols, v):
     rows leaves a residual r that is zero on every pivot column, and since
     vec_j is supported on pivot columns left of j plus j itself,
     dot(r, vec_j) = r[j] * vec_j[j].  So j is r's first nonzero column.
+    The rows are eliminated by `echelon`, in int64 when they are large.
     """
-    ech, pivots = _echelon_ff(rows_to_int(rows), ncols)
+    ech, pivots = echelon(rows, ncols)
     r = _residual(ech, pivots, v)
     return next((c for c, a in enumerate(r) if a), None)
 

@@ -27,8 +27,8 @@ from .polys import (MONOMIAL, IdenticallyZero, InvalidWitness,
                     MultilinearPoly, _canonical, _combine, _resample,
                     parse_rational, to_fourier, verify_ndet)
 from .statevec import (DIM_CAP, HADAMARD, ExactState, FlipOnZero,
-                       ScaledMatrix, Swap, Unitary, _all_rational,
-                       _apply_unitary, _check_qubits, _fixed_flip,
+                       ScaledMatrix, Swap, Unitary, _apply_unitary,
+                       _check_qubits, _exact_rationals, _fixed_flip,
                        _flip_labels, _unitary, acceptance, apply_gate,
                        apply_label_map, apply_matrix_float, basis_state,
                        register_values)
@@ -117,16 +117,21 @@ class InputGate:
 @dataclass(frozen=True)
 class StatePrep:
     """Initial state: amplitudes (re + i*im) / sqrt(scale2), unit norm, all
-    exact rationals."""
+    exact rationals, stored as ints and Fractions."""
 
     re: tuple
     im: tuple | None
     scale2: object
 
     def __post_init__(self):
-        if not all(map(_all_rational, (self.re, self.im or (),
-                                       (self.scale2,)))):
-            raise ValueError("initial state must be exact rationals")
+        msg = "initial state must be exact rationals"
+        object.__setattr__(self, "re", _exact_rationals(self.re, msg))
+        if self.im is not None:
+            object.__setattr__(self, "im", _exact_rationals(self.im, msg))
+            if len(self.im) != len(self.re):
+                raise ValueError("initial state parts differ in length")
+        (scale2,) = _exact_rationals((self.scale2,), msg)
+        object.__setattr__(self, "scale2", scale2)
         if not self.scale2 > 0 or self.to_exact().norm2() != 1:
             raise ValueError("initial state must have unit norm")
 
@@ -197,23 +202,17 @@ def _apply_gate(state, algo, gate, x):
         m = min(n, table.shape[1])
         table[:, :m] = [[(v >> i) & 1 for i in range(m)] for v in xs]
         hit = table[:, register_values(nq, gate.index_qubits)]
-        perm = _flip_labels(hit, 1 << gate.target)
-        return apply_label_map(state, perm[0] if exact else perm)
+        return apply_label_map(state, _flip_labels(hit, 1 << gate.target))
     if not isinstance(gate, PhaseOracle):
         return apply_gate(state, nq, gate)
     s = register_values(nq, gate.qubits)
-    idx = np.flatnonzero(np.bitwise_count(s) > gate.degree_bound)
-    if exact:
-        parts = [p for p in (state.re, state.im) if p is not None]
-        occupied = any(any(map(p.__getitem__, idx.tolist())) for p in parts)
-    else:
-        occupied = np.any(state[:, idx] != 0)
-    if occupied:
+    amps = state.amps if exact else state
+    if np.any(amps[:, np.bitwise_count(s) > gate.degree_bound] != 0):
         raise ValueError("phase gate support above its degree bound")
     # register bit j holds x_{j+1}
     low = np.array([v & ((1 << len(gate.qubits)) - 1) for v in xs])
     neg = (np.bitwise_count(s & low[:, None]) & 1).astype(bool)
-    return apply_label_map(state, neg=neg[0] if exact else neg)
+    return apply_label_map(state, neg=neg)
 
 
 # amplitudes in one block of float simulation: bounds its memory

@@ -6,21 +6,21 @@ N, the state being v / sqrt(N); exact gates are rational matrices G with a
 scale M, the gate being G / sqrt(M), unitary iff G^H G = M I (checked
 exactly).  Composition only multiplies scales, so Hadamard-type gates and
 rational state preparations stay exactly representable and every probability
-is an exact Fraction.  Complex entries are carried as separate real and
-imaginary parts; the imaginary part is None for real states, which keeps the
-common all-real circuits on a fast integer path.
+is an exact Fraction.  An ExactState's numerators are Python ints and
+Fractions in one numpy object array, a column per basis label and a row per
+part, (re) or (re, im), laid out as the float and symbolic arrays are.
 
 The gates that do not read an input (`Unitary`, `FlipOnZero`, `Swap`,
 `PrepState`, `FlipOnProjector`) name every qubit they touch in `qubits` and
 run through `apply_gate`; `acceptance` reads the probability of a qubit
-being 1.  Gates that only move or negate amplitudes (the oracles, flag flips
-and swaps) share one label-map kernel: `register_values` reads a qubit
+being 1.  Gates that only move or negate amplitudes (the oracles, flag
+flips and swaps) share one label-map kernel: `register_values` reads a qubit
 register off every basis label in one vectorised pass, a gate built from it
 is a label permutation (new amplitude i = old amplitude perm[i]), a sign
-mask, or both, and `apply_label_map` applies that by list gather or fancy
-indexing.  A dense gate combines label columns in place (`_unitary`, also
-the symbolic simulator's kernel); exact amplitudes pass through it in numpy
-object arrays and stay Python ints or Fractions.
+mask, or both, and `apply_label_map` applies that by numpy indexing.  A
+dense gate combines label columns in place (`_unitary`, also the symbolic
+simulator's kernel), and the projector gates and float matrices act on all
+label blocks at once; all of them read local patterns via `_gate_view`.
 
 A float state carries a leading input axis: shape (rows, 2^qubits), one row
 per input, so each gate runs once over a block of inputs.  Its matrices act
@@ -44,9 +44,20 @@ from .boolfn import CapExceeded
 DIM_CAP = 1 << 20
 
 
-def _all_rational(values) -> bool:
-    """Every value is a `numbers.Rational`; the test runs once per type."""
-    return all(issubclass(t, numbers.Rational) for t in set(map(type, values)))
+def _exact_rationals(values, message: str) -> tuple:
+    """values as exact rationals, each an int when integral, else a Fraction
+    of ints; ValueError(message) for anything that is not a
+    `numbers.Rational`.  numpy integers become Python ints, so exact
+    arithmetic on the result cannot wrap."""
+    out = []
+    for v in values:
+        if type(v) is not int:
+            if not isinstance(v, numbers.Rational):
+                raise ValueError(message)
+            num, den = int(v.numerator), int(v.denominator)
+            v = num if den == 1 else Fraction(num, den)
+        out.append(v)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -64,11 +75,17 @@ class ScaledMatrix:
         if self.im is not None and (len(self.im) != k or
                                     any(len(row) != k for row in self.im)):
             raise ValueError("imaginary part shape mismatch")
-        if not all(_all_rational(row) for part in (self.re, self.im or ())
-                   for row in part):
-            raise ValueError("matrix entries must be exact rationals")
-        if not (isinstance(self.scale2, (int, Fraction)) and self.scale2 > 0):
+        msg = "matrix entries must be exact rationals"
+        object.__setattr__(self, "re", tuple(
+            _exact_rationals(row, msg) for row in self.re))
+        if self.im is not None:
+            object.__setattr__(self, "im", tuple(
+                _exact_rationals(row, msg) for row in self.im))
+        (scale2,) = _exact_rationals((self.scale2,), "scale2 must be a "
+                                     "positive rational")
+        if not scale2 > 0:
             raise ValueError("scale2 must be a positive rational")
+        object.__setattr__(self, "scale2", scale2)
 
     @property
     def dim(self) -> int:
@@ -110,32 +127,38 @@ HADAMARD = scaled_real(((1, 1), (1, -1)), 2)
 
 
 class ExactState:
-    """Mutable exact statevector: amplitudes = (re + i*im) / sqrt(scale2)."""
+    """Mutable exact statevector: amplitudes = (re + i*im) / sqrt(scale2),
+    the numerators held in amps, a row per part; re and im read it as
+    lists, and im is None for a real state."""
 
-    __slots__ = ("re", "im", "scale2")
+    __slots__ = ("amps", "scale2")
 
     def __init__(self, re, im, scale2):
-        self.re = list(re)
-        self.im = list(im) if im is not None else None
+        self.amps = np.array([re] if im is None else [re, im], dtype=object)
         self.scale2 = scale2
 
     @property
+    def re(self) -> list:
+        return self.amps[0].tolist()
+
+    @property
+    def im(self) -> list | None:
+        return self.amps[1].tolist() if len(self.amps) > 1 else None
+
+    @property
     def dim(self) -> int:
-        return len(self.re)
+        return self.amps.shape[1]
 
     def norm2(self) -> Fraction:
-        s = sum(v * v for part in (self.re, self.im or ()) for v in part)
-        return Fraction(s, 1) / self.scale2
+        return Fraction((self.amps * self.amps).sum(), 1) / self.scale2
 
     def to_ndarray(self) -> np.ndarray:
-        v = np.array([float(x) for x in self.re], dtype=complex)
-        if self.im is not None:
-            v += 1j * np.array([float(x) for x in self.im])
-        return v / np.sqrt(float(self.scale2))
+        v = self.amps.astype(complex)
+        return (v[0] + 1j * v[1:].sum(0)) / np.sqrt(float(self.scale2))
 
 
 def basis_state(num_qubits: int, label: int = 0) -> ExactState:
-    re = [0] * (1 << num_qubits)
+    re = np.zeros(1 << num_qubits, dtype=object)
     re[label] = 1
     return ExactState(re, None, 1)
 
@@ -143,12 +166,13 @@ def basis_state(num_qubits: int, label: int = 0) -> ExactState:
 def acceptance(state, qubit: int):
     """Probability that the qubit reads 1: a Fraction for an ExactState,
     one float per row of a float state."""
-    if isinstance(state, ExactState):
-        s = sum(v * v for part in (state.re, state.im or ())
-                for i, v in enumerate(part) if i >> qubit & 1)
-        return Fraction(s, 1) / state.scale2
-    hit = np.arange(state.shape[-1]) >> qubit & 1 == 1
-    return np.sum(np.abs(state[..., hit]) ** 2, axis=-1)
+    exact = isinstance(state, ExactState)
+    amps = state.amps if exact else state
+    hit = np.arange(amps.shape[-1]) >> qubit & 1 == 1
+    if exact:
+        part = amps[:, hit]
+        return Fraction((part * part).sum(), 1) / state.scale2
+    return np.sum(np.abs(amps[..., hit]) ** 2, axis=-1)
 
 
 def register_values(num_qubits: int, qubits) -> np.ndarray:
@@ -166,20 +190,12 @@ def apply_label_map(state, perm=None, neg=None):
 
     perm (integer array) and neg (boolean array) may each be None.  An
     ExactState is updated in place and returned; an array with labels on
-    its last axis (a float state, or the symbolic simulator's coefficient
-    array) is returned as a new array, and perm and neg may hold one row
-    per array row.
+    its last axis (an ExactState's amps, a float state, or the symbolic
+    simulator's coefficient array) is returned as a new array, and perm
+    and neg may hold one row per array row, or one row for all of them.
     """
     if isinstance(state, ExactState):
-        for part in ("re", "im"):
-            amps = getattr(state, part)
-            if amps is None:
-                continue
-            if perm is not None:
-                amps = list(map(amps.__getitem__, perm.tolist()))
-            if neg is not None:
-                amps = [-a if f else a for a, f in zip(amps, neg.tolist())]
-            setattr(state, part, amps)
+        state.amps = apply_label_map(state.amps, perm, neg)
         return state
     if perm is not None:
         state = np.take_along_axis(state, np.broadcast_to(perm, state.shape),
@@ -189,31 +205,19 @@ def apply_label_map(state, perm=None, neg=None):
     return state
 
 
-def subset_index_maps(num_qubits: int, qubits) -> tuple:
-    """(bases, offsets): labels with the given qubits zeroed, and the label
-    offset of each local pattern on those qubits."""
-    labels = np.arange(1 << num_qubits)
-    mask = sum(1 << q for q in qubits)
-    local = np.flatnonzero((labels & ~mask) == 0)
-    offs = np.empty_like(local)
-    offs[register_values(num_qubits, qubits)[local]] = local
-    return np.flatnonzero((labels & mask) == 0).tolist(), offs.tolist()
-
-
 def apply_scaled_matrix(state: ExactState, qubits, gate: ScaledMatrix) -> None:
     """Apply gate/sqrt(gate.scale2) on the given qubits (in-place); its
     dimension must be 2^len(qubits), which `Unitary` checks.  The
-    numerators run through `_unitary` as object arrays, so they stay Python
-    ints and Fractions: G_re acts on the rows (re, im), G_im on (-im, re)."""
+    numerators run through `_unitary` on state.amps, so they stay Python
+    ints and Fractions: G_re acts on the rows (re, im), G_im on (-im, re);
+    a complex gate gives a real state its zero im row first."""
     nq = _num_qubits(state.dim)
-    complex_out = gate.im is not None or state.im is not None
-    amps = np.array([state.re, state.im or [0] * state.dim] if complex_out
-                    else [state.re], dtype=object)
-    out = _unitary(amps.copy(), nq, qubits, gate.re)
+    amps = state.amps
+    if gate.im is not None and len(amps) == 1:
+        amps = np.concatenate([amps, np.zeros_like(amps)])
+    state.amps = _unitary(amps.copy(), nq, qubits, gate.re)
     if gate.im is not None:
-        out += _unitary(amps[::-1] * [[-1], [1]], nq, qubits, gate.im)
-    state.re = out[0].tolist()
-    state.im = out[1].tolist() if complex_out else None
+        state.amps += _unitary(amps[::-1] * [[-1], [1]], nq, qubits, gate.im)
     state.scale2 = state.scale2 * gate.scale2
 
 
@@ -374,7 +378,6 @@ def _apply_unitary(state, num_qubits: int, qubits, matrix: ScaledMatrix):
 def apply_gate(state, num_qubits: int, gate):
     """Apply one gate: an ExactState in place, or a float state into a new
     array; returns the state."""
-    exact = isinstance(state, ExactState)
     if isinstance(gate, Unitary):
         return _apply_unitary(state, num_qubits, gate.qubits, gate.matrix)
     if isinstance(gate, (FlipOnZero, Swap)):
@@ -382,37 +385,37 @@ def apply_gate(state, num_qubits: int, gate):
     if not isinstance(gate, (PrepState, FlipOnProjector)):
         raise TypeError(f"unknown gate {gate!r}")
     name = type(gate).__name__
-    if not exact or state.im is not None:
+    if not isinstance(state, ExactState) or len(state.amps) > 1:
         raise ValueError(f"{name} runs on exact real states only")
     vec = gate.vec
     norm2 = sum(v * v for v in vec)
     if not 0 < len(vec) <= 1 << len(gate.register) or not norm2:
         raise ValueError(f"{name} needs a nonzero vector that fits")
-    bases, offs = subset_index_maps(num_qubits, gate.register)
-    re = state.re
+    vec = np.array(vec, dtype=object)
+    # the local patterns of every label block, a row per block; for a
+    # FlipOnProjector the target is bit 0 of the local index
+    view = _gate_view(state.amps, num_qubits, gate.qubits)
+    local = view.reshape(-1, 1 << len(gate.qubits))
     if isinstance(gate, PrepState):
-        zero_reg = set(bases)
-        if any(a and i not in zero_reg for i, a in enumerate(re)):
+        if np.any(local[:, 1:] != 0):
             raise ValueError(f"{name} needs the register in |0>")
-        state.re = new = [0] * state.dim
-        for base in bases:
-            for o, v in zip(offs, vec):
-                new[base | o] = re[base] * v
-        state.scale2 = state.scale2 * norm2
-        return state
-    # |vec|^2 U maps the register blocks (u0, u1) at target 0 and 1 to
-    # (|vec|^2 u0 + vec d, |vec|^2 u1 - vec d) with d = vec.(u1 - u0), so
-    # the integer numerators update in O(dim * len(vec))
-    tbit = 1 << gate.target
-    state.re = new = [a * norm2 for a in re]
-    for b0 in bases:
-        if not b0 & tbit:
-            b1 = b0 | tbit
-            d = sum(v * (re[b1 | o] - re[b0 | o]) for o, v in zip(offs, vec))
-            for o, v in zip(offs, vec):
-                new[b0 | o] += v * d
-                new[b1 | o] -= v * d
-    state.scale2 = state.scale2 * norm2 * norm2
+        new = np.zeros_like(local)
+        new[:, :len(vec)] = local[:, :1] * vec
+        scale2 = norm2
+    else:
+        # |vec|^2 U maps the register blocks (u0, u1) at target 0 and 1 to
+        # (|vec|^2 u0 + vec d, |vec|^2 u1 - vec d) with d = vec.(u1 - u0)
+        u = local.reshape(len(local), -1, 2)[:, :len(vec)]
+        vd = ((u[..., 1] - u[..., 0]) @ vec)[:, None] * vec
+        new = local * norm2
+        pairs = new.reshape(len(new), -1, 2)
+        pairs[:, :len(vec), 0] += vd
+        pairs[:, :len(vec), 1] -= vd
+        scale2 = norm2 * norm2
+    state.amps = np.empty(state.amps.shape, dtype=object)
+    _gate_view(state.amps, num_qubits, gate.qubits)[...] = \
+        new.reshape(view.shape)
+    state.scale2 = state.scale2 * scale2
     return state
 
 

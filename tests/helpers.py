@@ -4,11 +4,13 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from ndqc import linalg
 from ndqc.polys import MONOMIAL, MultilinearPoly, _combine
 from ndqc.querysim import BitOracle, VerifierSpec, basis_prep
-from ndqc.statevec import (FlipOnZero, Swap, Unitary, _fixed_flip,
-                           register_values, scaled_real, subset_index_maps)
+from ndqc.statevec import (FlipOnZero, PrepState, Swap, Unitary,
+                           _fixed_flip, register_values, scaled_real)
 
 
 def load_tracer():
@@ -77,6 +79,46 @@ def dense_gate_reference(state, num_qubits, qubits, gate):
         im.append(acc_im)
     real = gate.im is None and state.im is None
     return re, None if real else im, state.scale2 * gate.scale2
+
+
+def subset_index_maps(num_qubits: int, qubits) -> tuple:
+    """(bases, offsets): labels with the given qubits zeroed, and the label
+    offset of each local pattern on those qubits (qubits[j] at bit j of the
+    pattern)."""
+    labels = np.arange(1 << num_qubits)
+    mask = sum(1 << q for q in qubits)
+    local = np.flatnonzero((labels & ~mask) == 0)
+    offs = np.empty_like(local)
+    offs[register_values(num_qubits, qubits)[local]] = local
+    return np.flatnonzero((labels & mask) == 0).tolist(), offs.tolist()
+
+
+def projector_gate_reference(state, num_qubits, gate):
+    """(re, scale2) of a PrepState or FlipOnProjector on a real ExactState,
+    by plain list loops over the labels with the register zeroed and the
+    register patterns that vec covers."""
+    vec = gate.vec
+    norm2 = sum(v * v for v in vec)
+    bases, offs = subset_index_maps(num_qubits, gate.register)
+    re = state.re
+    if isinstance(gate, PrepState):
+        new = [0] * state.dim
+        for base in bases:
+            for o, v in zip(offs, vec):
+                new[base | o] = re[base] * v
+        return new, state.scale2 * norm2
+    # |vec|^2 U maps the register blocks (u0, u1) at target 0 and 1 to
+    # (|vec|^2 u0 + vec d, |vec|^2 u1 - vec d) with d = vec.(u1 - u0)
+    tbit = 1 << gate.target
+    new = [a * norm2 for a in re]
+    for b0 in bases:
+        if not b0 & tbit:
+            b1 = b0 | tbit
+            d = sum(v * (re[b1 | o] - re[b0 | o]) for o, v in zip(offs, vec))
+            for o, v in zip(offs, vec):
+                new[b0 | o] += v * d
+                new[b1 | o] -= v * d
+    return new, state.scale2 * norm2 * norm2
 
 
 def spy_nullspace_paths(monkeypatch):

@@ -464,3 +464,25 @@ def test_echelon_of_an_array_matches_plain_bareiss(n, d, seed, paths):
     assert (ech, pivots) == reference_bareiss(rows, len(rows[0]))
     assert all(type(a) is int for row in ech for a in row)
     assert paths == INT64_ONLY
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_staircase_column_takes_int64_kernel(seed, paths):
+    # a wide 0/1 system above the cell gate: staircase_column eliminates it
+    # through `echelon` in int64, and finds the column that Python-int
+    # Bareiss finds, for a random v and for a v in the row space
+    rng = random.Random(seed)
+    cols = sorted(range(128), key=lambda m: (m.bit_count(), m))
+    rows = [[1 if m & x == m else 0 for m in cols]
+            for x in rng.sample(range(128), 40)]
+    ncols = len(cols)
+    assert len(rows) * ncols >= linalg._INT64_MIN_CELLS
+    v = [rng.randint(-6, 6) for _ in range(ncols)]
+    in_span = [sum(row[c] for row in rows[::3]) for c in range(ncols)]
+    got = [staircase_column(rows, ncols, u) for u in (v, in_span)]
+    assert paths["int64"] == 2 and paths["bareiss"] == 0
+    ech, pivots = _echelon_ff(rows_to_int(rows), ncols)
+    want = [next((c for c, a in enumerate(_residual(ech, pivots, u)) if a),
+                 None) for u in (v, in_span)]
+    assert got == want
+    assert got[0] is not None and got[1] is None

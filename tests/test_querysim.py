@@ -962,3 +962,12 @@ class TestCircuitFile:
         algo = verifier_to_ndet(or2_verifier(), make_named("OR", 2))
         with pytest.raises(ValueError, match="serialized"):
             circuit_to_lines(algo)
+
+
+def test_circuit_prep_parts_of_different_lengths_rejected():
+    # an im part shorter than re used to build, and the exact and float
+    # simulations then disagreed on it
+    line = ('{"gate":"PREP","qubits":[0],"data":{"n":1,"query_cost":0,'
+            '"output_qubit":0,"re":["0","0"],"im":["1"],"scale2":"1"}}')
+    with pytest.raises(ValueError, match="differ in length"):
+        circuit_from_lines([line])

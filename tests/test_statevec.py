@@ -1,15 +1,19 @@
-"""The dense-gate kernel on exact states, against a plain dense Fraction
-matrix-vector product."""
+"""The exact gates against plain references: the dense-gate kernel
+against a dense Fraction matrix-vector product, the projector gates against
+list loops, and the label maps against direct label arithmetic."""
 
 import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ndqc.statevec import ExactState, ScaledMatrix, Unitary, apply_gate
+from ndqc.querysim import StatePrep
+from ndqc.statevec import (ExactState, FlipOnProjector, FlipOnZero,
+                           PrepState, ScaledMatrix, Swap, Unitary, apply_gate)
 
-from helpers import dense_gate_reference
+from helpers import dense_gate_reference, projector_gate_reference
 
 F = Fraction
 
@@ -113,3 +117,106 @@ def test_dense_gate_matches_reference(qubits, complex_gate, complex_state):
         seen |= {"fraction" for v in entries if type(v) is Fraction}
     # the gates held zero entries and Fraction entries
     assert seen == {"zero", "fraction"}
+
+
+def _exact_parts(state):
+    """re and im are lists of ints and Fractions (im None when real)."""
+    return (type(state.re) is list
+            and (state.im is None or type(state.im) is list)
+            and _exact_types(state.re) and _exact_types(state.im or ()))
+
+
+def _random_vec(rng, register):
+    vec = [0]
+    while not any(vec):
+        vec = [rng.randint(-4, 4)
+               for _ in range(rng.randint(1, 1 << len(register)))]
+    return vec
+
+
+@pytest.mark.parametrize("register", [(0, 1), (1, 0), (0, 3), (3, 1),
+                                      (4, 2, 0), (2,)], ids=str)
+def test_prep_state_matches_reference(register):
+    rng = random.Random(f"prep {register}")
+    num_qubits = 5
+    mask = sum(1 << q for q in register)
+    for _ in range(12):
+        state = _random_state(rng, num_qubits, False)
+        # the register must read |0>
+        state = ExactState([0 if i & mask else a
+                            for i, a in enumerate(state.re)], None,
+                           F(rng.randint(1, 50), rng.randint(1, 7)))
+        gate = PrepState(register, _random_vec(rng, register))
+        want = projector_gate_reference(state, num_qubits, gate)
+        out = apply_gate(state, num_qubits, gate)
+        assert (out.re, out.im, out.scale2) == (want[0], None, want[1])
+        assert _exact_parts(out)
+
+
+@pytest.mark.parametrize("target, register", [
+    (0, (1, 3)), (2, (1, 3)), (4, (1, 3)),      # below, between, above
+    (0, (3, 1)), (2, (3, 1)), (4, (3, 1)),      # the register reversed
+    (3, (0, 1)), (0, (2, 1)), (2, (0, 1, 4)), (1, (4,))], ids=str)
+def test_flip_on_projector_matches_reference(target, register):
+    rng = random.Random(f"flip {target} {register}")
+    num_qubits = 5
+    for _ in range(12):
+        state = _random_state(rng, num_qubits, False)
+        state.scale2 = F(rng.randint(1, 50), rng.randint(1, 7))
+        gate = FlipOnProjector(target, register, _random_vec(rng, register))
+        want = projector_gate_reference(state, num_qubits, gate)
+        out = apply_gate(state, num_qubits, gate)
+        assert (out.re, out.im, out.scale2) == (want[0], None, want[1])
+        assert _exact_parts(out)
+
+
+def _swap_label(i, a, b):
+    return i ^ ((1 << a) | (1 << b)) if (i >> a ^ i >> b) & 1 else i
+
+
+@pytest.mark.parametrize("gate", [Swap(0, 3), Swap(4, 1), FlipOnZero((), 2),
+                                  FlipOnZero((0, 4), 2), FlipOnZero((3,), 0)],
+                         ids=repr)
+@pytest.mark.parametrize("complex_state", [False, True],
+                         ids=["real-state", "complex-state"])
+def test_label_maps_match_reference(gate, complex_state):
+    rng = random.Random(f"{gate!r} {complex_state}")
+    num_qubits = 5
+    for _ in range(6):
+        state = _random_state(rng, num_qubits, complex_state)
+        if isinstance(gate, Swap):
+            src = [_swap_label(i, gate.a, gate.b) for i in range(32)]
+        else:
+            src = [i ^ 1 << gate.target
+                   if not any(i >> c & 1 for c in gate.controls) else i
+                   for i in range(32)]
+        want = tuple(None if part is None else [part[j] for j in src]
+                     for part in (state.re, state.im))
+        scale2 = state.scale2
+        out = apply_gate(state, num_qubits, gate)
+        assert (out.re, out.im, out.scale2) == want + (scale2,)
+        assert _exact_parts(out)
+
+
+def test_numpy_integers_stored_as_python_ints():
+    # a^2 + b^2 is beyond int64: kept as numpy integers, the exact checks
+    # would wrap
+    a, b = np.int64(9 * 10 ** 9), np.int64(12 * 10 ** 9)
+    scale2 = int(a) ** 2 + int(b) ** 2
+    mat = ScaledMatrix(((a, -b), (b, a)), ((0, F(a, 7)), (F(b), 0)), scale2)
+    assert ScaledMatrix(((a, -b), (b, a)), None, scale2).is_unitary()
+    prep = StatePrep((a, b), None, scale2)
+    # Fractions of numpy integers become Fractions of ints
+    prep_c = StatePrep((np.int64(3), 0), (0, F(np.int64(4))),
+                       F(np.int64(25)))
+    stored = [v for part in (mat.re, mat.im) for row in part for v in row]
+    stored += [*prep.re, *prep_c.re, *prep_c.im, prep.scale2, prep_c.scale2,
+               mat.scale2]
+    assert {type(v) for v in stored} == {int, F}
+    assert all(type(v.numerator) is int and type(v.denominator) is int
+               for v in stored)
+
+
+def test_prep_parts_of_different_lengths_rejected():
+    with pytest.raises(ValueError, match="differ in length"):
+        StatePrep((0, 0), (1,), 1)
