@@ -21,6 +21,7 @@ CERT_MAX_CAP = 12     # certificates and block sensitivity: the subcube table
 DEPTH_CAP = 5         # decision tree depth
 
 FAMILIES = ("OR", "AND", "PARITY", "NOT_ONE", "CONST0", "CONST1")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _FIXED = np.array([1, 1, 0], np.int8)   # codimension per ternary digit
 
 
@@ -362,12 +363,7 @@ def symmetric_profile(f: TruthTable) -> SymmetricProfile:
 
 def format_table(f: TruthTable) -> str:
     nibbles = max(1, (f.size + 3) // 4)
-    digits = []
-    bits = f.bits
-    for _ in range(nibbles):
-        digits.append(format(bits & 0xF, "x"))
-        bits >>= 4
-    return f"n={f.n};hex={''.join(digits)}"
+    return f"n={f.n};hex={format(f.bits, f'0{nibbles}x')[::-1]}"
 
 
 def parse_table(text: str) -> TruthTable:
@@ -384,7 +380,7 @@ def parse_table(text: str) -> TruthTable:
     expect = max(1, ((1 << n) + 3) // 4)
     if len(hexs) != expect:
         raise ValueError(f"expected {expect} hex digits for n={n}")
-    bits = 0
-    for i, ch in enumerate(hexs):
-        bits |= int(ch, 16) << (4 * i)
-    return TruthTable(n, bits)
+    # int(..., 16) also takes a sign, "_" and spaces: only digits pass here
+    if not _HEX_DIGITS.issuperset(hexs):
+        raise ValueError("table digits must be 0-9, a-f or A-F")
+    return TruthTable(n, int(hexs[::-1], 16))

@@ -18,8 +18,6 @@ from .polys import DEFAULT_SEED
 
 THEOREM_EXHAUSTIVE_CAP = 3
 THEOREM_SAMPLE_CAP = 5
-INEQUALITIES = ("ndeg<=C1", "C0<=bs0*ndeg", "D<=C0*ndeg", "D<=bs0*ndeg^2",
-                "ndeg>=log2(1/Pr[f=1])", "z/2<=ndeg<=z")
 
 
 def _emit(text: str, out_path, command: str, code: int) -> int:
@@ -72,46 +70,46 @@ def cmd_analyze(args) -> int:
 # theorems
 
 
-def _z_bounds_entry(f, nd):
+def _z_bounds(m):
+    """Vacuous unless f is symmetric; z counts its zero weights."""
     try:
-        prof = boolfn.symmetric_profile(f)
+        z = boolfn.symmetric_profile(m.f).z
     except boolfn.NotSymmetric:
-        return None
-    return 2 * nd >= prof.z and nd <= prof.z
+        return True
+    return z <= 2 * m["ndeg"] and m["ndeg"] <= z
+
+
+# each inequality as a predicate over one function's report.Measures
+INEQUALITIES = {
+    "ndeg<=C1": lambda m: m["ndeg"] <= m["C1"],
+    "C0<=bs0*ndeg": lambda m: (m.f.bits == (1 << m.f.size) - 1
+                               or m["C0"] <= m["bs0"] * m["ndeg"]),
+    "D<=C0*ndeg": lambda m: (m.f.is_constant()
+                             or m["D"] <= m["C0"] * m["ndeg"]),
+    "D<=bs0*ndeg^2": lambda m: (m.f.is_constant()
+                                or m["D"] <= m["bs0"] * m["ndeg"] ** 2),
+    "ndeg>=log2(1/Pr[f=1])":
+        lambda m: (1 << m["ndeg"]) * m.f.bits.bit_count() >= m.f.size,
+    "z/2<=ndeg<=z": _z_bounds,
+}
 
 
 def _theorem_rows(f, seed):
-    """(inequality, pass) rows for one function; vacuous rows pass.
+    """(inequality, pass) rows for one function; vacuous rows, and every
+    row of f = 0, pass.
 
     Failing rows carry the full measured values as witness data.
     """
     name = boolfn.format_table(f)
-    if f.bits == 0:
-        return [{"function": name, "inequality": iq, "pass": True}
-                for iq in INEQUALITIES]
-    nd, cert = polys.ndeg(f, seed=seed)
-    cubes = boolfn.SubcubeTable(f)
-    c0, c1 = cubes.c_max(0), cubes.c_max(1)
-    b0 = cubes.bs_max(0)
-    depth = cubes.depth()
-    ones = len(f.ones())
-    rows = [
-        ("ndeg<=C1", nd <= c1),
-        ("C0<=bs0*ndeg", c0 <= b0 * nd or f.bits == (1 << f.size) - 1),
-        ("D<=C0*ndeg", depth <= c0 * nd or f.is_constant()),
-        ("D<=bs0*ndeg^2", depth <= b0 * nd * nd or f.is_constant()),
-        ("ndeg>=log2(1/Pr[f=1])", (1 << nd) * ones >= f.size),
-    ]
-    zb = _z_bounds_entry(f, nd)
-    rows.append(("z/2<=ndeg<=z", True if zb is None else zb))
+    m = report.Measures(f, seed)
     out = []
-    for iq, ok in rows:
-        row = {"function": name, "inequality": iq, "pass": ok}
-        if not ok:
-            row["details"] = {
-                "ndeg": nd, "C0": c0, "C1": c1, "bs0": b0, "D": depth,
-                "ones": ones,
-                "witness": polys.format_poly(cert.witness)}
+    for iq, holds in INEQUALITIES.items():
+        row = {"function": name, "inequality": iq,
+               "pass": f.bits == 0 or holds(m)}
+        if not row["pass"]:
+            row["details"] = dict(
+                {k: m[k] for k in ("ndeg", "C0", "C1", "bs0", "D")},
+                ones=f.bits.bit_count(), witness=polys.format_poly(m.witness))
         out.append(row)
     return out
 
@@ -134,11 +132,8 @@ def cmd_theorems(args) -> int:
         rng = random.Random(args.seed)
         tables = [boolfn.random_table(args.n, rng)
                   for _ in range(args.samples)]
-    results = []
-    for f in tables:
-        results.extend(_theorem_rows(f, args.seed))
+    results = [row for f in tables for row in _theorem_rows(f, args.seed)]
     per_ineq = []
-    all_pass = True
     for iq in INEQUALITIES:
         rows = [r for r in results if r["inequality"] == iq]
         passes = sum(1 for r in rows if r["pass"])
@@ -148,7 +143,7 @@ def cmd_theorems(args) -> int:
                          "counterexamples": bad})
         _status(f"theorems: {iq}: {passes}/{len(rows)}"
                 + (f"  COUNTEREXAMPLES {bad}" if bad else ""))
-        all_pass = all_pass and not bad
+    all_pass = all(r["pass"] for r in results)
     rep = {
         "suite": "theorems",
         "n": args.n,
@@ -182,11 +177,12 @@ def _separation_query(args):
     p = polys.weight_offset_poly(n, 1)
     _check(checks, "eq1_poly_is_witness", polys.verify_ndet(p, f),
            "weight-minus-one polynomial is nondeterministic for f")
-    nd, cert = polys.ndeg(f, seed=args.seed)
-    values["ndeg"] = values["NQ"] = nd
+    m = report.Measures(f, args.seed)
+    nd = values["ndeg"] = m["ndeg"]
     _check(checks, "ndeg_is_1", nd == 1, f"ndeg={nd}")
     algo = querysim.compile_from_ndet_poly(p, f)
-    values["query_cost"] = algo.query_cost
+    # NQ(f) is at most the query cost of the algorithm verified below
+    values["query_cost"] = values["NQ"] = algo.query_cost
     _check(checks, "compiled_cost_1", algo.query_cost == 1, "")
     # c^2 = 1 / (n^2/4 - 3n/4 + 1), so the expected acceptance
     # c^2 p(x)^2 / 2^n is 4 v^2 / e for p(x) = v / pden
@@ -207,12 +203,11 @@ def _separation_query(args):
             (a > 0) == (f.value(x) == 1) for x, a in enumerate(accs))
     _check(checks, "compiled_acceptance_c2p2", ok,
            "acceptance = c^2 p(x)^2 / 2^n on every input, positive iff f=1")
-    nq = boolfn.n_query(f)
-    values["N"] = nq
+    nq = values["N"] = m["N"]
     _check(checks, "N_equals_n", nq == n, f"N={nq}")
     if n <= 5:
-        ndc, certc = polys.ndeg(f.complement(), seed=args.seed)
-        values["ndeg_complement"] = ndc
+        ndc = values["ndeg_complement"] = report.Measures(
+            f.complement(), args.seed)["ndeg"]
         _check(checks, "ndeg_complement_ge_n_minus_1", ndc >= n - 1,
                f"ndeg(complement)={ndc}")
         if n == 2:

@@ -17,7 +17,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .statevec import (DIM_CAP, HADAMARD, ExactState, FlipOnZero,
 from .statevec import apply_scaled_matrix  # noqa: F401
 
 SYMBOLIC_DIM_CAP = 1 << 14
+SYMBOLIC_CELL_CAP = 1 << 24   # monomial rows times basis labels
 FLOAT_NORM_TOL = 1e-12
 VERIFIER_N_CAP = 4
 VERIFIER_M_CAP = 6
@@ -367,13 +368,17 @@ def symbolic_simulate(algo: QueryAlgorithm) -> SymbolicState:
     Requires real rational gates; input-indexed gates have no polynomial
     form and are rejected.  Amplitude degrees are checked against the
     running query count after every gate, and a product that would leave
-    the array raises DegreeBoundViolation.
+    the array raises DegreeBoundViolation.  Above SYMBOLIC_DIM_CAP labels
+    or SYMBOLIC_CELL_CAP cells it raises CapExceeded before allocating.
     """
-    if (1 << algo.num_qubits) > SYMBOLIC_DIM_CAP:
+    n, nq = algo.n, algo.num_qubits
+    if (1 << nq) > SYMBOLIC_DIM_CAP:
         raise CapExceeded("symbolic state dimension above 2^14")
+    rows = sum(comb(n, w) for w in range(algo.query_cost + 1))
+    if rows << nq > SYMBOLIC_CELL_CAP:
+        raise CapExceeded(f"{rows} x 2^{nq} symbolic state cells above 2^24")
     if algo.prep.im is not None:
         raise ValueError("complex initial state unsupported symbolically")
-    n, nq = algo.n, algo.num_qubits
     masks = sorted((sum(1 << i for i in c)
                     for w in range(algo.query_cost + 1)
                     for c in itertools.combinations(range(n), w)),

@@ -7,6 +7,7 @@ identical flags and seed produce byte-identical files.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from . import boolfn, polys
 from .boolfn import CapExceeded, TruthTable
@@ -37,63 +38,65 @@ def report(data, fmt: str = "json") -> str:
     return "\n".join(lines) + "\n" if fmt == "csv" else dump_report(data)
 
 
-def _measure(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except CapExceeded as e:
-        return {"skipped": str(e)}
+class Measures(dict):
+    """The MEASURE_KEYS of one function, each filled on its first read by
+    the one engine in _ENGINES that decides it.  A cap hit reads
+    {"skipped": reason}, and ndeg of f = 0 {"error": "IdenticallyZero"}."""
+
+    def __init__(self, f: TruthTable, seed: int):
+        self.f, self.seed = f, seed
+        self.witness = None      # set when ndeg is read
+
+    def __missing__(self, key):
+        try:
+            value = _ENGINES[key](self)
+        except CapExceeded as e:
+            value = {"skipped": str(e)}
+        except polys.IdenticallyZero:
+            value = {"error": "IdenticallyZero"}
+        self[key] = value
+        return value
+
+    @cached_property
+    def cubes(self) -> boolfn.SubcubeTable:
+        return boolfn.SubcubeTable(self.f)
+
+    def _ndeg(self) -> int:
+        nd, cert = polys.ndeg(self.f, seed=self.seed)
+        self.witness = cert.witness
+        return nd
 
 
-def compute_measures(f: TruthTable, seed: int):
-    """All MeasureReport measures, honoring per-operation caps.
-
-    Returns (measures dict, witness polynomial or None).
-    """
-    measures = {}
-    witness = None
-    p = _measure(polys.exact_poly, f)
-    measures["deg"] = p.degree if not isinstance(p, dict) else p
-    try:
-        nd, cert = polys.ndeg(f, seed=seed)
-        measures["ndeg"] = nd
-        witness = cert.witness
-    except CapExceeded as e:
-        measures["ndeg"] = {"skipped": str(e)}
-    except polys.IdenticallyZero:
-        measures["ndeg"] = {"error": "IdenticallyZero"}
-    cubes = boolfn.SubcubeTable(f)
-    measures["C0"] = _measure(cubes.c_max, 0)
-    measures["C1"] = _measure(cubes.c_max, 1)
-    measures["bs0"] = _measure(cubes.bs_max, 0)
-    measures["bs1"] = _measure(cubes.bs_max, 1)
-    measures["D"] = _measure(cubes.depth)
-    measures["N"] = measures["C1"]
-    measures["NQ"] = measures["ndeg"]
-    return measures, witness
+# ndeg also sets the witness; the table measures share one SubcubeTable
+_ENGINES = {
+    "deg": lambda m: polys.exact_poly(m.f).degree,
+    "ndeg": Measures._ndeg,
+    "C0": lambda m: m.cubes.c_max(0), "C1": lambda m: m.cubes.c_max(1),
+    "bs0": lambda m: m.cubes.bs_max(0), "bs1": lambda m: m.cubes.bs_max(1),
+    "D": lambda m: m.cubes.depth(),
+    "N": lambda m: m["C1"], "NQ": lambda m: m["ndeg"],
+}
 
 
 def build_measure_report(f: TruthTable, seed: int, config: dict) -> dict:
-    measures, witness = compute_measures(f, seed)
+    m = Measures(f, seed)
+    measures, witness = {k: m[k] for k in MEASURE_KEYS}, m.witness
     checks = []
     if witness is not None:
-        checks.append({
-            "name": "witness_verifies",
-            "pass": polys.verify_ndet(witness, f),
-            "details": "exact nonzero-pattern check over all inputs"})
-        checks.append({
-            "name": "witness_degree_matches",
-            "pass": witness.degree == measures["ndeg"],
-            "details": f"deg(witness)={witness.degree}"})
-    checks.append({
-        "name": "nq_equals_ndeg",
-        "pass": measures["NQ"] == measures["ndeg"],
-        "details": "NQ(f)=ndeg(f) identity"})
+        checks += [("witness_verifies", polys.verify_ndet(witness, f),
+                    "exact nonzero-pattern check over all inputs"),
+                   ("witness_degree_matches",
+                    witness.degree == measures["ndeg"],
+                    f"deg(witness)={witness.degree}")]
+    checks.append(("nq_equals_ndeg", measures["NQ"] == measures["ndeg"],
+                   "NQ(f)=ndeg(f) identity"))
     return {
         "function": boolfn.format_table(f),
         "n": f.n,
         "measures": measures,
         "witness": polys.format_poly(witness) if witness is not None else None,
-        "checks": checks,
+        "checks": [{"name": name, "pass": ok, "details": details}
+                   for name, ok, details in checks],
         "seed": seed,
         "config": config,
     }

@@ -533,6 +533,21 @@ def test_format_round_trip(n, data):
     assert parse_table(format_table(f)) == f
 
 
+def test_format_round_trip_n20():
+    f = random_table(20, random.Random(20))
+    text = format_table(f)
+    assert len(text) == len("n=20;hex=") + (1 << 18)
+    assert parse_table(text) == f
+
+
+@pytest.mark.parametrize("text", ["n=4;hex=1_23", "n=3;hex= 1", "n=3;hex=+1",
+                                  "n=3;hex=-1"])
+def test_parse_table_rejects_what_int_accepts(text):
+    # int(..., 16) takes "_", a sign and surrounding spaces
+    with pytest.raises(ValueError, match="digits must be"):
+        parse_table(text)
+
+
 def test_parse_table_rejects_garbage():
     for bad in ("", "n=2;hex=", "hex=6;n=2", "n=2;hex=666", "n=a;hex=6",
                 "n=0;hex=0", "n=1000000000000;hex=0"):

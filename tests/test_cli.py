@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -606,6 +607,85 @@ class TestReportLoader:
                                           {"mode": "exact"})
         assert "skipped" in rep["measures"]["D"]
         assert rep["measures"]["ndeg"] == 1
+
+
+def _spy_engines(monkeypatch):
+    """Count the calls of every measure engine report.Measures may pick."""
+    calls = {"exact_poly": 0, "ndeg": 0, "SubcubeTable": 0, "bs_max(1)": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(polys, "exact_poly",
+                        counted("exact_poly", polys.exact_poly))
+    monkeypatch.setattr(polys, "ndeg", counted("ndeg", polys.ndeg))
+    monkeypatch.setattr(boolfn.SubcubeTable, "__init__", counted(
+        "SubcubeTable", boolfn.SubcubeTable.__init__))
+    bs_max = boolfn.SubcubeTable.bs_max
+
+    def bs_max_spy(self, b):
+        calls["bs_max(1)"] += b == 1
+        return bs_max(self, b)
+
+    monkeypatch.setattr(boolfn.SubcubeTable, "bs_max", bs_max_spy)
+    return calls
+
+
+class TestMeasures:
+    def test_cap_and_error_policy(self):
+        zero = report.Measures(boolfn.TruthTable(3, 0), 1)
+        assert zero["ndeg"] == {"error": "IdenticallyZero"}
+        assert zero["NQ"] == zero["ndeg"] and zero["deg"] == -1
+        assert zero.witness is None
+        assert "skipped" in report.Measures(make_named("OR", 11), 1)["ndeg"]
+        m13 = report.Measures(make_named("OR", 13), 1)
+        assert "skipped" in m13["C0"] and m13["N"] == m13["C1"]
+        assert m13["C1"] == {"skipped": "certificate maxima capped at n<=12"}
+
+    def test_filled_on_first_read(self):
+        m = report.Measures(make_named("OR", 3), 1)
+        assert m == {} and m.witness is None
+        assert m["C1"] == 1 and set(m) == {"C1"} and m.witness is None
+        assert m["NQ"] == 1 and set(m) == {"C1", "NQ", "ndeg"}
+        assert m.witness.degree == 1
+        with pytest.raises(KeyError):
+            m["size"]
+
+    @pytest.mark.parametrize("argv", [
+        ["theorems", "--n", "3", "--exhaustive"],
+        ["separation", "query", "--n", "4"]])
+    def test_unread_engines_never_run(self, argv, monkeypatch, capsys):
+        calls = _spy_engines(monkeypatch)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls["exact_poly"] == calls["bs_max(1)"] == 0
+        # separation query: one table for N, none for the complement
+        if argv[0] == "separation":
+            assert calls["SubcubeTable"] == 1 and calls["ndeg"] == 2
+
+    def test_analyze_runs_each_engine_once(self, monkeypatch, capsys):
+        calls = _spy_engines(monkeypatch)
+        code, out = run_cli(["analyze", "--family", "NOT_ONE", "--n", "4"],
+                            capsys)
+        checks = json.loads(out)["checks"]
+        assert code == 0 and len(checks) == 3
+        assert all(c["pass"] for c in checks)
+        assert calls == {"exact_poly": 1, "ndeg": 1, "SubcubeTable": 1,
+                         "bs_max(1)": 1}
+
+    def test_analyze_at_storage_cap(self, capsys):
+        # every measure is capped at n = 24; the table itself is 2^22 digits
+        start = time.perf_counter()
+        code, out = run_cli(["analyze", "--family", "OR", "--n",
+                             str(boolfn.STORAGE_CAP)], capsys)
+        assert time.perf_counter() - start < 10
+        rep = json.loads(out)
+        assert code == 0 and rep["witness"] is None
+        assert all(set(v) == {"skipped"} for v in rep["measures"].values())
+        assert boolfn.parse_table(rep["function"]) == make_named("OR", 24)
 
 
 def test_console_script_end_to_end():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import ndqc
 from ndqc import linalg, querysim, statevec
-from ndqc.boolfn import TruthTable, make_named, random_table
+from ndqc.boolfn import CapExceeded, TruthTable, make_named, random_table
 from ndqc.polys import (MONOMIAL, IdenticallyZero, InvalidWitness,
                         MultilinearPoly,
                         RetryCapExceeded, format_poly, ndeg, to_fourier, verify_ndet,
@@ -490,6 +491,22 @@ class TestExtraction:
         algo = verifier_to_ndet(or2_verifier(), f)
         with pytest.raises(ValueError, match="no symbolic form"):
             extract_ndet_poly(algo, f, seed=3)
+
+    def test_cell_cap_before_allocation(self):
+        # 2^8 labels pass the dimension cap, but four queries at n = 40
+        # need C(40, <=4) = 102,091 monomial rows: 26 M cells, 209 MB
+        algo = QueryAlgorithm(
+            n=40, num_qubits=8, prep=basis_prep(8),
+            gates=(BitOracle(tuple(range(6)), 6),) * 4, query_cost=4,
+            output_qubit=7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="102091 x 2\\^8"):
+                symbolic_simulate(algo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_not_nondeterministic(self):
         f = make_named("OR", 2)

@@ -61,3 +61,27 @@ def test_unused_imports_are_tracer_pins():
                 found |= {(path.stem, alias.asname or alias.name)
                           for alias in node.names}
     assert found and found <= pinned, f"not pinned: {sorted(found - pinned)}"
+
+
+# the engines behind report.Measures; the CLI reads measures from it only
+MEASURE_ENGINES = {
+    "polys": {"ndeg", "ndeg_decide", "symmetric_ndeg", "exact_poly"},
+    "boolfn": {"SubcubeTable", "n_query", "c_zero", "c_one", "bs_zero",
+               "bs_one", "decision_tree_depth"},
+}
+
+
+def test_cli_names_no_measure_engine():
+    path = next(p for p in SRC if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [(node.lineno, f"{node.value.id}.{node.attr}")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.attr in MEASURE_ENGINES.get(node.value.id, ())]
+    found += [(node.lineno, f"{node.module}.{alias.name}")
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)
+              for alias in node.names
+              if alias.name in MEASURE_ENGINES.get(node.module, ())]
+    assert found == [], f"cli.py names measure engines: {found}"
