@@ -55,9 +55,14 @@ def cmd_analyze(args) -> int:
             f = boolfn.make_named(args.family, args.n)
             source = f"family:{args.family}:{args.n}"
         else:
-            f = boolfn.parse_table(args.table)
-            source = f"table:{args.table}"
-    except (ValueError, KeyError) as e:
+            text = args.table
+            if text.startswith("@"):
+                # one argument is capped at 128 KiB, below an n = 19 table
+                with open(text[1:]) as fh:
+                    text = fh.read().strip()
+            f = boolfn.parse_table(text)
+            source = f"table:{text}"
+    except (OSError, ValueError, KeyError) as e:
         _status(f"analyze: {e}")
         return 2
     config = {"mode": args.mode, "source": source}
@@ -376,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(p, root=False)
     p.add_argument("--family", choices=boolfn.FAMILIES)
     p.add_argument("--n", type=int)
-    p.add_argument("--table", help="n=<k>;hex=<...> truth table")
+    p.add_argument("--table", help="n=<k>;hex=<...> truth table, or "
+                   "@PATH to read it from a file")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("theorems", help="inequality suite over functions")

@@ -9,6 +9,10 @@ rows that `echelon` returns.  Large systems are eliminated in numpy int64
 rather than Python ints: before every step a bound proves that no value can
 wrap, and from the first step where it cannot, the work goes on in Python
 ints, so the result is the same.
+
+The one exception is `full_column_rank_mod_p`, a one-sided certificate:
+its True is a proof of full column rank over the integers, and its False
+decides nothing.
 """
 
 from fractions import Fraction
@@ -20,6 +24,8 @@ import numpy as np
 _INT64_MIN_CELLS = 4096
 # An int64 step is run only when every value it forms is below this bound.
 _INT64_SAFE = 1 << 62
+# The largest prime below 2^20: the modulus of `full_column_rank_mod_p`.
+_PRIME = 1_048_573
 
 
 def rows_to_int(rows):
@@ -160,6 +166,39 @@ def _eliminate(rows, ncols):
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     return _echelon_ff(rows_to_int(rows), ncols)
+
+
+def full_column_rank_mod_p(rows, ncols):
+    """True only if the integer matrix rows has rank ncols.
+
+    Gaussian elimination over GF(p), p = _PRIME, in int64.  A pivot in
+    every column is a nonzero ncols x ncols minor mod p, hence over the
+    integers, so True is a proof; False, at the first column with no pivot
+    mod p, proves nothing.  Each pivot subtracts the outer product of its
+    column and row, both reduced mod p, from the block below, so no entry
+    exceeds p + ncols * p^2, which is checked against _INT64_SAFE first.
+    """
+    p = _PRIME
+    if p + ncols * p * p >= _INT64_SAFE:
+        return False
+    if isinstance(rows, np.ndarray):
+        m = rows % p
+    else:       # Python ints beyond int64 are reduced before numpy sees them
+        m = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
+    m = m.astype(np.int64, copy=False).reshape(len(rows), ncols)
+    for c in range(ncols):
+        col = m[c:, c] % p
+        nz = np.flatnonzero(col)
+        if not nz.size:
+            return False
+        k = nz[0]
+        if k:
+            m[[c, c + k]] = m[[c + k, c]]
+            col[[0, k]] = col[[k, 0]]
+        inv = pow(int(col[0]), -1, p)
+        m[c + 1:, c + 1:] -= np.multiply.outer(col[1:] * inv % p,
+                                               m[c, c + 1:] % p)
+    return True
 
 
 def kernel_vector(ech, pivots, ncols, free_values):

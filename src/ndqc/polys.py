@@ -23,7 +23,8 @@ import numpy as np
 
 from .boolfn import (CERT_MAX_CAP, CapExceeded, SubcubeTable, SymmetricProfile,
                      TruthTable)
-from .linalg import _residual, echelon, kernel_vector, staircase_column
+from .linalg import (_residual, echelon, full_column_rank_mod_p,
+                     kernel_vector, staircase_column)
 # no caller here: kept as a name the perfbench tracer requires to rebind
 # (perfbench/tracer.py MUST_REBIND)
 from .linalg import nullspace  # noqa: F401
@@ -32,7 +33,10 @@ MONOMIAL = "MONOMIAL"
 FOURIER = "FOURIER"
 
 POLY_TABLE_CAP = 16   # operations that touch all 2^n points
-NDEG_CAP = 10
+NDEG_CAP = 11
+# Below this many cells the exact Bareiss rank is quicker than numpy's
+# per-pivot cost in `full_column_rank_mod_p`.
+_MOD_P_MIN_CELLS = 256
 DEFAULT_SEED = 20030  # all randomized constructions default to this stream
 
 
@@ -437,15 +441,44 @@ def ndeg_decide(f: TruthTable, d: int, seed: int = DEFAULT_SEED,
 def ndeg(f: TruthTable, seed: int = DEFAULT_SEED):
     """Smallest degree admitting a nondeterministic polynomial, with certificate.
 
-    Scans d upward from d0 = n - floor(log2 |f^{-1}(1)|); raises
-    IdenticallyZero for f == 0.  Below d0, V_d = {0} (Nisan-Szegedy): a
-    nonzero p of degree <= d is nonzero on 2^(n-d) > |f^{-1}(1)| inputs or
-    more, so those probes would return ones[0] without a random draw.
+    Scans d upward; raises IdenticallyZero for f == 0.  The probes it skips
+    have V_d = {0}: they would return ones[0] with no random draw, so the
+    probes it runs see the same random stream.  Below d0 = n - floor(log2
+    |f^{-1}(1)|), V_d = {0} (Nisan-Szegedy: a nonzero p of degree <= d is
+    nonzero on 2^(n-d) > |f^{-1}(1)| inputs or more).  The reduced system
+    (see `ndeg_decide`) has no more low ones than high zeros exactly for
+    d <= t, as the first count rises with d and the second falls.  If
+    t > d0 and the system at t has full column rank, V_t = {0}, and V_d
+    lies in V_(d+1), so the scan starts at t + 1.  A large system's rank is
+    shown by `full_column_rank_mod_p`, whose True is a proof; on False the
+    scan starts at d0.
     """
+    if f.n > NDEG_CAP:
+        raise CapExceeded(f"ndeg capped at n<={NDEG_CAP}")
     rng = random.Random(seed)
-    start = f.n + 1 - f.bits.bit_count().bit_length()
+    n = f.n
+    ones = f.ones()
+    start = n + 1 - len(ones).bit_length()
+    ones_at = [0] * (n + 1)
+    for x in ones:
+        ones_at[x.bit_count()] += 1
+    t, low, high = -1, 0, f.size - len(ones)
+    for d in range(n + 1):
+        low += ones_at[d]
+        high -= comb(n, d) - ones_at[d]
+        if low > high:
+            break
+        t = d
+    if t > start:
+        cols, rows = _reduced_system(f, t, _ball_weights(n, t))
+        if rows.size >= _MOD_P_MIN_CELLS:
+            full = full_column_rank_mod_p(rows, len(cols))
+        else:
+            full = len(echelon(rows, len(cols))[1]) == len(cols)
+        if full:
+            start = t + 1
     # f == 0 gives start = n + 1; probing d = n raises its typed error
-    for d in range(min(start, f.n), f.n + 1):
+    for d in range(min(start, n), n + 1):
         cert = ndeg_decide(f, d, rng=rng)
         if cert.feasible:
             return d, cert

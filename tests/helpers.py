@@ -1,12 +1,13 @@
 """Shared fixtures for the test suite."""
 
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from ndqc import linalg
+from ndqc import linalg, polys
 from ndqc.polys import MONOMIAL, MultilinearPoly, _combine
 from ndqc.querysim import BitOracle, VerifierSpec, basis_prep
 from ndqc.statevec import (FlipOnZero, PrepState, Swap, Unitary,
@@ -156,6 +157,20 @@ def spy_nullspace_paths(monkeypatch):
     return paths
 
 
+def spy_certificates(monkeypatch):
+    """The answer of every `full_column_rank_mod_p` call `polys.ndeg`
+    makes, in order."""
+    shown = []
+    real = polys.full_column_rank_mod_p
+
+    def spy(rows, ncols):
+        shown.append(real(rows, ncols))
+        return shown[-1]
+
+    monkeypatch.setattr(polys, "full_column_rank_mod_p", spy)
+    return shown
+
+
 # ---------------------------------------------------------------------------
 # ndeg oracles: the coefficient-space and value-space systems that the
 # reduced Hamming-ball system replaced, each solved for a whole basis of V_d
@@ -187,6 +202,18 @@ def ndeg_dual_oracle(f, d):
     evidence = next((x for j, x in enumerate(ones)
                      if not any(vec[j] for vec in basis)), None)
     return len(basis), evidence
+
+
+def ndeg_scan_reference(f, seed=polys.DEFAULT_SEED):
+    """`polys.ndeg` as it was before its full-rank shortcut: one probe per
+    degree from the Nisan-Szegedy start d0 on, with one random stream."""
+    rng = random.Random(seed)
+    start = f.n + 1 - f.bits.bit_count().bit_length()
+    for d in range(min(start, f.n), f.n + 1):
+        cert = polys.ndeg_decide(f, d, rng=rng)
+        if cert.feasible:
+            return d, cert
+    raise polys.EngineInvariantBroken("degree n is always feasible")
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,29 @@ class TestAnalyze:
         code, _ = run_cli(["analyze", "--table", "n=2;hex=zz"], capsys)
         assert code == 2
 
+    def test_table_from_file(self, tmp_path, capsys):
+        # an n = 20 table is 262,152 characters, past Linux's 128 KiB cap
+        # on one argument; from a file it gives the family's measures
+        p = tmp_path / "or20.txt"
+        p.write_text(boolfn.format_table(make_named("OR", 20)) + "\n")
+        code, out = run_cli(["analyze", "--table", f"@{p}"], capsys)
+        _, family = run_cli(["analyze", "--family", "OR", "--n", "20"],
+                            capsys)
+        rep = json.loads(out)
+        assert code == 0 and rep["measures"] == json.loads(family)["measures"]
+        assert rep["config"]["source"] == \
+            "table:" + boolfn.format_table(make_named("OR", 20))
+
+    @pytest.mark.parametrize("text", [None, "n=2;hex=zz", ""])
+    def test_bad_table_file_exits_2(self, text, tmp_path, capsys):
+        p = tmp_path / "t.txt"
+        if text is not None:
+            p.write_text(text)
+        code = cli.main(["analyze", "--table", f"@{p}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("ndqc: seed=")
+        assert err.splitlines()[-1].startswith("analyze: ")
+
     def test_requires_one_source(self, capsys):
         code, _ = run_cli(["analyze"], capsys)
         assert code == 2
@@ -221,7 +244,7 @@ class TestSeparation:
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == f"separation {which}: {message}"
 
-    @pytest.mark.parametrize("n", [0, 11, 17, 25])
+    @pytest.mark.parametrize("n", [0, polys.NDEG_CAP + 1, 17, 25])
     def test_query_arity_outside_range_exits_2(self, n, capsys):
         # one range check, before any evaluation, states the ndeg cap
         code = cli.main(["separation", "query", "--n", str(n)])
@@ -229,6 +252,12 @@ class TestSeparation:
         assert code == 2 and out == ""
         assert err.splitlines()[-1] == \
             f"separation query: n={n} outside 1..{polys.NDEG_CAP}"
+
+    def test_query_at_ndeg_cap(self, capsys):
+        code, out = run_cli(["separation", "query", "--n",
+                             str(polys.NDEG_CAP)], capsys)
+        values = json.loads(out)["values"]
+        assert code == 0 and (values["ndeg"], values["N"]) == (1, 11)
 
     def test_query_float_mode(self, capsys):
         code, out = run_cli(["--mode", "float", "separation", "query",
@@ -640,7 +669,8 @@ class TestMeasures:
         assert zero["ndeg"] == {"error": "IdenticallyZero"}
         assert zero["NQ"] == zero["ndeg"] and zero["deg"] == -1
         assert zero.witness is None
-        assert "skipped" in report.Measures(make_named("OR", 11), 1)["ndeg"]
+        assert "skipped" in report.Measures(
+            make_named("OR", polys.NDEG_CAP + 1), 1)["ndeg"]
         m13 = report.Measures(make_named("OR", 13), 1)
         assert "skipped" in m13["C0"] and m13["N"] == m13["C1"]
         assert m13["C1"] == {"skipped": "certificate maxima capped at n<=12"}
@@ -723,8 +753,10 @@ REPORT_SHA256 = {
         "2f87c8009827904ee63c4e01ae996fd66120471afb9b0f62cde3cc83be39e035",
     "analyze --family PARITY --n 5":
         "407295fb080db751968e15fbab4eaa09fa7c94cce2f1384616f5b49f8aebe087",
+    # re-recorded when the ndeg cap rose from 10 to 11, which changed only
+    # the ndeg and NQ skip strings (788f250b... with "n<=10" in them)
     "analyze --family AND --n 13":
-        "788f250b89ac05dc2ce3d7643ec65cb729a8c6f80c36ed16fe84831fa966bc4c",
+        "0ae48d2c6bcb9a22e975e0e62c84f24fd7eb6e61f3f8094335931efb8e991f7f",
     "theorems --n 3 --exhaustive":
         "b7d35c1b208735048622cbd84ea3b1cc92f635e8aeaf58a81659fea73be21281",
     "theorems --n 5 --samples 50":

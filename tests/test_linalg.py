@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ndqc import linalg
-from ndqc.linalg import (_echelon_ff, _residual, dot, int_rank, nullspace,
-                         rows_to_int, staircase_column)
+from ndqc.linalg import (_echelon_ff, _residual, dot, full_column_rank_mod_p,
+                         int_rank, nullspace, rows_to_int, staircase_column)
 
 from helpers import spy_nullspace_paths
 
@@ -486,3 +487,78 @@ def test_staircase_column_takes_int64_kernel(seed, paths):
                  None) for u in (v, in_span)]
     assert got == want
     assert got[0] is not None and got[1] is None
+
+
+@st.composite
+def products(draw):
+    """A small-integer matrix A.B of rank at most r, tall or square as
+    often as not."""
+    ncols = draw(st.integers(1, 8))
+    nrows = draw(st.integers(max(1, ncols - 2), 10))
+    r = draw(st.integers(1, ncols))
+    ints = st.integers(-5, 5)
+    a = draw(st.lists(st.lists(ints, min_size=r, max_size=r),
+                      min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                      min_size=r, max_size=r))
+    return [[dot(row, col) for col in zip(*b)] for row in a], ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=st.one_of(products(), int_matrix.map(lambda m: (m, len(m[0])))),
+       prime=st.sampled_from([linalg._PRIME, 2, 3]))
+def test_full_column_rank_mod_p_true_is_a_proof(system, prime):
+    # a True from any prime, the patched 2 and 3 included, is a full rank
+    # over the integers; lists and int64 arrays get the same answer
+    rows, ncols = system
+    with mock.patch.object(linalg, "_PRIME", prime):
+        full = full_column_rank_mod_p(rows, ncols)
+        assert full_column_rank_mod_p(np.array(rows, dtype=np.int64),
+                                      ncols) == full
+    assert not full or int_rank(rows, ncols) == ncols
+    if (prime == linalg._PRIME and ncols <= 3
+            and max(abs(v) for row in rows for v in row) < 50):
+        # a minor of three columns with entries below 50 is below p, so
+        # no nonzero one vanishes mod p
+        assert full == (int_rank(rows, ncols) == ncols)
+
+
+P = linalg._PRIME
+
+
+@pytest.mark.parametrize("rows,ncols,full", [
+    ([[P, 0], [0, 1]], 2, False),                # diag(p, 1): 0 mod p
+    ([[1 << 70, 1], [3, 1]], 2, True),           # reduced before int64
+    ([[1 << 70, 1], [(1 << 70) % P, 1]], 2, False),  # rank 2 over Z only
+    ([[1, 2, 3]], 3, False),                     # wide: no pivot in col 1
+    ([[0, 1], [1, 0], [1, 1]], 2, True),         # a row swap
+    ([[]], 0, True)])
+def test_full_column_rank_mod_p_cases(rows, ncols, full):
+    assert full_column_rank_mod_p(rows, ncols) == full
+    if full:
+        assert int_rank(rows, ncols) == ncols
+
+
+def test_full_column_rank_mod_p_refuses_past_int64_bound(monkeypatch):
+    # with p = 2^31 - 1 two columns already allow p + 2 p^2 > 2^62
+    monkeypatch.setattr(linalg, "_PRIME", (1 << 31) - 1)
+    assert not full_column_rank_mod_p([[1, 0], [0, 1]], 2)
+    assert full_column_rank_mod_p([[1]], 1)
+
+
+def test_full_column_rank_mod_p_on_reduced_systems():
+    # the tall systems `polys.ndeg` certifies, against the exact rank
+    from ndqc.boolfn import random_table
+    from ndqc.polys import _ball_weights, _reduced_system
+    rng = random.Random(36)
+    answers = []
+    for n in (6, 7, 8):
+        for _ in range(4):
+            f = random_table(n, rng)
+            for d in range(n + 1):
+                low, rows = _reduced_system(f, d, _ball_weights(n, d))
+                if 0 < len(low) <= len(rows):
+                    exact = int_rank(rows.tolist(), len(low)) == len(low)
+                    assert full_column_rank_mod_p(rows, len(low)) == exact
+                    answers.append(exact)
+    assert sum(answers) > 10

@@ -28,7 +28,9 @@ from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
                         _ball_weights, _level_bound, _level_dmin,
                         _reduced_system, _resample)
 
-from helpers import ndeg_dual_oracle, ndeg_primal_oracle, spy_nullspace_paths
+from helpers import (ndeg_dual_oracle, ndeg_primal_oracle,
+                     ndeg_scan_reference, spy_certificates,
+                     spy_nullspace_paths)
 
 F = Fraction
 
@@ -330,26 +332,39 @@ class TestNdeg:
             ndeg(TruthTable(polys.NDEG_CAP + 1, 0))
 
     def test_probes_below_schwartz_bound_are_empty(self):
-        # below d0 = n - floor(log2 |f^{-1}(1)|) a probe finds an empty
-        # kernel: evidence ones[0] and no draw, so `ndeg` may skip it
+        # below d0 = n - floor(log2 |f^{-1}(1)|), and at every d <= t when
+        # the last tall reduced system (at t) has full column rank, a probe
+        # finds an empty kernel: evidence ones[0] and no draw, so `ndeg`
+        # may skip it
         rng = random.Random(29)
         tables = [TruthTable(n, bits) for n in (1, 2, 3)
                   for bits in range(1, 1 << (1 << n))]
         tables += [random_table(n, rng) for n in range(4, 9)
                    for _ in range(6)]
-        skipped = 0
+        skipped = past_d0 = 0
         for f in tables:
             ones = f.ones()
             d0 = f.n + 1 - len(ones).bit_length()
-            for d in range(d0):
+            systems = [_reduced_system(f, d, _ball_weights(f.n, d))
+                       for d in range(f.n + 1)]
+            tall = [d for d, (low, rows) in enumerate(systems)
+                    if len(low) <= len(rows)]
+            t = max(tall, default=-1)
+            assert tall == list(range(t + 1))
+            low, rows = systems[t]
+            full = t >= 0 and linalg.int_rank(rows.tolist(), len(low)) \
+                == len(low)
+            end = max(d0, t + 1) if full else d0
+            for d in range(end):
                 stream = random.Random(d)
                 state = stream.getstate()
                 cert = ndeg_decide(f, d, rng=stream)
                 assert (cert.feasible, cert.evidence) == (False, ones[0])
                 assert stream.getstate() == state, (f.n, f.bits, d)
                 skipped += 1
-            assert ndeg(f)[0] >= d0
-        assert skipped > len(tables)
+            past_d0 += max(0, end - d0)
+            assert ndeg(f)[0] >= end
+        assert skipped > len(tables) and past_d0 > 0
 
     def test_scan_starts_at_schwartz_bound(self, monkeypatch):
         # 8 of 16 inputs are ones at n = 4: d0 = 4 - 3 = 1
@@ -364,6 +379,50 @@ class TestNdeg:
         monkeypatch.setattr(polys, "ndeg_decide", spy)
         d, _ = ndeg(f)
         assert probed == list(range(1, d + 1))
+
+    def test_scan_starts_past_last_tall_system(self, monkeypatch):
+        # 16 of 32 inputs are ones at n = 5: d0 = 5 - 4 = 1, while the
+        # reduced system is tall up to t = 2 and has full column rank there
+        f = TruthTable(5, 0x8b33e968)
+        probed = []
+        real = polys.ndeg_decide
+
+        def spy(f, d, rng):
+            probed.append(d)
+            return real(f, d, rng=rng)
+
+        monkeypatch.setattr(polys, "ndeg_decide", spy)
+        d, _ = ndeg(f)
+        assert (d, probed) == (3, [3])
+        assert ndeg_scan_reference(f)[0] == 3 and probed == [3, 1, 2, 3]
+
+    @pytest.mark.parametrize("prime", [linalg._PRIME, 2, 3])
+    def test_scan_matches_every_probe_reference(self, prime, monkeypatch):
+        # the shortcut moves no degree, witness or resample count; p = 2
+        # or 3 fails many certificates, and those scans start at d0
+        monkeypatch.setattr(linalg, "_PRIME", prime)
+        rng = random.Random(36)
+        tables = []
+        for n in range(4, 10):
+            size = 1 << n
+            tables += [TruthTable(n, sum(1 << x for x in rng.sample(
+                range(size), size * eighths // 8))) for eighths in (1, 4, 7)]
+        for n in (3, 6, 8):
+            for family in ("OR", "AND", "PARITY", "NOT_ONE"):
+                f = make_named(family, n)
+                tables += [f, f.complement()]
+        outcomes = []
+        certificates = spy_certificates(monkeypatch)
+        for f in (t for t in tables if t.bits):
+            for seed in (1, 7):
+                d, cert = ndeg(f, seed)
+                ref_d, ref = ndeg_scan_reference(f, seed)
+                outcomes.append((d, format_poly(cert.witness),
+                                 cert.resamples)
+                                == (ref_d, format_poly(ref.witness),
+                                    ref.resamples))
+        assert all(outcomes) and len(outcomes) > 50
+        assert True in certificates and False in certificates
 
     def test_const1(self):
         d, cert = ndeg(make_named("CONST1", 4))
@@ -502,21 +561,24 @@ class TestNdeg:
     # Degree and sha256 of format_poly(witness), recorded when the witness
     # became one kernel vector of the reduced system.  The path counts are
     # of the reduced eliminations: every system of the n = 8 table stays
-    # below the int64 size gate, and one probe of the n = 9 half-ones table
-    # hands its elimination to Python ints after 90 pivots.
-    @pytest.mark.parametrize("n,eighths,seed,degree,digest,int64,handoffs", [
-        (8, 4, 81, 4, "25988d87a705c49fc36bc9149a6d1e4f"
-                      "5fafb51c94fffdce9a3466f3810cd654", 0, []),
-        (9, 1, 91, 6, "f5221bbe415264d3409c917fea5361d6"
-                      "0298bb7f03ae62d6e6b5f137611c2d8e", 2, []),
-        (9, 4, 94, 5, "f1ad2c601c209449265732e0709bc676"
-                      "406f0314ce2900433329cbce63c44b4f", 4, [90]),
-        (9, 7, 97, 3, "c8299c9b21c1d4c055dc21977c8c4d8b"
-                      "78a6807fde75ee8c7edd4b507b404df9", 1, [])])
+    # below the int64 size gate, and so does the one feasible probe of the
+    # n = 9 1/8-ones table.  Each table takes one full-rank certificate,
+    # which skips the probes below its last tall system.
+    @pytest.mark.parametrize(
+        "n,eighths,seed,degree,digest,int64,handoffs,certificates", [
+            (8, 4, 81, 4, "25988d87a705c49fc36bc9149a6d1e4f"
+                          "5fafb51c94fffdce9a3466f3810cd654", 0, [], 1),
+            (9, 1, 91, 6, "f5221bbe415264d3409c917fea5361d6"
+                          "0298bb7f03ae62d6e6b5f137611c2d8e", 0, [], 1),
+            (9, 4, 94, 5, "f1ad2c601c209449265732e0709bc676"
+                          "406f0314ce2900433329cbce63c44b4f", 1, [], 1),
+            (9, 7, 97, 3, "c8299c9b21c1d4c055dc21977c8c4d8b"
+                          "78a6807fde75ee8c7edd4b507b404df9", 1, [], 1)])
     def test_outputs_pinned_across_certificate_gate(
             self, n, eighths, seed, degree, digest, int64, handoffs,
-            monkeypatch):
+            certificates, monkeypatch):
         paths = spy_nullspace_paths(monkeypatch)
+        shown = spy_certificates(monkeypatch)
         rng = random.Random(seed)
         size = 1 << n
         f = TruthTable(n, sum(1 << x for x in
@@ -527,6 +589,7 @@ class TestNdeg:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert (paths["int64"], paths["handoff"], paths["trip"]) == \
             (int64, handoffs, 0)
+        assert shown == [True] * certificates
 
 
 class TestVerifyNdet:
