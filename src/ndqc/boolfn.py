@@ -12,6 +12,7 @@ Minimal sensitive blocks are the nonconstant subcubes with constant faces.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 STORAGE_CAP = 24
 CERT_MAX_CAP = 12     # certificates and block sensitivity: the subcube table
 DEPTH_CAP = 5         # decision tree depth
+CLASS_CAP = 4         # canonical tables: one entry per table, 2^(2^n)
 
 FAMILIES = ("OR", "AND", "PARITY", "NOT_ONE", "CONST0", "CONST1")
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -56,11 +58,15 @@ class TruthTable:
     def complement(self) -> "TruthTable":
         return TruthTable(self.n, self.bits ^ ((1 << self.size) - 1))
 
+    def _bit_string(self) -> str:
+        """f(0) f(1) ... as one '0'/'1' string, in one pass over the table."""
+        return format(self.bits, f"0{self.size}b")[::-1]
+
     def ones(self):
-        return [x for x in range(self.size) if (self.bits >> x) & 1]
+        return [x for x, v in enumerate(self._bit_string()) if v == "1"]
 
     def zeros(self):
-        return [x for x in range(self.size) if not (self.bits >> x) & 1]
+        return [x for x, v in enumerate(self._bit_string()) if v == "0"]
 
     def is_constant(self) -> bool:
         return self.bits == 0 or self.bits == (1 << self.size) - 1
@@ -69,14 +75,9 @@ class TruthTable:
         """Relabel variables: new variable i reads old variable perm[i-1]."""
         if sorted(perm) != list(range(1, self.n + 1)):
             raise ValueError("not a permutation of 1..n")
-        bits = 0
-        for x in range(self.size):
-            old = 0
-            for i in range(self.n):
-                if (x >> i) & 1:
-                    old |= 1 << (perm[i] - 1)
-            bits |= self.value(old) << x
-        return TruthTable(self.n, bits)
+        values = _values(self)[_input_map(self.n, perm)]
+        raw = np.packbits(values, bitorder="little").tobytes()
+        return TruthTable(self.n, int.from_bytes(raw, "little"))
 
     def __str__(self):
         return format_table(self)
@@ -109,6 +110,43 @@ class SymmetricProfile:
             if self.values[x.bit_count()]:
                 bits |= 1 << x
         return TruthTable(self.n, bits)
+
+
+def _values(f: TruthTable) -> np.ndarray:
+    """f(x) for every input x, as a uint8 array."""
+    raw = f.bits.to_bytes((f.size + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8),
+                         bitorder="little")[:f.size]
+
+
+def _input_map(n: int, perm, mask: int = 0) -> np.ndarray:
+    """g(x) = f(map[x]) for one input permutation and negation: new variable
+    i reads old variable perm[i-1], then the variables in mask are negated."""
+    x = np.arange(1 << n)
+    return sum(((x >> i) & 1) << (p - 1) for i, p in enumerate(perm)) ^ mask
+
+
+def canonical_tables(n: int) -> np.ndarray:
+    """The least table in the orbit of every table bits < 2^(2^n) under
+    input permutations and negations, indexed by bits.  Each group element
+    moves table bit y to bit map[y] (the group holds every inverse), by one
+    256-entry lookup per table byte; a running minimum keeps the least."""
+    if not 1 <= n <= CLASS_CAP:
+        raise CapExceeded(f"canonical tables capped at n<={CLASS_CAP}")
+    size = 1 << n
+    width = min(size, 8)
+    tables = np.arange(1 << size, dtype=np.uint16)
+    byte_bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+    best = tables.copy()
+    for perm, mask in itertools.product(
+            itertools.permutations(range(1, n + 1)), range(size)):
+        dest = _input_map(n, perm, mask)
+        image = np.zeros_like(tables)
+        for j in range(0, size, width):
+            lookup = (byte_bits @ (1 << dest[j:j + width])).astype(np.uint16)
+            image |= lookup[(tables >> j) & 0xFF]
+        np.minimum(best, image, out=best)
+    return best
 
 
 def random_table(n: int, rng) -> TruthTable:
@@ -159,9 +197,7 @@ class SubcubeTable:
         if f.n > CERT_MAX_CAP:
             return
         n = f.n
-        raw = f.bits.to_bytes((f.size + 7) // 8, "little")
-        self.values = np.unpackbits(np.frombuffer(raw, np.uint8),
-                                    bitorder="little")[:f.size]
+        self.values = _values(f)
         # cube code: 1 if f is 0 on Q, 2 if f is 1 on Q, 0 if not constant;
         # a free digit's code is the AND of its two halves' codes
         cube = self.values.view(np.int8) + np.int8(1)
@@ -347,14 +383,13 @@ def bs_one(f: TruthTable) -> int:
 def symmetric_profile(f: TruthTable) -> SymmetricProfile:
     """Weight profile of a symmetric function; NotSymmetric otherwise."""
     values = [None] * (f.n + 1)
-    for x in range(f.size):
+    for x, v in enumerate(f._bit_string()):
         w = x.bit_count()
-        v = f.value(x)
         if values[w] is None:
             values[w] = v
         elif values[w] != v:
             raise NotSymmetric(f"inputs of weight {w} disagree")
-    return SymmetricProfile(f.n, tuple(values))
+    return SymmetricProfile(f.n, tuple(map(int, values)))
 
 
 # ---------------------------------------------------------------------------

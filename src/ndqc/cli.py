@@ -75,46 +75,48 @@ def cmd_analyze(args) -> int:
 # theorems
 
 
-def _z_bounds(m):
+def _z_bounds(f, m):
     """Vacuous unless f is symmetric; z counts its zero weights."""
     try:
-        z = boolfn.symmetric_profile(m.f).z
+        z = boolfn.symmetric_profile(f).z
     except boolfn.NotSymmetric:
         return True
     return z <= 2 * m["ndeg"] and m["ndeg"] <= z
 
 
-# each inequality as a predicate over one function's report.Measures
+# each inequality as a predicate over f and the report.Measures of any
+# function in f's class; f's table and symmetry (not class-invariant) from f
 INEQUALITIES = {
-    "ndeg<=C1": lambda m: m["ndeg"] <= m["C1"],
-    "C0<=bs0*ndeg": lambda m: (m.f.bits == (1 << m.f.size) - 1
-                               or m["C0"] <= m["bs0"] * m["ndeg"]),
-    "D<=C0*ndeg": lambda m: (m.f.is_constant()
-                             or m["D"] <= m["C0"] * m["ndeg"]),
-    "D<=bs0*ndeg^2": lambda m: (m.f.is_constant()
-                                or m["D"] <= m["bs0"] * m["ndeg"] ** 2),
+    "ndeg<=C1": lambda f, m: m["ndeg"] <= m["C1"],
+    "C0<=bs0*ndeg": lambda f, m: (f.bits == (1 << f.size) - 1
+                                  or m["C0"] <= m["bs0"] * m["ndeg"]),
+    "D<=C0*ndeg": lambda f, m: (f.is_constant()
+                                or m["D"] <= m["C0"] * m["ndeg"]),
+    "D<=bs0*ndeg^2": lambda f, m: (f.is_constant()
+                                   or m["D"] <= m["bs0"] * m["ndeg"] ** 2),
     "ndeg>=log2(1/Pr[f=1])":
-        lambda m: (1 << m["ndeg"]) * m.f.bits.bit_count() >= m.f.size,
+        lambda f, m: (1 << m["ndeg"]) * f.bits.bit_count() >= f.size,
     "z/2<=ndeg<=z": _z_bounds,
 }
 
 
-def _theorem_rows(f, seed):
-    """(inequality, pass) rows for one function; vacuous rows, and every
-    row of f = 0, pass.
+def _theorem_rows(f, m):
+    """(inequality, pass) rows for f, read off m, the measure vector of a
+    function in f's class; vacuous rows, and every row of f = 0, pass.
 
-    Failing rows carry the full measured values as witness data.
+    Failing rows carry f's own measured values and witness as details.
     """
     name = boolfn.format_table(f)
-    m = report.Measures(f, seed)
+    own = m if m.f == f else report.Measures(f, m.seed)
     out = []
     for iq, holds in INEQUALITIES.items():
         row = {"function": name, "inequality": iq,
-               "pass": f.bits == 0 or holds(m)}
+               "pass": f.bits == 0 or holds(f, m)}
         if not row["pass"]:
             row["details"] = dict(
-                {k: m[k] for k in ("ndeg", "C0", "C1", "bs0", "D")},
-                ones=f.bits.bit_count(), witness=polys.format_poly(m.witness))
+                {k: own[k] for k in ("ndeg", "C0", "C1", "bs0", "D")},
+                ones=f.bits.bit_count(),
+                witness=polys.format_poly(own.witness))
         out.append(row)
     return out
 
@@ -131,13 +133,18 @@ def cmd_theorems(args) -> int:
         _status(f"theorems: sampling capped at n<={THEOREM_SAMPLE_CAP}")
         return 2
     if exhaustive:
-        tables = [boolfn.TruthTable(args.n, bits)
-                  for bits in range(1 << (1 << args.n))]
+        # one measure vector per class (random samples almost never share)
+        reps = boolfn.canonical_tables(args.n).tolist()
+        classes = {r: report.Measures(boolfn.TruthTable(args.n, r), args.seed)
+                   for r in set(reps)}
+        pairs = ((boolfn.TruthTable(args.n, bits), classes[r])
+                 for bits, r in enumerate(reps))
     else:
         rng = random.Random(args.seed)
         tables = [boolfn.random_table(args.n, rng)
                   for _ in range(args.samples)]
-    results = [row for f in tables for row in _theorem_rows(f, args.seed)]
+        pairs = ((f, report.Measures(f, args.seed)) for f in tables)
+    results = [row for f, m in pairs for row in _theorem_rows(f, m)]
     per_ineq = []
     for iq in INEQUALITIES:
         rows = [r for r in results if r["inequality"] == iq]

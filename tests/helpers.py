@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ndqc import linalg, polys
+from ndqc.boolfn import TruthTable
 from ndqc.polys import MONOMIAL, MultilinearPoly, _combine
 from ndqc.querysim import BitOracle, VerifierSpec, basis_prep
 from ndqc.statevec import (FlipOnZero, PrepState, Swap, Unitary,
@@ -21,6 +22,13 @@ def load_tracer():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def act_on_inputs(f, perm, mask):
+    """f with its variables relabelled by `permute`, then read at x ^ mask:
+    one element of the group of input permutations and negations."""
+    g = f.permute(perm)
+    return TruthTable(f.n, sum(g.value(x ^ mask) << x for x in range(f.size)))
 
 
 def perm_matrix(perm):

@@ -1,18 +1,21 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ndqc.boolfn import (CapExceeded, NotSymmetric, SubcubeTable,
+from ndqc.boolfn import (CLASS_CAP, CapExceeded, NotSymmetric, SubcubeTable,
                          SymmetricProfile, TruthTable, block_sensitivity,
-                         bs_one, bs_zero, c_one, c_zero,
+                         bs_one, bs_zero, c_one, c_zero, canonical_tables,
                          certificate_complexity, decision_tree_depth,
                          format_table, make_named, minimal_sensitive_blocks,
                          n_query, parse_table, random_table,
                          symmetric_profile, _pack)
 from ndqc.polys import MONOMIAL, MultilinearPoly, nisan_smolensky_procedure
+
+from helpers import act_on_inputs
 
 
 def all_tables(n):
@@ -471,6 +474,90 @@ class TestSymmetricProfile:
             for vals in itertools.product((0, 1), repeat=n + 1):
                 prof = SymmetricProfile(n, vals)
                 assert symmetric_profile(prof.to_table()).values == vals
+
+
+def reference_symmetric_profile(f):
+    """The per-input shift scan `symmetric_profile` replaced."""
+    values = [None] * (f.n + 1)
+    for x in range(f.size):
+        w = x.bit_count()
+        v = f.value(x)
+        if values[w] is None:
+            values[w] = v
+        elif values[w] != v:
+            raise NotSymmetric(f"inputs of weight {w} disagree")
+    return SymmetricProfile(f.n, tuple(values))
+
+
+class TestTableScans:
+    """ones, zeros and symmetric_profile against the per-input shift scans
+    they replaced, on seeded, constant and symmetric tables."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_match_shift_scans(self, n):
+        rng = random.Random(n)
+        full = (1 << (1 << n)) - 1
+        profile = tuple(rng.randrange(2) for _ in range(n + 1))
+        tables = [random_table(n, rng), TruthTable(n, 0), TruthTable(n, full),
+                  SymmetricProfile(n, profile).to_table()]
+        for f in tables:
+            assert f.ones() == [x for x in range(f.size) if (f.bits >> x) & 1]
+            assert f.zeros() == [x for x in range(f.size)
+                                 if not (f.bits >> x) & 1]
+            try:
+                expect = reference_symmetric_profile(f)
+            except NotSymmetric as e:
+                with pytest.raises(NotSymmetric, match=f"^{e}$"):
+                    symmetric_profile(f)
+            else:
+                assert symmetric_profile(f) == expect
+        assert symmetric_profile(tables[-1]).values == profile
+
+
+class TestCanonicalTables:
+    @pytest.mark.parametrize("n,classes", [(1, 3), (2, 6), (3, 22), (4, 402)])
+    def test_class_counts_and_idempotent(self, n, classes):
+        canon = canonical_tables(n)
+        assert len(canon) == 1 << (1 << n)
+        assert len(np.unique(canon)) == classes
+        assert np.array_equal(canon[canon], canon)
+        assert (canon <= np.arange(len(canon))).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_least_in_brute_force_orbit(self, n):
+        canon = canonical_tables(n).tolist()
+        seen = set()
+        for f in all_tables(n):
+            if f.bits in seen:
+                continue
+            orbit = {act_on_inputs(f, perm, mask).bits
+                     for perm in itertools.permutations(range(1, n + 1))
+                     for mask in range(f.size)}
+            seen |= orbit
+            assert {canon[b] for b in orbit} == {min(orbit)}
+        assert len(seen) == len(canon)
+
+    def test_cap(self):
+        with pytest.raises(CapExceeded):
+            canonical_tables(CLASS_CAP + 1)
+
+    def test_permute_matches_variable_loop(self):
+        rng = random.Random(11)
+        for n in range(1, 9):
+            f = random_table(n, rng)
+            perm = rng.sample(range(1, n + 1), n)
+            bits = 0
+            for x in range(f.size):
+                old = sum(1 << (perm[i] - 1) for i in range(n) if (x >> i) & 1)
+                bits |= f.value(old) << x
+            assert f.permute(perm) == TruthTable(n, bits)
+
+    def test_permute_rejects_non_permutations(self):
+        f = make_named("AND", 3)
+        for perm in ((1, 2), (1, 1, 2), (0, 1, 2), (1, 2, 4)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                f.permute(perm)
+        assert f.permute((3, 1, 2)) == f
 
 
 class TestInvariants:

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,6 +15,8 @@ import ndqc
 from ndqc import boolfn, cli, commsim, polys, querysim, report
 from ndqc.boolfn import make_named
 from ndqc.polys import parse_poly, verify_ndet, weight_offset_poly
+
+from helpers import act_on_inputs
 
 
 def run_cli(args, capsys):
@@ -716,6 +720,83 @@ class TestMeasures:
         assert code == 0 and rep["witness"] is None
         assert all(set(v) == {"skipped"} for v in rep["measures"].values())
         assert boolfn.parse_table(rep["function"]) == make_named("OR", 24)
+
+
+INVARIANT_KEYS = ("deg", "ndeg", "C0", "C1", "bs0", "bs1", "D")
+
+# theorems --n 3 --exhaustive with every decision tree depth read as 99
+DEPTH_FAULT = """import sys
+from ndqc import boolfn, cli
+boolfn.SubcubeTable.depth = lambda self: 99
+sys.exit(cli.main(["theorems", "--n", "3", "--exhaustive"]))
+"""
+
+
+class TestClassSweep:
+    """theorems --exhaustive reads one report.Measures per class of input
+    permutation and negation."""
+
+    def test_measures_invariant_under_inputs_group(self):
+        rng = random.Random(37)
+        tables = [boolfn.TruthTable(n, bits) for n in (1, 2, 3)
+                  for bits in range(1 << (1 << n))]
+        tables += [boolfn.random_table(rng.choice((4, 5)), rng)
+                   for _ in range(50)]
+        canon = {n: boolfn.canonical_tables(n).tolist() for n in (1, 2, 3)}
+        for f in tables:
+            images = [act_on_inputs(f, rng.sample(range(1, f.n + 1), f.n),
+                                    rng.randrange(f.size))]
+            if f.n <= 3:
+                images.append(boolfn.TruthTable(f.n, canon[f.n][f.bits]))
+            m = report.Measures(f, 1)
+            for g in images:
+                mg = report.Measures(g, 1)
+                assert [m[k] for k in INVARIANT_KEYS] == \
+                    [mg[k] for k in INVARIANT_KEYS], (f, g)
+
+    def test_engine_counts(self, monkeypatch, capsys):
+        calls = _spy_engines(monkeypatch)
+        assert cli.main(["theorems", "--n", "3", "--exhaustive"]) == 0
+        # 22 classes; f = 0, alone in its class, passes without a read
+        assert calls["ndeg"] == calls["SubcubeTable"] == 21
+        calls.update(ndeg=0, SubcubeTable=0)
+        assert cli.main(["theorems", "--n", "4", "--samples", "30"]) == 0
+        assert calls["ndeg"] == calls["SubcubeTable"] == 30
+        capsys.readouterr()
+
+    def test_z_row_reads_the_function_itself(self, monkeypatch, capsys):
+        # a symmetric function's class holds tables that are not symmetric,
+        # so the vacuous z rows are those of f's own table
+        ndeg = polys.ndeg
+        monkeypatch.setattr(polys, "ndeg",
+                            lambda f, seed: (99, ndeg(f, seed=seed)[1]))
+        code, out = run_cli(["theorems", "--n", "3", "--exhaustive"], capsys)
+        bad = next(iq["counterexamples"]
+                   for iq in json.loads(out)["inequalities"]
+                   if iq["name"] == "z/2<=ndeg<=z")
+        symmetric = [boolfn.SymmetricProfile(3, v).to_table()
+                     for v in itertools.product((0, 1), repeat=4)]
+        assert code == 1 and [row["function"] for row in bad] == sorted(
+            (str(f) for f in symmetric if f.bits),
+            key=lambda t: boolfn.parse_table(t).bits)
+
+    def test_failing_rows_carry_own_witness(self, monkeypatch, capsys):
+        monkeypatch.setattr(boolfn.SubcubeTable, "depth", lambda self: 99)
+        code, out = run_cli(["theorems", "--n", "3", "--exhaustive"], capsys)
+        src = str(Path(ndqc.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", DEPTH_FAULT],
+                              capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert code == proc.returncode == 1 and proc.stdout == out.encode()
+        bad = next(iq["counterexamples"]
+                   for iq in json.loads(out)["inequalities"]
+                   if iq["name"] == "D<=C0*ndeg")
+        assert len(bad) == 254
+        for row in bad:
+            f, details = boolfn.parse_table(row["function"]), row["details"]
+            w = parse_poly(details["witness"], 3)
+            assert details["D"] == 99 and verify_ndet(w, f)
+            assert w.degree == details["ndeg"]
 
 
 def test_console_script_end_to_end():

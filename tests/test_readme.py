@@ -19,6 +19,7 @@ CAPS = {
     "pair functions": commsim.PAIR_CAP,
     "rectangle covers": commsim.COVER_CAP,
     "rotation protocol": commsim.PAIR_CAP,
+    "canonical tables": boolfn.CLASS_CAP,
 }
 
 
