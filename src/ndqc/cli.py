@@ -201,9 +201,10 @@ def _separation_query(args):
     pvals, pden = p._int_values()
     e = (n * n - 3 * n + 4) * f.size * pden * pden
     if args.mode == "float":
-        ok = all(abs(acc - 4 * pvals[x] ** 2 / e) < 1e-9
-                 and (acc > 1e-12) == (f.value(x) == 1)
-                 for x, acc in enumerate(querysim.float_acceptances(algo)))
+        ok = all(abs(acc - 4 * pv ** 2 / e) < 1e-9
+                 and (acc > 1e-12) == (c == "1")
+                 for acc, pv, c in zip(querysim.float_acceptances(algo),
+                                       pvals, f._bit_string()))
     else:
         sym = querysim.symbolic_simulate(algo)
         accs, aden = sym.acceptance_polynomial()._int_values()
@@ -212,7 +213,7 @@ def _separation_query(args):
         ok = all(sym.norm2(x) == 1 for x in (0, 1, f.size - 1))
         ok = ok and all(a * e == 4 * v * v * aden
                         for a, v in zip(accs, pvals)) and all(
-            (a > 0) == (f.value(x) == 1) for x, a in enumerate(accs))
+            (a > 0) == (c == "1") for a, c in zip(accs, f._bit_string()))
     _check(checks, "compiled_acceptance_c2p2", ok,
            "acceptance = c^2 p(x)^2 / 2^n on every input, positive iff f=1")
     nq = values["N"] = m["N"]

@@ -45,7 +45,7 @@ def rows_to_int(rows):
     return out
 
 
-def _echelon_ff(rows, ncols, start=None):
+def _echelon_ff(rows, ncols, start=None, watch=False):
     """Fraction-free (Bareiss) row echelon with left-to-right column pivoting.
 
     Returns (echelon_rows, pivots) where pivots is a list of (row, col) with
@@ -60,6 +60,9 @@ def _echelon_ff(rows, ncols, start=None):
     start = (pc, prev) goes on with a plain Bareiss run that stopped before
     column pc: rows are the ones not yet used as pivot rows, zero left of
     pc, and current for the pivot value `prev`.
+
+    watch=True watches the last row: the run stops at the step that takes
+    it as a pivot, before that step's update, and returns (None, pc).
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -78,6 +81,8 @@ def _echelon_ff(rows, ncols, start=None):
                 break
         if sel is None:
             continue
+        if watch and sel == nrows - 1:
+            return None, pc
         if sel != pr:
             m[pr], m[sel] = m[sel], m[pr]
             scaled[pr], scaled[sel] = scaled[sel], scaled[pr]
@@ -339,14 +344,21 @@ def _back_substitute_int64(ech, pivots, ncols):
 
 def staircase_column(rows, ncols, v):
     """First free column j whose nullspace vector vec_j has dot(v, vec_j)
-    != 0, or None when v lies in the row space of rows.
+    != 0, or None when v lies in the row space of rows; rows and v are of
+    Python ints.
 
     Found without building the nullspace: reducing v against the echelon
     rows leaves a residual r that is zero on every pivot column, and since
     vec_j is supported on pivot columns left of j plus j itself,
     dot(r, vec_j) = r[j] * vec_j[j].  So j is r's first nonzero column.
-    The rows are eliminated by `echelon`, in int64 when they are large.
+    Below _INT64_MIN_CELLS cells v is the watched last row of one Bareiss
+    run: it is picked as a pivot only where every other row left is zero,
+    which is at r's first nonzero column.  Larger systems are eliminated
+    by `echelon`, in int64, and v is reduced against the result.
     """
+    if len(rows) * ncols < _INT64_MIN_CELLS:
+        ech, pc = _echelon_ff(list(rows) + [v], ncols, watch=True)
+        return pc if ech is None else None
     ech, pivots = echelon(rows, ncols)
     r = _residual(ech, pivots, v)
     return next((c for c, a in enumerate(r) if a), None)

@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 from numbers import Rational
 
@@ -254,11 +255,12 @@ def exact_poly(f: TruthTable) -> MultilinearPoly:
     """The unique multilinear polynomial agreeing with f on {0,1}^n."""
     if f.n > POLY_TABLE_CAP:
         raise CapExceeded(f"interpolation capped at n<={POLY_TABLE_CAP}")
-    arr = [f.value(x) for x in range(f.size)]
+    table = list(map(int, f._bit_string()))
+    arr = table.copy()
     _mobius_inplace(arr, f.n)
     p = MultilinearPoly(f.n, MONOMIAL, {m: c for m, c in enumerate(arr) if c})
     vals, _ = p._int_values()
-    if any(vals[x] != f.value(x) for x in range(f.size)):
+    if vals != table:
         raise InterpolationMismatch("interpolant disagrees with the table")
     return p
 
@@ -288,7 +290,7 @@ def verify_ndet(p: MultilinearPoly, f: TruthTable) -> bool:
     if p.n != f.n:
         return False
     vals, _ = p._int_values()
-    return all(bool(vals[x]) == bool(f.value(x)) for x in range(f.size))
+    return all(bool(v) == (c == "1") for v, c in zip(vals, f._bit_string()))
 
 
 def weight_offset_poly(n: int, k: int = 0) -> MultilinearPoly:
@@ -510,59 +512,83 @@ def symmetric_ndeg(prof: SymmetricProfile) -> int:
     by total degree, so one staircase elimination answers every d at once.
 
     ndeg is the max over 1-levels of that level's least degree dmin(w), and
-    `_level_bound` gives ub(w) >= dmin(w) without an elimination.  Levels
-    are visited by descending ub, and the scan stops at the first level
-    whose ub is no more than the best dmin so far: no later level can raise
-    the max.
+    `_level_bound` gives ub = z >= dmin(w) without an elimination, once its
+    product is checked: degree ub, a factor vanishing on each zero diagonal
+    s + t = k, and none at (w, 0) for a 1-level w.  So each level is
+    eliminated only on its columns of degree below ub, and the scan stops
+    at the first level that reaches ub.
     """
-    zeros = set(prof.zero_weights)
+    zeros = prof.zero_weights
     one_levels = [w for w in range(prof.n + 1) if w not in zeros]
     if not one_levels:
         raise IdenticallyZero("no nondeterministic polynomial for f == 0")
-    bounds = {w: _level_bound(prof.n, prof.zero_weights, w)
-              for w in one_levels}
+    ub, factors = _level_bound(zeros)
+    diagonals = {k // a for a, b, k in factors if a == b != 0 and not k % a}
+    if (len(factors) != ub or not diagonals.issuperset(zeros)
+            or any(a * w == k for a, _, k in factors for w in one_levels)):
+        raise EngineInvariantBroken(f"level bound {ub} not certified")
     best = 0
-    for w in sorted(one_levels, key=bounds.get, reverse=True):
-        if bounds[w] <= best:
+    for w in one_levels:
+        best = max(best, _level_dmin(prof.n, zeros, w, ub))
+        if best == ub:
             break
-        best = max(best, _level_dmin(prof.n, zeros, w))
     return best
 
 
-def _level_bound(n, zero_weights, w):
-    """ub(w) >= dmin(w): the least degree, over c in {-1} + L and r in
-    {m + 1} + {k - w : k in H}, of the product in (s, t)
-    prod_{i<=c} (s - i) * prod_{k in L, k>c} (s + t - k)
-    * prod_{r<=j<=m} (t - j) * prod_{k in H, k-w<r} (s + t - k),
-    with L, H the zero weights below and above w and m = n - w.  It
-    vanishes on the zero points of the box and not at (w, 0), and as a
-    degree-e polynomial it lies in the span of the level's columns
-    C(s, a) * C(t, b) with a + b <= e.  c = -1, r = m + 1 give ub <= z.
+def _level_bound(zero_weights):
+    """(ub, factors): ub = z bounds every level's dmin(w), by the product
+    prod_{k in Z} (s + t - k) over the zero weights Z, with factors its
+    linear forms, (a, b, k) standing for a * s + b * t - k.  It vanishes
+    on the zero points of every box and not at (w, 0) for a 1-level w, and
+    lies in the span of the columns C(s, a) * C(t, b) with a + b <= z.
+    Trading the factors below w for prod_{i<=c} (s - i), or those above
+    for prod_{r<=j<=n-w} (t - j), never lowers the degree.
     """
-    low = [k for k in zero_weights if k < w]
-    high = [k - w for k in zero_weights if k > w]
-    m = n - w
-    return (min([len(low)] + [c + len(low) - i for i, c in enumerate(low)])
-            + min([len(high)] + [m - h + 1 + j for j, h in enumerate(high)]))
+    return len(zero_weights), [(1, 1, k) for k in zero_weights]
 
 
-def _level_dmin(n, zeros, w):
-    m = n - w
-    pts = [(s, t) for s in range(w + 1) for t in range(m + 1)
-           if (s + t) in zeros]
-    if not pts:
-        return 0
-    k = max(w, m)
-    binom = [[comb(s, a) for a in range(k + 1)] for s in range(k + 1)]
+@lru_cache(maxsize=32)     # every box of one n <= 24
+def _level_box(w, m):
+    """The columns (a, b), a <= w, b <= m, by total degree; below[d], the
+    number of columns of degree below d; and grid[s][t], the row
+    C(s, a) * C(t, b) of the grid point (s, t) on those columns."""
     cols = sorted(((a, b) for a in range(w + 1) for b in range(m + 1)),
                   key=lambda ab: (ab[0] + ab[1], ab[0], ab[1]))
-    f_vec = [binom[w][a] if b == 0 else 0 for a, b in cols]
-    rows = [[binom[s][a] * binom[t][b] for a, b in cols] for s, t in pts]
-    j = staircase_column(rows, len(cols), f_vec)
-    if j is None:
+    below = [sum(a + b < d for a, b in cols) for d in range(w + m + 2)]
+    k = max(w, m)
+    binom = [[comb(s, a) for a in range(k + 1)] for s in range(k + 1)]
+    grid = [[[binom[s][a] * binom[t][b] for a, b in cols]
+             for t in range(m + 1)] for s in range(w + 1)]
+    return cols, below, grid
+
+
+def _level_dmin(n, zeros, w, ub=None):
+    """dmin(w): the least degree of a combination of the level's columns
+    that vanishes on the zero points of its box and not at (w, 0).
+
+    Given a proven ub >= dmin(w), only the columns of degree e < ub are
+    eliminated, and no independent one means dmin = ub.  Each zero
+    diagonal s + t = k keeps e + 1 points, since on those columns it
+    carries a polynomial of degree <= e in s.  No ub: all columns and
+    points."""
+    if not zeros:
+        return 0
+    m = n - w
+    cols, below, grid = _level_box(w, m)
+    e = n if ub is None else ub - 1     # the highest column degree kept
+    width = below[e + 1]
+    rows = []
+    for k in zeros:
+        lo = max(0, k - m)
+        rows += [grid[s][k - s][:width]
+                 for s in range(lo, min(w, k, lo + e) + 1)]
+    j = staircase_column(rows, width, grid[w][0][:width])
+    if j is not None:
+        a, b = cols[j]
+        return a + b
+    if ub is None:
         raise EngineInvariantBroken("level is always feasible at degree n")
-    a, b = cols[j]
-    return a + b
+    return ub
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +643,6 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
     if not verify_ndet(p, f):
         raise InvalidWitness("polynomial does not match the function pattern")
     cubes = SubcubeTable(f)
-    full = f.size - 1
 
     def min_zero_certificate(amask, avals):
         free = [i for i in range(f.n) if not (amask >> i) & 1]
@@ -655,9 +680,9 @@ def nisan_smolensky_procedure(f: TruthTable, p: MultilinearPoly):
                 raise RoundInvariantViolation("round kept the degree")
 
     worst = 0
-    for x in range(full + 1):
+    for x, c in enumerate(f._bit_string()):
         value, used = oracle(x)
-        if value != f.value(x):
+        if value != int(c):
             raise RoundInvariantViolation(f"wrong value at input {x}")
         worst = max(worst, used)
     return oracle, worst

@@ -490,8 +490,9 @@ def extract_ndet_poly_stats(algo: QueryAlgorithm, f: TruthTable, seed: int):
     if not f.bits:
         raise IdenticallyZero("no nondeterministic polynomial for f == 0")
     sym = symbolic_simulate(algo)
-    for x, acc in enumerate(sym.acceptance_polynomial()._int_values()[0]):
-        if bool(acc) != bool(f.value(x)):
+    accs = sym.acceptance_polynomial()._int_values()[0]
+    for x, (acc, c) in enumerate(zip(accs, f._bit_string())):
+        if bool(acc) != (c == "1"):
             raise NotNondeterministic(
                 f"acceptance pattern breaks at input {x}")
     parts = sym._accepting()

@@ -147,12 +147,12 @@ def spy_nullspace_paths(monkeypatch):
         paths["int64"] += 1
         return kernel(m, ncols)
 
-    def spy_echelon(rows, ncols, start=None):
+    def spy_echelon(rows, ncols, start=None, watch=False):
         if start is None:
             paths["bareiss"] += 1
         else:
             paths["handoff"].append(start[0])
-        return echelon(rows, ncols, start)
+        return echelon(rows, ncols, start, watch)
 
     def spy_back(ech, pivots, ncols):
         out = back(ech, pivots, ncols)

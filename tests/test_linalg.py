@@ -214,6 +214,29 @@ def test_residual_primitive_and_clear_on_pivots(rows, data):
 
 
 @settings(max_examples=150, deadline=None)
+@given(rows=st.one_of(small_matrix, zero_one_matrix), data=st.data())
+def test_watched_row_stops_at_first_residual_column(rows, data):
+    # v as the watched last row is picked as a pivot exactly at the first
+    # nonzero column of its residual, and never when v is in the row space
+    ncols = len(rows[0])
+    v = data.draw(st.lists(st.integers(min_value=-6, max_value=6),
+                           min_size=ncols, max_size=ncols))
+    lam = data.draw(st.lists(st.integers(min_value=-4, max_value=4),
+                             min_size=len(rows), max_size=len(rows)))
+    in_span = [sum(k * row[c] for k, row in zip(lam, rows))
+               for c in range(ncols)]
+    ech, pivots = _echelon_ff(rows, ncols)
+    for u in (v, in_span):
+        r = _residual(ech, pivots, u)
+        first = next((c for c, a in enumerate(r) if a), None)
+        stop, pc = _echelon_ff(rows + [u], ncols, watch=True)
+        assert (pc if stop is None else None) == first
+        if stop is not None:    # a full run, as without the watch
+            assert (stop, pc) == _echelon_ff(rows + [u], ncols)
+    assert first is None
+
+
+@settings(max_examples=150, deadline=None)
 @given(rows=st.one_of(int_matrix, zero_one_matrix))
 def test_echelon_matches_plain_bareiss(rows):
     # deferred rescaling must leave every entry at plain Bareiss's value

@@ -25,8 +25,9 @@ from ndqc.polys import (FOURIER, MONOMIAL, ConstantPolynomial,
                         parse_rational, format_poly,
                         schwartz_stats, symmetric_ndeg, symmetric_ndet_poly,
                         to_fourier, verify_ndet, weight_offset_poly,
-                        _ball_weights, _level_bound, _level_dmin,
-                        _reduced_system, _resample)
+                        _ball_weights, _level_bound, _level_box,
+                        _level_dmin, _reduced_system, _resample)
+from ndqc.linalg import staircase_column
 
 from helpers import (ndeg_dual_oracle, ndeg_primal_oracle,
                      ndeg_scan_reference, spy_certificates,
@@ -284,6 +285,31 @@ def _outside_kernel_probe():
     return ndeg_decide(make_named("NOT_ONE", 3).complement(), 2)
 
 
+# faulty `_level_bound`s, as maps of its true (ub, factors), each failing
+# one part of the check that symmetric_ndeg makes before it trusts ub; on
+# NOT_ONE_3 the first level, w = 0, has dmin = ub = 1, so an untrue ub
+# would decide it
+_BOUND_FAULTS = {
+    "under_reported": lambda ub, factors: (ub - 1, factors),
+    "not_vanishing_on_zeros": lambda ub, factors: (
+        ub, [(0, 0, -1)] + factors[1:]),
+    "vanishing_at_w0": lambda ub, factors: (ub + 1, factors + [(1, 0, 0)]),
+}
+
+
+def _bound_fault_raises(fault):
+    real = polys._level_bound
+    polys._level_bound = lambda zero_weights: fault(*real(zero_weights))
+    try:
+        d = symmetric_ndeg(symmetric_profile(make_named("NOT_ONE", 3)))
+    except EngineInvariantBroken:
+        return True
+    finally:
+        polys._level_bound = real
+    assert d == 1
+    return False
+
+
 class TestNdeg:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_or_and(self, n):
@@ -519,9 +545,18 @@ class TestNdeg:
                             lambda f, d, rng: NdegCertificate(d, None, 0))
         with pytest.raises(EngineInvariantBroken):
             ndeg(make_named("OR", 3))
+        # with no bound, a level with no independent column is a bug
         monkeypatch.setattr(polys, "staircase_column", lambda *args: None)
         with pytest.raises(EngineInvariantBroken):
-            symmetric_ndeg(symmetric_profile(make_named("NOT_ONE", 3)))
+            _level_dmin(3, {1}, 0)
+
+    @pytest.mark.parametrize("name", sorted(_BOUND_FAULTS))
+    def test_untrue_level_bound_raises(self, name):
+        # ub cuts every level's columns and stops the scan, so it is used
+        # only once its product passes an exact check
+        assert _bound_fault_raises(lambda ub, factors: (ub, factors)) is \
+            False
+        assert _bound_fault_raises(_BOUND_FAULTS[name])
 
     def test_basis_outside_v_d_raises_invalid_witness(self, monkeypatch):
         # the witness has degree <= d by construction, so only its nonzero
@@ -592,6 +627,29 @@ class TestNdeg:
         assert shown == [True] * certificates
 
 
+class TestTableScans:
+    """exact_poly and verify_ndet against the per-input f.value scans they
+    replaced, on seeded tables."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_match_value_scans(self, n):
+        rng = random.Random(n)
+        f = random_table(n, rng)
+        p = exact_poly(f)
+        vals, den = p._int_values()
+        assert den == 1 and vals == [f.value(x) for x in range(f.size)]
+        flipped = TruthTable(n, f.bits ^ (1 << rng.randrange(f.size)))
+        weight = weight_offset_poly(n)
+        cases = [(p, f), (p, flipped), (weight, make_named("OR", n)),
+                 (weight, f)]
+        got = [verify_ndet(q, h) for q, h in cases]
+        assert got == [
+            all(bool(v) == bool(h.value(x))
+                for x, v in enumerate(q._int_values()[0]))
+            for q, h in cases]
+        assert got[:3] == [True, False, True]
+
+
 class TestVerifyNdet:
     def test_or_sum(self):
         assert verify_ndet(weight_offset_poly(4), make_named("OR", 4))
@@ -651,8 +709,10 @@ class TestSymmetric:
 
 
 def _bound_products(n, zero_weights, w):
-    """Every product of `_level_bound`'s docstring, as factor lists: a
-    factor (a, b, k) stands for a*s + b*t - k."""
+    """The products that trade the factors s + t - k of zero weights k
+    below w for prod_{i<=c} (s - i), or those above w for
+    prod_{r<=j<=n-w} (t - j), as factor lists: a factor (a, b, k) stands
+    for a*s + b*t - k.  c = -1, r = n - w + 1 give `_level_bound`'s."""
     m = n - w
     low = [k for k in zero_weights if k < w]
     high = [k for k in zero_weights if k > w]
@@ -674,14 +734,18 @@ def _profiles(ns, rng=None, count=None):
         yield from (SymmetricProfile(n, vals) for vals in rows if any(vals))
 
 
+def _one_levels(prof):
+    return [w for w in range(prof.n + 1) if w not in prof.zero_weights]
+
+
 class TestLevelBound:
     def test_products_vanish_on_zeros_with_degree_ub(self):
-        # ub(w) checked on the box alone, with no elimination
+        # ub checked on the box alone, with no elimination: no traded
+        # product has degree below z
         for prof in _profiles(range(1, 8)):
             n, zeros = prof.n, prof.zero_weights
-            for w in range(n + 1):
-                if w in zeros:
-                    continue
+            ub, bound_factors = _level_bound(zeros)
+            for w in _one_levels(prof):
                 box = [(s, t) for s in range(w + 1)
                        for t in range(n - w + 1)]
                 degrees = []
@@ -693,17 +757,20 @@ class TestLevelBound:
                                if s + t in zeros), (prof.values, w)
                     assert value(w, 0) != 0, (prof.values, w)
                     degrees.append(len(factors))
-                assert min(degrees) == _level_bound(n, zeros, w) <= prof.z
+                assert sorted(bound_factors) == sorted(
+                    next(_bound_products(n, zeros, w)))
+                assert min(degrees) == ub == len(bound_factors) == prof.z
 
-    def test_pruned_matches_every_level_n_le_8(self):
-        for prof in _profiles(range(1, 9)):
+    def test_pruned_matches_every_level_n_le_9(self):
+        for prof in _profiles(range(1, 10)):
             zeros = set(prof.zero_weights)
-            dmins = [(_level_dmin(prof.n, zeros, w),
-                      _level_bound(prof.n, prof.zero_weights, w))
-                     for w in range(prof.n + 1) if w not in zeros]
-            assert all(d <= ub for d, ub in dmins), prof.values
-            assert symmetric_ndeg(prof) == max(d for d, _ in dmins), \
-                prof.values
+            ub = prof.z
+            dmins = [_level_dmin(prof.n, zeros, w)
+                     for w in _one_levels(prof)]
+            assert [_level_dmin(prof.n, zeros, w, ub)
+                    for w in _one_levels(prof)] == dmins, prof.values
+            assert max(dmins) <= ub, prof.values
+            assert symmetric_ndeg(prof) == max(dmins), prof.values
 
     @pytest.mark.parametrize("n, count", [(12, 40), (16, 10)])
     def test_pruned_matches_every_level_seeded(self, n, count):
@@ -712,6 +779,29 @@ class TestLevelBound:
             assert symmetric_ndeg(prof) == max(
                 _level_dmin(n, zeros, w) for w in range(n + 1)
                 if w not in zeros), prof.values
+
+    def test_row_cap_keeps_staircase_answer(self):
+        # on the columns of degree <= e a zero diagonal's points past its
+        # first e + 1 add no new row, so the staircase answer stays
+        capped_rows = 0
+        for prof in _profiles(range(1, 8)):
+            n = prof.n
+            for w in _one_levels(prof):
+                m = n - w
+                _, below, grid = _level_box(w, m)
+                for e in range(n + 1):
+                    width = below[e + 1]
+                    diagonals = [
+                        [grid[s][k - s][:width]
+                         for s in range(max(0, k - m), min(w, k) + 1)]
+                        for k in prof.zero_weights]
+                    full = [row for d in diagonals for row in d]
+                    capped = [row for d in diagonals for row in d[:e + 1]]
+                    capped_rows += len(full) - len(capped)
+                    v = grid[w][0][:width]
+                    assert staircase_column(capped, width, v) == \
+                        staircase_column(full, width, v), (prof.values, w, e)
+        assert capped_rows > 0
 
 
 class TestMinimalBlockLemma:
@@ -881,6 +971,15 @@ def test_faults_caught_under_python_O():
     # python -O strips assert statements; the typed errors must remain
     proc = _run_under_O(_FAULTS_UNDER_O)
     assert proc.stdout.split() == sorted(_FAULTS), proc.stderr
+
+
+def test_level_bound_faults_caught_under_python_O():
+    proc = _run_under_O(
+        "from test_polys import _BOUND_FAULTS, _bound_fault_raises\n"
+        "for name, fault in sorted(_BOUND_FAULTS.items()):\n"
+        "    if _bound_fault_raises(fault):\n"
+        "        print(name)\n")
+    assert proc.stdout.split() == sorted(_BOUND_FAULTS), proc.stderr
 
 
 def test_small_free_values_resample_under_python_O():
